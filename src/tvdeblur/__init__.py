@@ -19,8 +19,7 @@ from .operators import (PaddedDomain, adjoint_gradient, apply_blur,
                         transpose_adjoint_gradient)
 from .solver import (SolveTrace, TraceRecord, shrink, solve, solve_enlarged,
                      u_step)
-from .transforms import (SpectralPlan, SystemPlanner, dct2, dst1, fft2_real,
-                         idct2, ifft2_real, plan_system, solve_system)
+from .transforms import SpectralPlan, SystemPlanner, solve_system
 
 __version__ = "0.1.0"
 
@@ -31,9 +30,8 @@ __all__ = [
     "SolveTrace", "SpectralPlan", "SweepResult", "SweepRow", "SymmetryError",
     "SystemPlanner", "TraceRecord", "TvDeblurError", "UnsupportedError",
     "adjoint_gradient", "apply_blur", "apply_correlation", "as_image",
-    "builtin_truth", "crop", "dct2", "diagonal_motion_psf", "dst1", "energy",
-    "extend", "fft2_real", "gaussian_psf", "gradient", "idct2", "ifft2_real",
-    "parse_mode", "plan_system", "restore", "shrink", "simulate", "snr", "solve",
-    "solve_enlarged", "solve_system", "sweep", "sweep_csv_text",
+    "builtin_truth", "crop", "diagonal_motion_psf", "energy", "extend",
+    "gaussian_psf", "gradient", "parse_mode", "restore", "shrink", "simulate",
+    "snr", "solve", "solve_enlarged", "solve_system", "sweep", "sweep_csv_text",
     "transpose_adjoint_gradient", "u_step", "write_sweep_csv",
 ]

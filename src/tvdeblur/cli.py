@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,7 @@ def _parse_floats(text: str):
 def _solve_params(args, alpha: float) -> SolveParams:
     ladder = _parse_floats(args.beta_ladder) if args.beta_ladder else DEFAULT_BETA_LADDER
     return SolveParams(alpha=alpha, beta_ladder=ladder,
-                       inner_tol=args.inner_tol, inner_max=args.inner_max,
-                       rng_seed=getattr(args, "seed", 0))
+                       inner_tol=args.inner_tol, inner_max=args.inner_max)
 
 
 def _add_solver_flags(p):
@@ -204,19 +203,15 @@ def cmd_sweep(args) -> int:
     if args.save_cells:
         to_render.extend((args.save_cells, "cell", row)
                          for row in result.rows if not row.failed)
-    if to_render:
-        observed, _ = simulate(truth, psf, args.sigma2, args.seed)
-        for dirname, kind, row in to_render:
-            outdir = Path(dirname)
-            outdir.mkdir(parents=True, exist_ok=True)
-            restored, _ = restore(observed, psf, row.mode,
-                                  replace(params, alpha=row.alpha))
-            mode_tag = row.mode.replace(":", "_")
-            name = (f"best_{mode_tag}.pgm" if kind == "best"
-                    else f"cell_{mode_tag}_alpha{row.alpha:g}.pgm")
-            fileio.write_image(outdir / name, restored)
-            print(f"  {kind}[{row.mode}] alpha={row.alpha:g} "
-                  f"snr={row.snr_db:.2f} dB -> {outdir / name}")
+    for dirname, kind, row in to_render:
+        outdir = Path(dirname)
+        outdir.mkdir(parents=True, exist_ok=True)
+        mode_tag = row.mode.replace(":", "_")
+        name = (f"best_{mode_tag}.pgm" if kind == "best"
+                else f"cell_{mode_tag}_alpha{row.alpha:g}.pgm")
+        fileio.write_image(outdir / name, row.restored)
+        print(f"  {kind}[{row.mode}] alpha={row.alpha:g} "
+              f"snr={row.snr_db:.2f} dB -> {outdir / name}")
     return EXIT_OK
 
 

@@ -157,7 +157,6 @@ class SolveParams:
     beta_ladder: tuple = DEFAULT_BETA_LADDER
     inner_tol: float = 1e-3
     inner_max: int = 10
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
@@ -173,13 +172,10 @@ class SolveParams:
             raise DataError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
         if self.inner_max < 1:
             raise DataError(f"inner_max must be >= 1, got {self.inner_max}")
-        if self.rng_seed < 0:
-            raise DataError(f"rng_seed must be non-negative, got {self.rng_seed}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta_ladder", ladder)
         object.__setattr__(self, "inner_tol", float(self.inner_tol))
         object.__setattr__(self, "inner_max", int(self.inner_max))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 @dataclass(frozen=True)

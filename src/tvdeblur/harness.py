@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import convolve2d
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, TvDeblurError
 from .grid import BOUNDARY_MODELS, Psf, SolveParams, as_image
 from .solver import solve, solve_enlarged
 
@@ -205,6 +205,7 @@ class SweepRow:
     is_reference: bool
     failed: bool = False
     message: str = ""
+    restored: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -226,56 +227,54 @@ def restore(observed: np.ndarray, psf: Psf, mode: str, params: SolveParams):
     return solve_enlarged(observed, psf, kind[1], kind[2], params)
 
 
+def _no_clock() -> float:
+    return 0.0
+
+
 def _run_cell(args):
-    observed, psf, mode, alpha, params, truth_fov = args
+    observed, psf, mode, alpha, params, truth_fov, clock = args
     cell_params = replace(params, alpha=alpha)
+    t0 = clock()
     try:
         restored, trace = restore(observed, psf, mode, cell_params)
-        return (snr(restored, truth_fov), trace.total_inner_iterations, "")
-    except Exception as exc:  # a failed cell is recorded, the sweep continues
-        return (math.nan, 0, f"{type(exc).__name__}: {exc}")
+        seconds = clock() - t0
+        return (snr(restored, truth_fov), seconds, trace.total_inner_iterations, "", restored)
+    except (TvDeblurError, np.linalg.LinAlgError) as exc:
+        # a failed cell is recorded, the sweep continues; programming errors raise
+        return (math.nan, clock() - t0, 0, f"{type(exc).__name__}: {exc}", None)
 
 
 def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResult:
-    """Run every (mode, alpha) cell; failures are recorded, not raised.
+    """Run every (mode, alpha) cell; solver failures are recorded, not raised.
 
-    ``clock`` is the wall-time source for the seconds column; pass ``None``
-    to record zeros and make the output byte-reproducible across runs.
+    ``clock`` is the wall-time source for the seconds column, read around
+    each cell's restore in the process that runs it, so the column means
+    the same serially and with ``jobs > 1``; pass ``None`` to record zeros
+    and make the output byte-reproducible across runs. Each successful row
+    keeps its restoration in ``restored``, so the caller holds one image
+    per successful cell (cells x rows x cols x 8 bytes).
     """
     if clock is None:
-        clock = lambda: 0.0
+        clock = _no_clock
     observed, fov = simulate(exp.truth, exp.psf, exp.sigma2, exp.seed)
     truth_fov = fov.crop(exp.truth)
     cells = [(mode, alpha) for mode in exp.modes for alpha in exp.alphas]
-    tasks = [(observed, exp.psf, mode, alpha, exp.params, truth_fov)
+    tasks = [(observed, exp.psf, mode, alpha, exp.params, truth_fov, clock)
              for mode, alpha in cells]
-    outcomes = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            timed = []
-            t0 = clock()
-            for out in pool.map(_run_cell, tasks):
-                timed.append((out, clock()))
-            # per-cell wall times are not meaningful under concurrency;
-            # record deltas in completion order for a rough signal
-            prev = t0
-            for out, t in timed:
-                outcomes.append((out, t - prev))
-                prev = t
+            outcomes = list(pool.map(_run_cell, tasks))
     else:
-        for task in tasks:
-            t0 = clock()
-            out = _run_cell(task)
-            outcomes.append((out, clock() - t0))
+        outcomes = [_run_cell(task) for task in tasks]
     ref = exp.reference_alpha
     rows = []
-    for (mode, alpha), ((snr_db, iters, message), seconds) in zip(cells, outcomes):
+    for (mode, alpha), (snr_db, seconds, iters, message, restored) in zip(cells, outcomes):
         failed = message != ""
         rows.append(SweepRow(mode=mode, alpha=alpha, snr_db=snr_db,
                              seconds=float(seconds), iterations=iters,
                              is_best=False, is_reference=bool(
                                  ref is not None and np.isclose(alpha, ref, rtol=1e-12, atol=0.0)),
-                             failed=failed, message=message))
+                             failed=failed, message=message, restored=restored))
     rows.sort(key=lambda r: (r.mode, r.alpha))
     # exactly one best mark per mode among successful cells (first on ties)
     marked = []

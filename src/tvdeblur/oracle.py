@@ -15,7 +15,7 @@ from . import dense
 from .grid import BOUNDARY_MODELS, GradientField, Psf
 from .harness import gaussian_psf
 from .operators import adjoint_gradient, apply_blur, apply_correlation, gradient
-from .transforms import plan_system, solve_system
+from .transforms import SystemPlanner, solve_system
 
 TOLERANCE = 1e-8
 
@@ -63,7 +63,7 @@ def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS, seed: int
                  np.abs(Hc.apply(u) - apply_correlation(u, psf, bc)).max())
             system = dense.build_system(psf, n, bc, ratio)
             rhs = system.apply(u)
-            plan = plan_system(psf, (n, n), bc, ratio)
+            plan = SystemPlanner(psf, (n, n), bc).plan(ratio)
             note("solve", bc, np.abs(solve_system(plan, rhs) - u).max())
     return devs
 

@@ -64,19 +64,13 @@ def _rhs_divergence(z: GradientField, bc: str) -> np.ndarray:
     return adjoint_gradient(z, bc)
 
 
-def u_step(z: GradientField, f: np.ndarray, psf: Psf, bc: str, alpha: float,
-           beta: float, plan: SpectralPlan) -> np.ndarray:
-    """Solve (H'H + (beta/alpha) D'D) u = H'f + (beta/alpha) D'z."""
-    f = as_image(f, "f")
-    check_boundary_model(bc)
-    ratio = beta / alpha
-    if plan.bc != bc or plan.shape != f.shape:
-        raise DataError(f"plan built for ({plan.bc}, {plan.shape}), "
-                        f"got ({bc}, {f.shape})")
-    if abs(plan.ratio - ratio) > 1e-12 * max(ratio, 1.0):
-        raise DataError(f"plan ratio {plan.ratio} does not match beta/alpha {ratio}")
-    rhs = apply_correlation(f, psf, bc) + ratio * _rhs_divergence(z, bc)
-    return solve_system(plan, rhs)
+def u_step(plan: SpectralPlan, corr_f: np.ndarray, z: GradientField) -> np.ndarray:
+    """Solve (H'H + ratio D'D) u = H'f + ratio D'z in the plan's basis.
+
+    ``corr_f`` is the correlated data H'f under the plan's boundary model;
+    ``ratio`` (beta / alpha) and the model are read from the plan.
+    """
+    return solve_system(plan, corr_f + plan.ratio * _rhs_divergence(z, plan.bc))
 
 
 @dataclass(frozen=True)
@@ -130,8 +124,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     violations = []
     start = time.perf_counter()
     for beta in params.beta_ladder:
-        ratio = beta / alpha
-        plan = planner.plan(ratio)
+        plan = planner.plan(beta / alpha)
         previous_total = None
         for it in range(params.inner_max):
             z = shrink(gradient(u, bc), beta)
@@ -142,8 +135,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                     violations.append(
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
-            rhs = corr_f + ratio * _rhs_divergence(z, bc)
-            u_new = solve_system(plan, rhs)
+            u_new = u_step(plan, corr_f, z)
             norm_u = float(np.linalg.norm(u))
             rel = float(np.linalg.norm(u_new - u)) / (norm_u if norm_u > 0 else 1.0)
             records.append(TraceRecord(beta, it, report, rel,

@@ -42,31 +42,6 @@ logger = logging.getLogger(__name__)
 EIG_FLOOR = 1e-14
 
 
-# --- transform primitives (orthonormal) ---
-
-def dct2(x: np.ndarray) -> np.ndarray:
-    return _fft.dctn(x, type=2, norm="ortho")
-
-
-def idct2(x: np.ndarray) -> np.ndarray:
-    return _fft.idctn(x, type=2, norm="ortho")
-
-
-def dst1(x: np.ndarray, axes=None) -> np.ndarray:
-    """Orthonormal DST-I over the given axes; self-inverse."""
-    if x.size == 0:
-        raise ShapeError("DST-I needs a non-empty interior (image dims >= 3)")
-    return _fft.dstn(x, type=1, norm="ortho", axes=axes)
-
-
-def fft2_real(x: np.ndarray) -> np.ndarray:
-    return _fft.rfft2(x)
-
-
-def ifft2_real(spectrum: np.ndarray, shape) -> np.ndarray:
-    return _fft.irfft2(spectrum, s=shape)
-
-
 # --- plan machinery ---
 
 def _embed_wrapped(weights, center, shape) -> np.ndarray:
@@ -159,20 +134,22 @@ class SystemPlanner:
             if psf.rows > self.shape[0] or psf.cols > self.shape[1]:
                 raise UnsupportedError(
                     f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
-            spectrum = fft2_real(_embed_wrapped(psf.weights, psf.center, self.shape))
+            spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
             self._blur_eig = np.abs(spectrum) ** 2
-            self._lap_eig = fft2_real(
+            self._lap_eig = _fft.rfft2(
                 _embed_wrapped(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, self.shape)).real
         elif bc == "reflective":
             self._check_ghost_depth(acorr, acorr_center, cap=min(self.shape))
             impulse = np.zeros(self.shape)
             impulse[0, 0] = 1.0
-            denom = dct2(impulse)
+            denom = _fft.dctn(impulse, type=2, norm="ortho")
             if np.abs(denom).min() < EIG_FLOOR:
                 raise SingularPlanError("degenerate DCT basis sample")
-            self._blur_eig = dct2(apply_stencil(impulse, acorr, acorr_center, bc)) / denom
-            self._lap_eig = dct2(
-                apply_stencil(impulse, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, bc)) / denom
+            self._blur_eig = _fft.dctn(apply_stencil(impulse, acorr, acorr_center, bc),
+                                        type=2, norm="ortho") / denom
+            self._lap_eig = _fft.dctn(
+                apply_stencil(impulse, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, bc),
+                type=2, norm="ortho") / denom
         else:  # antireflective
             self._check_ghost_depth(acorr, acorr_center, cap=min(self.shape) - 1)
             R, C = self.shape
@@ -231,11 +208,6 @@ class SystemPlanner:
                             corner=float(corner[0]), stencil=stencil, psf=self.psf)
 
 
-def plan_system(psf: Psf, shape, bc: str, ratio: float) -> SpectralPlan:
-    """Build the transform-domain plan for H'H + ratio * D'D on this grid."""
-    return SystemPlanner(psf, shape, bc).plan(ratio)
-
-
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     """CG on the literal normal equations; exact transposes, matrix-free."""
     psf, ratio = plan.psf, plan.ratio
@@ -271,9 +243,10 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape != plan.shape:
         raise ShapeError(f"rhs shape {rhs.shape} does not match plan {plan.shape}")
     if plan.bc == "periodic":
-        return ifft2_real(fft2_real(rhs) / plan.eigenvalues, plan.shape)
+        return _fft.irfft2(_fft.rfft2(rhs) / plan.eigenvalues, s=plan.shape)
     if plan.bc == "reflective":
-        return idct2(dct2(rhs) / plan.eigenvalues)
+        return _fft.idctn(_fft.dctn(rhs, type=2, norm="ortho") / plan.eigenvalues,
+                          type=2, norm="ortho")
     if plan.bc == "zero":
         return _solve_zero(plan, rhs)
     # antireflective: corners, then frame edges, then the interior
@@ -294,6 +267,7 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     if R > 2 and C > 2:
         weights, center = plan.stencil
         frame_load = apply_stencil(u, weights, center, "antireflective")
-        w = dst1(dst1(rhs[1:-1, 1:-1] - frame_load[1:-1, 1:-1]) / plan.eigenvalues)
-        u[1:-1, 1:-1] = w
+        interior = rhs[1:-1, 1:-1] - frame_load[1:-1, 1:-1]
+        u[1:-1, 1:-1] = _fft.dstn(_fft.dstn(interior, type=1, norm="ortho") / plan.eigenvalues,
+                                  type=1, norm="ortho")
     return u

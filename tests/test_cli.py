@@ -148,7 +148,13 @@ class TestSweep:
         refs = [r for r in rows if r.split(",")[6] == "1"]
         assert len(refs) == 1 and float(refs[0].split(",")[1]) == pytest.approx(500.0)
 
-    def test_save_restorations(self, tmp_path, truth_file):
+    def test_save_restorations(self, tmp_path, truth_file, monkeypatch):
+        # the files come from the sweep's own cells: nothing is simulated or solved again
+        def unused(*args):
+            raise AssertionError("sweep re-ran a cell")
+
+        monkeypatch.setattr("tvdeblur.cli.restore", unused)
+        monkeypatch.setattr("tvdeblur.cli.simulate", unused)
         out = tmp_path / "s.csv"
         rdir = tmp_path / "best"
         cdir = tmp_path / "cells"

@@ -174,13 +174,14 @@ class TestBuildSystem:
         assert np.abs(M - M.T).max() <= 1e-12
 
     def test_matches_fft_path_application(self, rng):
-        from tvdeblur import plan_system, solve_system
+        from tvdeblur import SystemPlanner, solve_system
         n = 8
         psf = gaussian_psf(3, 1.0)
         M = build_system(psf, n, "periodic", 2.0)
         x = rng.standard_normal((n, n))
         b = M.apply(x)
-        assert np.abs(solve_system(plan_system(psf, (n, n), "periodic", 2.0), b) - x).max() < 1e-10
+        plan = SystemPlanner(psf, (n, n), "periodic").plan(2.0)
+        assert np.abs(solve_system(plan, b) - x).max() < 1e-10
 
 
 class TestAdjointIdentities:

@@ -1,13 +1,23 @@
+import itertools
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tvdeblur import (DataError, Experiment, Psf, ShapeError, SolveParams,
                       apply_blur, builtin_truth, diagonal_motion_psf,
-                      gaussian_psf, parse_mode, simulate, snr, sweep,
+                      gaussian_psf, parse_mode, restore, simulate, snr, sweep,
                       sweep_csv_text)
 from tvdeblur.harness import CSV_HEADER
+
+_TICKS = itertools.count()
+
+
+def _ticks_in_workers() -> float:
+    # stands still in the test process, advances by one per read in a pool worker
+    return float(next(_TICKS)) if multiprocessing.parent_process() else 0.0
 
 
 class TestGaussianPsf:
@@ -170,7 +180,31 @@ class TestSweep:
         refl = [r for r in result.rows if r.mode == "reflective"][0]
         per = [r for r in result.rows if r.mode == "periodic"][0]
         assert refl.failed and math.isnan(refl.snr_db) and "Symmetry" in refl.message
+        assert refl.restored is None
         assert not per.failed and math.isfinite(per.snr_db)
+
+    def test_programming_errors_raise(self, small_experiment, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in a cell")
+
+        monkeypatch.setattr("tvdeblur.harness.restore", broken)
+        with pytest.raises(TypeError, match="bug in a cell"):
+            sweep(small_experiment, jobs=1, clock=None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_keep_the_restorations_they_scored(self, small_experiment, jobs):
+        exp = small_experiment
+        observed, _ = simulate(exp.truth, exp.psf, exp.sigma2, exp.seed)
+        result = sweep(exp, jobs=jobs, clock=None)
+        for row in result.rows:
+            expected, _ = restore(observed, exp.psf, row.mode,
+                                  replace(exp.params, alpha=row.alpha))
+            assert row.restored.tobytes() == expected.tobytes()
+
+    def test_pooled_cells_are_timed_in_their_worker(self, small_experiment):
+        # two reads per cell, both in the worker that ran it
+        result = sweep(small_experiment, jobs=2, clock=_ticks_in_workers)
+        assert [r.seconds for r in result.rows] == [1.0] * len(result.rows)
 
     def test_enlarge_mode_cells_run(self):
         truth = builtin_truth("ramp-disk", 36, 36)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvdeblur import (DataError, GradientField, PreconditionError, Psf,
-                      SolveParams, SymmetryError, builtin_truth, gaussian_psf,
-                      gradient, plan_system, shrink, simulate, snr, solve,
+from tvdeblur import (GradientField, PreconditionError, Psf, SolveParams,
+                      SymmetryError, SystemPlanner, apply_correlation, builtin_truth,
+                      gaussian_psf, gradient, shrink, simulate, snr, solve,
                       solve_enlarged, u_step)
 from tvdeblur import dense
 from tvdeblur.grid import DEFAULT_BETA_LADDER
@@ -56,8 +56,8 @@ class TestUStep:
         # with the identity kernel and z = grad f, u = f solves the system
         f = rng.standard_normal((10, 10))
         z = gradient(f, bc)
-        plan = plan_system(Psf.delta(), f.shape, bc, 8.0 / 2.0)
-        u = u_step(z, f, Psf.delta(), bc, alpha=2.0, beta=8.0, plan=plan)
+        plan = SystemPlanner(Psf.delta(), f.shape, bc).plan(8.0 / 2.0)
+        u = u_step(plan, apply_correlation(f, Psf.delta(), bc), z)
         assert np.abs(u - f).max() < 1e-10
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
@@ -66,8 +66,8 @@ class TestUStep:
         psf = gaussian_psf(3, 1.0)
         f = rng.standard_normal((n, n))
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        plan = plan_system(psf, (n, n), bc, beta / alpha)
-        u = u_step(z, f, psf, bc, alpha, beta, plan)
+        plan = SystemPlanner(psf, (n, n), bc).plan(beta / alpha)
+        u = u_step(plan, apply_correlation(f, psf, bc), z)
         system = dense.build_system(psf, n, bc, beta / alpha)
         corr = dense.build_correlation(psf, n, bc)
         if bc == "reflective":
@@ -84,19 +84,9 @@ class TestUStep:
     def test_huge_alpha_returns_data(self, rng):
         f = rng.standard_normal((12, 12))
         z = GradientField(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
-        plan = plan_system(Psf.delta(), f.shape, "periodic", 128.0 / 1e12)
-        u = u_step(z, f, Psf.delta(), "periodic", alpha=1e12, beta=128.0, plan=plan)
+        plan = SystemPlanner(Psf.delta(), f.shape, "periodic").plan(128.0 / 1e12)
+        u = u_step(plan, apply_correlation(f, Psf.delta(), "periodic"), z)
         assert np.abs(u - f).max() < 1e-4
-
-    def test_plan_mismatch_rejected(self, rng):
-        f = rng.standard_normal((8, 8))
-        plan = plan_system(Psf.delta(), (8, 8), "periodic", 1.0)
-        with pytest.raises(DataError):
-            u_step(GradientField.zeros((8, 8)), f, Psf.delta(), "periodic",
-                   alpha=1.0, beta=3.0, plan=plan)
-        with pytest.raises(DataError):
-            u_step(GradientField.zeros((8, 8)), f, Psf.delta(), "reflective",
-                   alpha=1.0, beta=1.0, plan=plan)
 
 
 @pytest.fixture(scope="module")
