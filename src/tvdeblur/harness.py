@@ -182,7 +182,7 @@ class Experiment:
         if not alphas or any(a <= 0 for a in alphas):
             raise DataError("alpha grid must be non-empty and positive")
         object.__setattr__(self, "alphas", alphas)
-        modes = tuple(self.modes)
+        modes = tuple(dict.fromkeys(self.modes))
         for m in modes:
             parse_mode(m)
         if not modes:

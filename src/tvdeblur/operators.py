@@ -11,13 +11,18 @@ Ghost pixels outside the frame are filled by the active boundary rule:
 Blur applies the kernel as a convolution over the extended image;
 correlation applies the doubly-flipped kernel under the same rule, which is
 the adjoint for zero and periodic models and the "reblurred" companion
-operator otherwise. All functions are pure and safe for concurrent use.
+operator otherwise. Every stencil goes through :func:`apply_stencil`, which
+convolves stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5) directly and
+wider ones by a real FFT over the padded image, so a wide kernel costs a few
+transforms rather than k^2 multiply-adds per pixel. All functions are pure
+and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
+from scipy import fft as _fft
 from scipy.signal import convolve2d
 
 from .errors import PreconditionError, ShapeError, UnsupportedError
@@ -109,6 +114,15 @@ def stencil_pads(weights: np.ndarray, center):
     return ((pr - 1 - cr, cr), (pc - 1 - cc, cc))
 
 
+# Stencils up to this many taps are convolved directly, wider ones by FFT.
+# The cutoff is not the speed break-even: on a 2-vCPU Xeon at 128^2-512^2
+# the FFT is already 1.1-1.6x faster at 3x3, 2.2-3.0x at 5x5 and 5.6-9.2x at
+# 9x9. It sits at 25 so that the delta, 3x3 and 5x5 kernels and their 5x5
+# composites (a 3x3 kernel's autocorrelation and system stencil) keep the
+# exact bytes of direct convolution, at a cost of at most a few ms a call.
+DIRECT_MAX_TAPS = 25
+
+
 def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.ndarray:
     """out[i,j] = sum_ab w[a,b] * u_ext[i - (a - cr), j - (b - cc)].
 
@@ -116,9 +130,24 @@ def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.nda
     operators; ``weights`` need not be a valid Psf (e.g. zero-mass stencils).
     The extension caps bound the admissible ghost depth, so composite
     stencils wider than the image are fine as long as their half-extent is.
+
+    ``u`` is padded by the boundary rule and the stencil is applied with a
+    "valid" convolution. Stencils of at most ``DIRECT_MAX_TAPS`` taps use
+    direct ``convolve2d``; wider ones use a real 2-D FFT of each axis length
+    ``L >= P``, where ``P`` is the padded length and ``k`` the stencil length
+    along that axis. The circular product equals the linear convolution plus
+    copies shifted by ``L``; a linear output index runs up to ``P + k - 2``,
+    so a copy lands at most at ``P + k - 2 - L <= k - 2``, inside the first
+    ``k - 1`` samples that the "valid" crop drops. The FFT result differs
+    from direct convolution only by rounding.
     """
     up = extend_array(u, stencil_pads(weights, center), bc)
-    return convolve2d(up, weights, mode="valid")
+    if weights.size <= DIRECT_MAX_TAPS:
+        return convolve2d(up, weights, mode="valid")
+    shape = tuple(_fft.next_fast_len(n, True) for n in up.shape)
+    full = _fft.irfft2(_fft.rfft2(up, shape) * _fft.rfft2(weights, shape), shape)
+    kr, kc = weights.shape
+    return full[kr - 1:up.shape[0], kc - 1:up.shape[1]]
 
 
 def apply_blur(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:

@@ -14,11 +14,12 @@ partial minimizer of the objective and makes the restoration agree with a
 periodic solve on the mirror-doubled domain — and the antireflective model
 uses the reblurred closure that its sine-transform solve diagonalizes. With
 exact partial minimizers the objective is non-increasing within a rung; the
-trace records any violation instead of silently accepting it. The
-antireflective model can flag at large penalties (a known consequence of
-reblurring the boundary rows), as can even-extent kernels under the
-reflective model, whose half-sample center offset leaves the transform
-solve a boundary-row approximation of the literal normal equations.
+trace records any violation instead of silently accepting it. A non-finite
+image update raises ``ConvergenceError`` at once. The antireflective model
+can flag at large penalties (a known consequence of reblurring the boundary
+rows), as can even-extent kernels under the reflective model, whose
+half-sample center offset leaves the transform solve a boundary-row
+approximation of the literal normal equations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy
-from .errors import DataError, SymmetryError
+from .errors import ConvergenceError, DataError, SymmetryError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
 from .operators import (PaddedDomain, adjoint_gradient, apply_correlation, crop,
                         extend, gradient, transpose_adjoint_gradient)
@@ -136,6 +137,9 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             u_new = u_step(plan, corr_f, z)
+            if not np.isfinite(u_new).all():
+                raise ConvergenceError(
+                    f"non-finite iterate at beta={beta:g}, inner iteration {it}")
             norm_u = float(np.linalg.norm(u))
             rel = float(np.linalg.norm(u_new - u)) / (norm_u if norm_u > 0 else 1.0)
             records.append(TraceRecord(beta, it, report, rel,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tvdeblur import builtin_truth
@@ -120,6 +121,15 @@ class TestDeblur:
                     "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
         assert code == 3
 
+    def test_non_finite_iterate_is_numerical_failure(self, tmp_path, observed_file,
+                                                      monkeypatch):
+        monkeypatch.setattr("tvdeblur.solver.solve_system",
+                            lambda plan, rhs: np.full(rhs.shape, np.inf))
+        code = run(["deblur", "--in", observed_file,
+                    "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
+                    "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 3
+
 
 class TestSweep:
     def test_csv_contract_and_determinism(self, tmp_path, truth_file):
@@ -136,6 +146,16 @@ class TestSweep:
         assert len(lines) == 1 + 4
         best = [line for line in lines[1:] if line.split(",")[5] == "1"]
         assert len(best) == 2
+
+    def test_duplicate_modes_are_solved_once(self, tmp_path, truth_file):
+        out = tmp_path / "dup.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic,periodic", "--alphas", "1e2,1e3",
+                    "--inner-max", "3", "--no-timing", "--out", out]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert sum(r.split(",")[5] == "1" for r in rows) == 1
 
     def test_reference_alpha_row(self, tmp_path, truth_file):
         out = tmp_path / "ref.csv"

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from tvdeblur import (GradientField, PaddedDomain, Psf, ShapeError,
                       UnsupportedError, adjoint_gradient, apply_blur,
                       apply_correlation, crop, extend, gaussian_psf, gradient,
                       transpose_adjoint_gradient)
 from tvdeblur import dense
+from tvdeblur.operators import DIRECT_MAX_TAPS, apply_stencil, extend_array, stencil_pads
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -121,6 +123,45 @@ class TestApplyCorrelation:
         u = rng.standard_normal((8, 8))
         Hc = dense.build_correlation(psf, 8, bc)
         assert np.abs(apply_correlation(u, psf, bc) - Hc.apply(u)).max() < 1e-12
+
+
+class TestStencilRoutes:
+    """apply_stencil convolves wide stencils by FFT, narrow ones directly."""
+
+    WIDE = {"gauss7": gaussian_psf(7, 1.5), "gauss6": gaussian_psf(6, 1.5),
+            "nonsym6x5": Psf(np.random.default_rng(6).uniform(0.1, 1.0, (6, 5)), (2, 3))}
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kernel,bc", [(k, bc) for k in ("gauss7", "gauss6") for bc in BCS]
+                             + [("nonsym6x5", "zero"), ("nonsym6x5", "periodic")])
+    def test_wide_kernel_matches_dense_oracle(self, rng, kernel, bc, n):
+        psf = self.WIDE[kernel]
+        assert psf.weights.size > DIRECT_MAX_TAPS
+        u = rng.standard_normal((n, n))
+        H = dense.build_blur(psf, n, bc)
+        Hc = dense.build_correlation(psf, n, bc)
+        assert np.abs(apply_blur(u, psf, bc) - H.apply(u)).max() <= 1e-12
+        assert np.abs(apply_correlation(u, psf, bc) - Hc.apply(u)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bc", ["reflective", "antireflective"])
+    def test_composite_wider_than_image(self, rng, bc):
+        weights, center = dense.autocorrelation(gaussian_psf(7, 1.5))
+        assert weights.shape == (13, 13)
+        u = rng.standard_normal((8, 8))
+        S = dense.build_stencil_matrix(weights, center, 8, bc)
+        assert np.abs(apply_stencil(u, weights, center, bc) - S.apply(u)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("shape,center", [((1, 1), (0, 0)), ((3, 3), (1, 1)),
+                                              ((5, 5), (2, 2)), ((6, 4), (3, 1)),
+                                              ((1, 25), (0, 12))])
+    def test_narrow_stencils_keep_direct_bytes(self, rng, bc, shape, center):
+        weights = rng.standard_normal(shape)
+        assert weights.size <= DIRECT_MAX_TAPS
+        u = rng.standard_normal((30, 30))
+        up = extend_array(u, stencil_pads(weights, center), bc)
+        expected = convolve2d(up, weights, mode="valid")
+        assert apply_stencil(u, weights, center, bc).tobytes() == expected.tobytes()
 
 
 class TestGradient:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvdeblur import (GradientField, PreconditionError, Psf, SolveParams,
+from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, SolveParams,
                       SymmetryError, SystemPlanner, apply_correlation, builtin_truth,
                       gaussian_psf, gradient, shrink, simulate, snr, solve,
                       solve_enlarged, u_step)
@@ -143,6 +143,13 @@ class TestSolve:
         u2, t2 = solve(observed, psf, "reflective", params)
         assert u1.tobytes() == u2.tobytes()
         assert [r.energy.total for r in t1.records] == [r.energy.total for r in t2.records]
+
+    def test_non_finite_iterate_is_convergence_error(self, small_instance, monkeypatch):
+        _, psf, observed, _ = small_instance
+        monkeypatch.setattr("tvdeblur.solver.solve_system",
+                            lambda plan, rhs: np.full(rhs.shape, np.nan))
+        with pytest.raises(ConvergenceError, match=r"beta=2\b.*iteration 0"):
+            solve(observed, psf, "periodic", SolveParams(alpha=1e3))
 
     def test_nonsymmetric_kernel_needs_enlargement(self, small_instance):
         _, _, observed, _ = small_instance
