@@ -167,7 +167,8 @@ def cmd_deblur(args) -> int:
             {"beta": r.beta, "iteration": r.iteration,
              "fidelity": r.energy.fidelity, "tv": r.energy.tv_z,
              "coupling": r.energy.coupling, "total": r.energy.total,
-             "rel_change": r.rel_change, "seconds": r.seconds}
+             "rel_change": r.rel_change, "seconds": r.seconds,
+             "cg_iterations": r.cg_iterations, "cg_residual": r.cg_residual}
             for r in trace.records
         ],
     }

@@ -76,13 +76,26 @@ def u_step(plan: SpectralPlan, corr_f: np.ndarray, z: GradientField) -> np.ndarr
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One inner iteration: the objective at (u^k, z^k), then the step taken."""
+    """One inner iteration: the objective at (u^k, z^k), then the step taken.
+
+    ``cg_iterations`` and ``cg_residual`` (the final ||b - Au|| / ||b||) are
+    the zero model's CG numerics for the image update, ``None`` for the
+    transform-solved models.
+    """
 
     beta: float
     iteration: int
     energy: EnergyReport
     rel_change: float
     seconds: float
+    cg_iterations: int | None
+    cg_residual: float | None
+
+
+def _l2(x: np.ndarray) -> float:
+    # Not np.linalg.norm: that is a BLAS dot, which OpenBLAS threads above
+    # 10^4 elements, and its spinning threads compete with sweep workers.
+    return float(np.sqrt(np.sum(x * x)))
 
 
 @dataclass(frozen=True)
@@ -140,10 +153,11 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
             if not np.isfinite(u_new).all():
                 raise ConvergenceError(
                     f"non-finite iterate at beta={beta:g}, inner iteration {it}")
-            norm_u = float(np.linalg.norm(u))
-            rel = float(np.linalg.norm(u_new - u)) / (norm_u if norm_u > 0 else 1.0)
-            records.append(TraceRecord(beta, it, report, rel,
-                                       time.perf_counter() - start))
+            norm_u = _l2(u)
+            rel = _l2(u_new - u) / (norm_u if norm_u > 0 else 1.0)
+            cg_iterations, cg_residual = plan.cg_log[-1] if plan.cg_log else (None, None)
+            records.append(TraceRecord(beta, it, report, rel, time.perf_counter() - start,
+                                       cg_iterations, cg_residual))
             u = u_new
             if rel < params.inner_tol:
                 break

@@ -14,10 +14,21 @@ where the composite operator is, per boundary model, diagonalized by:
   linear-ramp lift plus a 1-D DST-I), and the interior satisfies a 2-D DST-I
   system once the known frame values are moved to the right-hand side;
 * ``zero``            no fast transform exists; the plan falls back to
-  conjugate gradients on the literal normal equations, applied matrix-free.
+  conjugate gradients on the literal normal equations, applied matrix-free
+  and preconditioned by a fast-transform plan for the same kernel, shape and
+  ratio: the ``reflective`` (DCT-II) plan when the kernel is quadrantally
+  symmetric and its composite stencil fits the reflective ghost depth (the
+  Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
+  21, 1999), else the ``periodic`` (FFT) plan (T. F. Chan's optimal
+  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). CG stops when the
+  unpreconditioned residual falls below ``CG_RTOL`` relative to the
+  right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
+  iterations.
 
-Plans are immutable and deterministic; eigenvalue magnitudes below 1e-14
-are clamped (never silently: the count is recorded on the plan and logged).
+Plans are deterministic and, apart from the zero plan's ``cg_log`` (one
+``(iterations, relative residual)`` entry per solve), immutable; eigenvalue
+magnitudes below 1e-14 are clamped (never silently: the count is recorded
+on the plan and logged).
 """
 
 from __future__ import annotations
@@ -40,6 +51,16 @@ from .operators import (apply_blur, apply_correlation, apply_stencil, gradient,
 logger = logging.getLogger(__name__)
 
 EIG_FLOOR = 1e-14
+
+#: The zero model's CG stops once ||b - Ax|| <= CG_RTOL * ||b||.
+CG_RTOL = 1e-12
+
+#: Iteration cap of the zero model's CG: the worst case measured with the
+#: preconditioner, 1844 iterations (the nonsymmetric 7x7 motion kernel at
+#: 48x48 with alpha = 1e6, so only the FFT preconditioner applies), with
+#: headroom; a 5x5 Gaussian update at alpha = 500 takes about 22. The cap
+#: does not grow with the image, so an update stays bounded at 1024x1024.
+CG_MAXITER = 5000
 
 
 # --- plan machinery ---
@@ -64,6 +85,12 @@ def _cos_symbol(weights, center, theta_r, theta_c) -> np.ndarray:
     cr = np.cos(np.outer(np.atleast_1d(theta_r), s))
     cc = np.cos(np.outer(np.atleast_1d(theta_c), t))
     return cr @ weights @ cc.T
+
+
+def _ghost_depth(weights, center) -> int:
+    """How far a stencil reaches past its center, along either axis."""
+    return max(weights.shape[0] - 1 - center[0], center[0],
+               weights.shape[1] - 1 - center[1], center[1])
 
 
 def _clamp(values):
@@ -99,6 +126,8 @@ class SpectralPlan:
     stencil: tuple | None = None
     # zero-model fallback data
     psf: Psf | None = field(default=None, repr=False)
+    preconditioner: SpectralPlan | None = field(default=None, repr=False)
+    cg_log: list | None = field(default=None, repr=False, compare=False)
 
 
 class SystemPlanner:
@@ -123,17 +152,18 @@ class SystemPlanner:
             raise SymmetryError(
                 f"{bc} solves require a quadrantally symmetric kernel; "
                 "use the enlarged-domain path for nonsymmetric kernels")
-        if bc == "zero":
-            if psf.rows > self.shape[0] or psf.cols > self.shape[1]:
-                raise UnsupportedError(
-                    f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
-            return
         acorr, acorr_center = autocorrelation(psf)
         self._acorr = (acorr, acorr_center)
-        if bc == "periodic":
-            if psf.rows > self.shape[0] or psf.cols > self.shape[1]:
-                raise UnsupportedError(
-                    f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
+        if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
+                                           or psf.cols > self.shape[1]):
+            raise UnsupportedError(
+                f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
+        if bc == "zero":
+            fits_dct = (psf.quadrantally_symmetric
+                        and _ghost_depth(acorr, acorr_center) <= min(self.shape))
+            self._preconditioner = SystemPlanner(
+                psf, self.shape, "reflective" if fits_dct else "periodic")
+        elif bc == "periodic":
             spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
             self._blur_eig = np.abs(spectrum) ** 2
             self._lap_eig = _fft.rfft2(
@@ -170,8 +200,7 @@ class SystemPlanner:
 
     @staticmethod
     def _check_ghost_depth(weights, center, cap):
-        depth = max(weights.shape[0] - 1 - center[0], center[0],
-                    weights.shape[1] - 1 - center[1], center[1])
+        depth = _ghost_depth(weights, center)
         if depth > cap:
             raise UnsupportedError(
                 f"composite stencil ghost depth {depth} exceeds the extension cap {cap}")
@@ -182,7 +211,8 @@ class SystemPlanner:
         bc = self.bc
         if bc == "zero":
             return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=None,
-                                min_modulus=None, clamp_count=0, psf=self.psf)
+                                min_modulus=None, clamp_count=0, psf=self.psf,
+                                preconditioner=self._preconditioner.plan(ratio), cg_log=[])
         if bc in ("periodic", "reflective"):
             eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
             if count:
@@ -209,20 +239,36 @@ class SystemPlanner:
 
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
-    """CG on the literal normal equations; exact transposes, matrix-free."""
-    psf, ratio = plan.psf, plan.ratio
-    shape = rhs.shape
+    """Preconditioned CG on the literal normal equations; exact transposes,
+    matrix-free. Appends (iterations, relative residual) to ``plan.cg_log``."""
+    psf, ratio, shape = plan.psf, plan.ratio, rhs.shape
+    iterations = 0
 
     def matvec(v):
+        nonlocal iterations
+        iterations += 1
         u = v.reshape(shape)
         out = apply_correlation(apply_blur(u, psf, "zero"), psf, "zero")
         out = out + ratio * transpose_adjoint_gradient(gradient(u, "zero"), "zero")
         return out.ravel()
 
-    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
-    x, info = cg(op, rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=20 * rhs.size)
+    def precondition(r):
+        return solve_system(plan.preconditioner, r.reshape(shape)).ravel()
+
+    b = rhs.ravel()
+    op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
+    pre = LinearOperator((b.size, b.size), matvec=precondition, dtype=float)
+    x, info = cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=pre)
+    steps = iterations
+    b_norm, residual = np.sqrt(np.sum(b * b)), 0.0
+    if b_norm > 0:
+        r = b - matvec(x)
+        residual = float(np.sqrt(np.sum(r * r)) / b_norm)
     if info != 0:
-        raise ConvergenceError(f"zero-boundary CG did not converge (info={info})")
+        raise ConvergenceError(
+            f"zero-boundary CG stopped after {steps} iterations at relative residual "
+            f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={info})")
+    plan.cg_log.append((steps, residual))
     return x.reshape(shape)
 
 

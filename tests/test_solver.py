@@ -157,6 +157,35 @@ class TestSolve:
         with pytest.raises(SymmetryError, match="enlarged"):
             solve(observed, nonsym, "reflective", SolveParams(alpha=1.0))
 
+    def test_step_norms_stay_off_blas(self, small_instance, monkeypatch):
+        # np.linalg.norm is a BLAS dot, whose threads spin against sweep workers
+        _, psf, observed, _ = small_instance
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called in the solve loop")
+
+        expected, _ = solve(observed, psf, "periodic", SolveParams(alpha=1e3))
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        u, _ = solve(observed, psf, "periodic", SolveParams(alpha=1e3))
+        assert u.tobytes() == expected.tobytes()
+
+    def test_zero_model_trace_carries_cg_numerics(self):
+        psf = gaussian_psf(5, 1.0)
+        observed, _ = simulate(builtin_truth("cartoon", 24, 24), psf, 1e-4, seed=4)
+        assert observed.shape == (16, 16)
+        _, trace = solve(observed, psf, "zero", SolveParams(alpha=500.0))
+        assert all(r.cg_iterations >= 1 for r in trace.records)
+        assert all(0.0 <= r.cg_residual <= 1e-12 for r in trace.records)
+        _, trace = solve(observed, psf, "periodic", SolveParams(alpha=500.0))
+        assert {(r.cg_iterations, r.cg_residual) for r in trace.records} == {(None, None)}
+
+    def test_cg_at_its_cap_is_convergence_error(self, small_instance, monkeypatch):
+        _, psf, observed, _ = small_instance
+        monkeypatch.setattr("tvdeblur.transforms.CG_MAXITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"after 1 iterations at relative residual \d\.\d+e[-+]\d+"):
+            solve(observed, psf, "zero", SolveParams(alpha=1e3))
+
 
 class TestSolveEnlarged:
     def test_pad_zero_periodic_is_bitwise_plain_solve(self, small_instance):

@@ -3,8 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from tvdeblur import (Psf, ShapeError, SingularPlanError, SymmetryError,
-                      SystemPlanner, gaussian_psf, solve_system)
+from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
+                      SystemPlanner, builtin_truth, gaussian_psf, simulate, solve,
+                      solve_system)
 from tvdeblur import dense
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
@@ -130,3 +131,73 @@ class TestPlannerReuse:
             a = planner.plan(ratio)
             b = SystemPlanner(psf, (12, 12), "reflective").plan(ratio)
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def zero_system(psf, ratio):
+    """The zero model's normal-equations operator, from the public operators."""
+    from tvdeblur.operators import adjoint_gradient, apply_blur, apply_correlation, gradient
+
+    def apply(u):
+        return (apply_correlation(apply_blur(u, psf, "zero"), psf, "zero")
+                + ratio * adjoint_gradient(gradient(u, "zero"), "zero"))
+    return apply
+
+
+def relative_residual(apply, u, b):
+    return np.linalg.norm(b - apply(u)) / np.linalg.norm(b)
+
+
+class TestZeroPreconditionedCG:
+    """The zero model's CG on inputs where plain CG was slow or untested."""
+
+    @pytest.mark.parametrize("name,psf,preconditioner", [
+        ("even-extent", gaussian_psf(6, 1.5), "reflective"),
+        ("nonsym5x4", Psf(np.random.default_rng(7).random((5, 4)) + 0.05, (2, 1)),
+         "periodic"),
+    ])
+    def test_matches_dense_oracle(self, rng, name, psf, preconditioner):
+        n, ratio = 24, 0.3
+        plan = SystemPlanner(psf, (n, n), "zero").plan(ratio)
+        assert plan.preconditioner.bc == preconditioner
+        b = rng.standard_normal((n, n))
+        expected = dense.build_system(psf, n, "zero", ratio).solve(b)
+        assert np.abs(solve_system(plan, b) - expected).max() < 1e-8
+        iterations, residual = plan.cg_log[-1]
+        assert 1 <= iterations and residual <= 1e-12
+
+    def test_kernel_too_deep_for_the_dct_falls_back_to_the_fft(self, rng):
+        psf = gaussian_psf(9, 2.0)
+        psf = Psf(psf.weights[:, 3:6] / psf.weights[:, 3:6].sum(), (4, 1))  # 9x3
+        assert psf.quadrantally_symmetric
+        plan = SystemPlanner(psf, (20, 4), "zero").plan(0.5)
+        assert plan.preconditioner.bc == "periodic"
+        b = rng.standard_normal((20, 4))
+        assert relative_residual(zero_system(psf, 0.5), solve_system(plan, b), b) <= 1e-12
+
+    def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch):
+        from tvdeblur import solver
+        psf, n = gaussian_psf(5, 1.0), 96
+        truth = builtin_truth("cartoon", n + 8, n + 8)
+        observed, _ = simulate(truth, psf, 1e-4, seed=2)
+        residuals = []
+
+        def checked(plan, rhs):
+            u = solve_system(plan, rhs)
+            residuals.append(relative_residual(zero_system(psf, plan.ratio), u, rhs))
+            return u
+
+        monkeypatch.setattr(solver, "solve_system", checked)
+        _, trace = solver.solve(observed, psf, "zero",
+                                SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4))
+        assert len(residuals) == trace.total_inner_iterations > 0
+        assert max(residuals) <= 1e-12
+
+    def test_huge_alpha_stays_under_the_cap(self):
+        from tvdeblur.transforms import CG_MAXITER
+        psf = gaussian_psf(5, 1.0)
+        truth = builtin_truth("cartoon", 40, 40)
+        observed, _ = simulate(truth, psf, 1e-4, seed=3)
+        u, trace = solve(observed, psf, "zero", SolveParams(alpha=1e6))
+        assert np.all(np.isfinite(u))
+        assert max(r.cg_iterations for r in trace.records) < CG_MAXITER
+        assert max(r.cg_residual for r in trace.records) <= 1e-12
