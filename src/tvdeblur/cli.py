@@ -178,6 +178,8 @@ def cmd_deblur(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     truth = fileio.read_image(args.truth)
     psf = parse_psf_spec(args.psf)
     modes = tuple(m.strip() for m in args.modes.split(","))

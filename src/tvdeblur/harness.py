@@ -254,6 +254,8 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     keeps its restoration in ``restored``, so the caller holds one image
     per successful cell (cells x rows x cols x 8 bytes).
     """
+    if jobs < 1:
+        raise DataError(f"jobs must be at least 1, got {jobs}")
     if clock is None:
         clock = _no_clock
     observed, fov = simulate(exp.truth, exp.psf, exp.sigma2, exp.seed)

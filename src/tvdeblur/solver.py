@@ -34,7 +34,7 @@ from .errors import ConvergenceError, DataError, SymmetryError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
 from .operators import (PaddedDomain, adjoint_gradient, apply_correlation, crop,
                         extend, gradient, transpose_adjoint_gradient)
-from .transforms import SpectralPlan, SystemPlanner, solve_system
+from .transforms import SpectralPlan, SystemPlanner, _l2, solve_system
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
 ZERO_MAGNITUDE = 1e-300
@@ -90,12 +90,6 @@ class TraceRecord:
     seconds: float
     cg_iterations: int | None
     cg_residual: float | None
-
-
-def _l2(x: np.ndarray) -> float:
-    # Not np.linalg.norm: that is a BLAS dot, which OpenBLAS threads above
-    # 10^4 elements, and its spinning threads compete with sweep workers.
-    return float(np.sqrt(np.sum(x * x)))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,18 @@ where the composite operator is, per boundary model, diagonalized by:
   linear-ramp lift plus a 1-D DST-I), and the interior satisfies a 2-D DST-I
   system once the known frame values are moved to the right-hand side;
 * ``zero``            no fast transform exists; the plan falls back to
-  conjugate gradients on the literal normal equations, applied matrix-free
-  and preconditioned by a fast-transform plan for the same kernel, shape and
-  ratio: the ``reflective`` (DCT-II) plan when the kernel is quadrantally
-  symmetric and its composite stencil fits the reflective ghost depth (the
+  conjugate gradients on the literal normal equations, preconditioned by a
+  fast-transform plan for the same kernel, shape and ratio: the
+  ``reflective`` (DCT-II) plan when the kernel is quadrantally symmetric and
+  its composite stencil fits the reflective ghost depth (the
   Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
   21, 1999), else the ``periodic`` (FFT) plan (T. F. Chan's optimal
-  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). CG stops when the
-  unpreconditioned residual falls below ``CG_RTOL`` relative to the
+  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is two real-FFT
+  products on a grid ``L = (R + kr - 1) x (C + kc - 1)`` or larger, where
+  neither the blur nor its transpose wraps around, plus ``ratio * D'D u``.
+  The loop takes its norms and dot products as NumPy sums, never through
+  BLAS, whose threads would spin against sweep workers. CG stops when the
+  unpreconditioned residual falls to ``CG_RTOL`` relative to the
   right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
   iterations.
 
@@ -38,15 +42,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .dense import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
                     combine_stencils)
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (apply_blur, apply_correlation, apply_stencil, gradient,
-                        transpose_adjoint_gradient)
+from .operators import apply_stencil, gradient, transpose_adjoint_gradient
+# Unused here, but perfbench/layers.py patches these names on this module.
+from .operators import apply_blur, apply_correlation  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +97,19 @@ def _ghost_depth(weights, center) -> int:
                weights.shape[1] - 1 - center[1], center[1])
 
 
+def _l2(x: np.ndarray) -> float:
+    # Not np.linalg.norm: that is a BLAS dot, which OpenBLAS threads above
+    # 10^4 elements, and its spinning threads compete with sweep workers.
+    return float(np.sqrt(np.sum(x * x)))
+
+
+def _zero_grid(shape, psf: Psf) -> tuple[int, int]:
+    """Real-FFT grid on which the zero model's blur and its transpose, each a
+    linear convolution of an image with the kernel, do not wrap around."""
+    return tuple(_fft.next_fast_len(n + k - 1, True)
+                 for n, k in zip(shape, psf.weights.shape))
+
+
 def _clamp(values):
     """Clamp magnitudes below EIG_FLOOR, preserving sign; report count and min."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
@@ -110,7 +127,10 @@ class SpectralPlan:
 
     ``eigenvalues`` holds the system eigenvalues in the matching transform
     basis (half-spectrum for periodic, full grid for reflective, interior
-    grid for antireflective, absent for the zero model's CG fallback).
+    grid for antireflective). For the zero model's CG fallback it holds the
+    kernel's real-FFT half-spectrum on the no-wraparound grid of
+    :func:`_zero_grid` (the eigenvalues of the blur embedded in a circulant
+    there), shared by the plans of every ratio.
     """
 
     bc: str
@@ -163,6 +183,7 @@ class SystemPlanner:
                         and _ghost_depth(acorr, acorr_center) <= min(self.shape))
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
+            self._blur_eig = _fft.rfft2(psf.weights, _zero_grid(self.shape, psf))
         elif bc == "periodic":
             spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
             self._blur_eig = np.abs(spectrum) ** 2
@@ -210,7 +231,7 @@ class SystemPlanner:
             raise DataError(f"ratio must be finite and non-negative, got {ratio}")
         bc = self.bc
         if bc == "zero":
-            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=None,
+            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=self._blur_eig,
                                 min_modulus=None, clamp_count=0, psf=self.psf,
                                 preconditioner=self._preconditioner.plan(ratio), cg_log=[])
         if bc in ("periodic", "reflective"):
@@ -241,35 +262,41 @@ class SystemPlanner:
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     """Preconditioned CG on the literal normal equations; exact transposes,
     matrix-free. Appends (iterations, relative residual) to ``plan.cg_log``."""
-    psf, ratio, shape = plan.psf, plan.ratio, rhs.shape
-    iterations = 0
+    psf, ratio, (R, C) = plan.psf, plan.ratio, rhs.shape
+    (cr, cc), grid = psf.center, _zero_grid(rhs.shape, psf)
+    spectrum, transposed = plan.eigenvalues, plan.eigenvalues.conj()
 
-    def matvec(v):
-        nonlocal iterations
-        iterations += 1
-        u = v.reshape(shape)
-        out = apply_correlation(apply_blur(u, psf, "zero"), psf, "zero")
-        out = out + ratio * transpose_adjoint_gradient(gradient(u, "zero"), "zero")
-        return out.ravel()
+    def matvec(u):
+        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeroing the
+        # rest leaves exactly the ghosts the zero model's H' reads, and the
+        # conjugate spectrum correlates them back onto [0:R, 0:C]
+        blurred = _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)
+        blurred[:cr] = 0.0
+        blurred[cr + R:] = 0.0
+        blurred[:, :cc] = 0.0
+        blurred[:, cc + C:] = 0.0
+        out = _fft.irfft2(_fft.rfft2(blurred) * transposed, grid)[:R, :C]
+        return out + ratio * transpose_adjoint_gradient(gradient(u, "zero"), "zero")
 
-    def precondition(r):
-        return solve_system(plan.preconditioner, r.reshape(shape)).ravel()
-
-    b = rhs.ravel()
-    op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
-    pre = LinearOperator((b.size, b.size), matvec=precondition, dtype=float)
-    x, info = cg(op, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=pre)
-    steps = iterations
-    b_norm, residual = np.sqrt(np.sum(b * b)), 0.0
-    if b_norm > 0:
-        r = b - matvec(x)
-        residual = float(np.sqrt(np.sum(r * r)) / b_norm)
-    if info != 0:
+    b_norm = _l2(rhs)
+    tol = CG_RTOL * b_norm
+    x, r, steps = np.zeros((R, C)), rhs.copy(), 0
+    while _l2(r) > tol and steps < CG_MAXITER:
+        z = solve_system(plan.preconditioner, r)
+        rho = np.sum(r * z)
+        p = z if steps == 0 else z + (rho / rho_prev) * p
+        q = matvec(p)
+        alpha = rho / np.sum(p * q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev, steps = rho, steps + 1
+    residual = _l2(rhs - matvec(x)) / b_norm if b_norm > 0 else 0.0
+    if _l2(r) > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
-            f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={info})")
+            f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")
     plan.cg_log.append((steps, residual))
-    return x.reshape(shape)
+    return x
 
 
 def _edge_solve_1d(b: np.ndarray, end0: float, end1: float, eig: np.ndarray,

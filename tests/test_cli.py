@@ -172,6 +172,16 @@ class TestSweep:
         assert len(rows) == 2
         assert sum(r.split(",")[5] == "1" for r in rows) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, truth_file, capsys, jobs):
+        out = tmp_path / "jobs.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic", "--alphas", "1e2", "--inner-max", "3",
+                    "--no-timing", "--jobs", jobs, "--out", out]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reference_alpha_row(self, tmp_path, truth_file):
         out = tmp_path / "ref.csv"
         assert run(["sweep", "--truth", truth_file,

@@ -183,6 +183,11 @@ class TestSweep:
         assert refl.restored is None
         assert not per.failed and math.isfinite(per.snr_db)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, small_experiment, jobs):
+        with pytest.raises(DataError, match="jobs must be at least 1"):
+            sweep(small_experiment, jobs=jobs, clock=None)
+
     def test_programming_errors_raise(self, small_experiment, monkeypatch):
         def broken(*args):
             raise TypeError("bug in a cell")

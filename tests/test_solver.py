@@ -169,6 +169,20 @@ class TestSolve:
         u, _ = solve(observed, psf, "periodic", SolveParams(alpha=1e3))
         assert u.tobytes() == expected.tobytes()
 
+    def test_zero_model_cg_stays_off_blas(self, small_instance, monkeypatch):
+        # BLAS dot products and norms thread above 10^4 elements and spin against sweep workers
+        _, psf, observed, _ = small_instance
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS dot product or norm called in the zero model's CG")
+
+        expected, _ = solve(observed, psf, "zero", SolveParams(alpha=1e3))
+        for name in ("dot", "vdot", "inner"):
+            monkeypatch.setattr(np, name, no_blas)
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        u, _ = solve(observed, psf, "zero", SolveParams(alpha=1e3))
+        assert u.tobytes() == expected.tobytes()
+
     def test_zero_model_trace_carries_cg_numerics(self):
         psf = gaussian_psf(5, 1.0)
         observed, _ = simulate(builtin_truth("cartoon", 24, 24), psf, 1e-4, seed=4)

@@ -147,16 +147,32 @@ def relative_residual(apply, u, b):
     return np.linalg.norm(b - apply(u)) / np.linalg.norm(b)
 
 
+def random_psf(shape, center, seed):
+    return Psf(np.random.default_rng(seed).random(shape) + 0.05, center)
+
+
+# Kernels that pin the crop offsets of the zero model's FFT matvec, per image side n.
+CROP_CASES = {
+    "centred-at-origin": lambda n: (random_psf((3, 4), (0, 0), n), "periodic"),
+    "centred-at-far-corner": lambda n: (random_psf((4, 3), (3, 2), n), "periodic"),
+    "n-by-1": lambda n: (random_psf((n, 1), (n // 2, 0), n), "periodic"),
+    "n-by-n": lambda n: (random_psf((n, n), (n // 2, (n - 1) // 2), n), "periodic"),
+    "delta": lambda n: (Psf.delta(), "reflective"),
+}
+
+
 class TestZeroPreconditionedCG:
     """The zero model's CG on inputs where plain CG was slow or untested."""
 
-    @pytest.mark.parametrize("name,psf,preconditioner", [
-        ("even-extent", gaussian_psf(6, 1.5), "reflective"),
-        ("nonsym5x4", Psf(np.random.default_rng(7).random((5, 4)) + 0.05, (2, 1)),
-         "periodic"),
-    ])
-    def test_matches_dense_oracle(self, rng, name, psf, preconditioner):
-        n, ratio = 24, 0.3
+    # the first two ids predate the image side n and are kept as they were
+    @pytest.mark.parametrize("n,psf,preconditioner", [
+        pytest.param(24, gaussian_psf(6, 1.5), "reflective", id="even-extent-psf0-reflective"),
+        pytest.param(24, Psf(np.random.default_rng(7).random((5, 4)) + 0.05, (2, 1)),
+                     "periodic", id="nonsym5x4-psf1-periodic"),
+    ] + [pytest.param(n, *case(n), id=f"{name}-{n}") for name, case in CROP_CASES.items()
+         for n in (6, 9, 16)])
+    def test_matches_dense_oracle(self, rng, n, psf, preconditioner):
+        ratio = 0.3
         plan = SystemPlanner(psf, (n, n), "zero").plan(ratio)
         assert plan.preconditioner.bc == preconditioner
         b = rng.standard_normal((n, n))
@@ -173,6 +189,12 @@ class TestZeroPreconditionedCG:
         assert plan.preconditioner.bc == "periodic"
         b = rng.standard_normal((20, 4))
         assert relative_residual(zero_system(psf, 0.5), solve_system(plan, b), b) <= 1e-12
+
+    def test_non_square_image_meets_the_tolerance(self, rng):
+        psf = random_psf((5, 4), (1, 2), 11)
+        plan = SystemPlanner(psf, (20, 13), "zero").plan(0.3)
+        b = rng.standard_normal((20, 13))
+        assert relative_residual(zero_system(psf, 0.3), solve_system(plan, b), b) <= 1e-12
 
     def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch):
         from tvdeblur import solver
