@@ -14,24 +14,18 @@ from .grid import (BOUNDARY_MODELS, DEFAULT_BETA_LADDER, EnergyReport,
 from .harness import (Experiment, FieldOfView, SweepResult, SweepRow, builtin_truth,
                       diagonal_motion_psf, gaussian_psf, parse_mode, restore,
                       simulate, snr, sweep, sweep_csv_text, write_sweep_csv)
-from .operators import (PaddedDomain, adjoint_gradient, apply_blur,
-                        apply_correlation, crop, extend, gradient,
-                        transpose_adjoint_gradient)
-from .solver import (SolveTrace, TraceRecord, shrink, solve, solve_enlarged,
-                     u_step)
-from .transforms import SpectralPlan, SystemPlanner, solve_system
+from .operators import apply_blur, apply_correlation, crop, extend, gradient
+from .solver import SolveTrace, TraceRecord, shrink, solve, solve_enlarged
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY_MODELS", "DEFAULT_BETA_LADDER", "ConvergenceError", "DataError",
-    "EnergyReport", "Experiment", "FieldOfView", "GradientField", "PaddedDomain",
+    "EnergyReport", "Experiment", "FieldOfView", "GradientField",
     "PreconditionError", "Psf", "ShapeError", "SingularPlanError", "SolveParams",
-    "SolveTrace", "SpectralPlan", "SweepResult", "SweepRow", "SymmetryError",
-    "SystemPlanner", "TraceRecord", "TvDeblurError", "UnsupportedError",
-    "adjoint_gradient", "apply_blur", "apply_correlation", "as_image",
-    "builtin_truth", "crop", "diagonal_motion_psf", "energy", "extend",
+    "SolveTrace", "SweepResult", "SweepRow", "SymmetryError", "TraceRecord",
+    "TvDeblurError", "UnsupportedError", "apply_blur", "apply_correlation",
+    "as_image", "builtin_truth", "crop", "diagonal_motion_psf", "energy", "extend",
     "gaussian_psf", "gradient", "parse_mode", "restore", "shrink", "simulate",
-    "snr", "solve", "solve_enlarged", "solve_system", "sweep", "sweep_csv_text",
-    "transpose_adjoint_gradient", "u_step", "write_sweep_csv",
+    "snr", "solve", "solve_enlarged", "sweep", "sweep_csv_text", "write_sweep_csv",
 ]

@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
     print(f"wrote {args.out} ({len(result.rows)} rows, {failed} failed)")
     to_render = []
     if args.save_restorations:
-        for mode in modes:
+        for mode in exp.modes:
             try:
                 to_render.append((args.save_restorations, "best", result.best(mode)))
             except KeyError:

@@ -110,8 +110,8 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
     implementation would use.
     """
     truth = as_image(truth, "truth")
-    if sigma2 < 0:
-        raise DataError(f"noise variance must be non-negative, got {sigma2}")
+    if not (sigma2 >= 0 and math.isfinite(sigma2)):
+        raise DataError(f"noise variance must be non-negative and finite, got {sigma2}")
     mr, mc = psf.rows - 1, psf.cols - 1
     out_rows = truth.shape[0] - 2 * mr
     out_cols = truth.shape[1] - 2 * mc
@@ -129,7 +129,11 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
 
 
 def snr(restored: np.ndarray, truth: np.ndarray) -> float:
-    """Signal-to-noise ratio in dB of a restoration against the truth."""
+    """Signal-to-noise ratio in dB of a restoration against the truth.
+
+    An exact restoration scores ``+inf``; an inexact one of a truth with no
+    variation scores ``-inf``.
+    """
     restored = as_image(restored, "restored")
     truth = as_image(truth, "truth")
     if restored.shape != truth.shape:
@@ -138,6 +142,8 @@ def snr(restored: np.ndarray, truth: np.ndarray) -> float:
     err = float(np.sum((truth - restored) ** 2))
     if err == 0.0:
         return math.inf
+    if signal == 0.0:
+        return -math.inf
     return 10.0 * math.log10(signal / err)
 
 
@@ -176,11 +182,11 @@ class Experiment:
         truth = as_image(self.truth, "truth").copy()
         truth.setflags(write=False)
         object.__setattr__(self, "truth", truth)
-        if self.sigma2 < 0:
-            raise DataError("sigma2 must be non-negative")
+        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
+            raise DataError(f"sigma2 must be non-negative and finite, got {self.sigma2}")
         alphas = tuple(dict.fromkeys(float(a) for a in self.alphas))
-        if not alphas or any(a <= 0 for a in alphas):
-            raise DataError("alpha grid must be non-empty and positive")
+        if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
+            raise DataError(f"alpha grid must be non-empty, positive and finite, got {alphas}")
         object.__setattr__(self, "alphas", alphas)
         modes = tuple(dict.fromkeys(self.modes))
         for m in modes:

@@ -8,6 +8,9 @@ Ghost pixels outside the frame are filled by the active boundary rule:
 * ``antireflective``  u(-j) = 2 u(0) - u(j)   (point reflection about the
                       first sample, preserving linear trends)
 
+:func:`extend` fills ghost pixels by a rule to per-side depths
+``((top, bottom), (left, right))``, both for a stencil apply and for the
+enlarged domain of a nonsymmetric solve; :func:`crop` strips them again.
 Blur applies the kernel as a convolution over the extended image;
 correlation applies the doubly-flipped kernel under the same rule, which is
 the adjoint for zero and periodic models and the "reblurred" companion
@@ -21,11 +24,10 @@ and safe for concurrent use.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
 from scipy import fft as _fft
 from scipy.signal import convolve2d
 
-from .errors import PreconditionError, ShapeError, UnsupportedError
+from .errors import PreconditionError, UnsupportedError
 from .grid import GradientField, Psf, as_image, check_boundary_model
 
 _PAD_KW = {
@@ -36,7 +38,7 @@ _PAD_KW = {
 }
 
 
-def extend_array(u: np.ndarray, pads, extension: str) -> np.ndarray:
+def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
     """Pad ``u`` by ``pads = ((top, bottom), (left, right))`` per the rule."""
     check_boundary_model(extension)
     (pt, pb), (pl, pr) = pads
@@ -53,52 +55,10 @@ def extend_array(u: np.ndarray, pads, extension: str) -> np.ndarray:
     return np.pad(u, ((pt, pb), (pl, pr)), **_PAD_KW[extension])
 
 
-@dataclass(frozen=True)
-class PaddedDomain:
-    """Geometry of an enlarged domain: original dims, per-side pads, fill rule."""
-
-    rows: int
-    cols: int
-    pad_rows: int
-    pad_cols: int
-    extension: str
-
-    def __post_init__(self):
-        check_boundary_model(self.extension)
-        if self.rows < 2 or self.cols < 2:
-            raise ShapeError(f"original dims must be at least 2x2, got {(self.rows, self.cols)}")
-        if self.pad_rows < 0 or self.pad_cols < 0:
-            raise PreconditionError("padding must be non-negative")
-
-    @property
-    def padded_shape(self) -> tuple[int, int]:
-        return (self.rows + 2 * self.pad_rows, self.cols + 2 * self.pad_cols)
-
-    def require_support(self, psf: Psf) -> None:
-        """Deblurring on the enlarged domain needs pad >= half the kernel extent."""
-        need = -(-max(psf.rows, psf.cols) // 2)
-        if min(self.pad_rows, self.pad_cols) < need:
-            raise PreconditionError(
-                f"padding {(self.pad_rows, self.pad_cols)} too small for a "
-                f"{psf.rows}x{psf.cols} kernel; need at least {need} per side")
-
-
-def extend(f: np.ndarray, dom: PaddedDomain) -> np.ndarray:
-    """Embed ``f`` into the enlarged domain, filling margins per the rule."""
-    f = as_image(f)
-    if f.shape != (dom.rows, dom.cols):
-        raise ShapeError(f"image shape {f.shape} does not match domain {(dom.rows, dom.cols)}")
-    return extend_array(f, ((dom.pad_rows, dom.pad_rows), (dom.pad_cols, dom.pad_cols)),
-                        dom.extension)
-
-
-def crop(u: np.ndarray, dom: PaddedDomain) -> np.ndarray:
-    """Extract the original interior from an enlarged-domain image."""
-    u = as_image(u)
-    if u.shape != dom.padded_shape:
-        raise ShapeError(f"image shape {u.shape} does not match padded domain {dom.padded_shape}")
-    pr, pc = dom.pad_rows, dom.pad_cols
-    return u[pr:pr + dom.rows, pc:pc + dom.cols].copy()
+def crop(u: np.ndarray, pads) -> np.ndarray:
+    """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins."""
+    (pt, pb), (pl, pr) = pads
+    return u[pt:u.shape[0] - pb, pl:u.shape[1] - pr].copy()
 
 
 def _check_support(shape, weights, what="kernel"):
@@ -141,7 +101,7 @@ def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.nda
     ``k - 1`` samples that the "valid" crop drops. The FFT result differs
     from direct convolution only by rounding.
     """
-    up = extend_array(u, stencil_pads(weights, center), bc)
+    up = extend(u, stencil_pads(weights, center), bc)
     if weights.size <= DIRECT_MAX_TAPS:
         return convolve2d(up, weights, mode="valid")
     shape = tuple(_fft.next_fast_len(n, True) for n in up.shape)

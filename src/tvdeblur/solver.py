@@ -20,6 +20,12 @@ can flag at large penalties (a known consequence of reblurring the boundary
 rows), as can even-extent kernels under the reflective model, whose
 half-sample center offset leaves the transform solve a boundary-row
 approximation of the literal normal equations.
+
+:func:`solve` validates the observed image; its planner checks the boundary
+model and the kernel's symmetry before any work starts. Nonsymmetric
+kernels go through :func:`solve_enlarged`, which pads the data by the same
+margin on every side with :func:`extend`, solves with periodic boundaries
+and crops the interior back out with :func:`crop`.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import energy
-from .errors import ConvergenceError, DataError, SymmetryError
+from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import (PaddedDomain, adjoint_gradient, apply_correlation, crop,
-                        extend, gradient, transpose_adjoint_gradient)
+from .operators import (adjoint_gradient, apply_correlation, crop, extend, gradient,
+                        transpose_adjoint_gradient)
 from .transforms import SpectralPlan, SystemPlanner, _l2, solve_system
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
@@ -111,19 +117,9 @@ class SolveTrace:
         return list(seen)
 
 
-def _validate_solve_inputs(f, psf, bc):
-    f = as_image(f, "observed image")
-    check_boundary_model(bc)
-    if bc in ("reflective", "antireflective") and not psf.quadrantally_symmetric:
-        raise SymmetryError(
-            f"{bc} restoration requires a quadrantally symmetric kernel; "
-            "use solve_enlarged with a reflective or antireflective extension instead")
-    return f
-
-
 def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     """Run the continuation ladder; returns the restoration and its trace."""
-    f = _validate_solve_inputs(f, psf, bc)
+    f = as_image(f, "observed image")
     alpha = params.alpha
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f = apply_correlation(f, psf, bc)
@@ -165,20 +161,23 @@ def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, pad=None,
 
     Supports nonsymmetric kernels: the enlarged domain is always handled by
     the FFT, whatever the extension rule used to fill the margin. ``pad`` is
-    per side and defaults to the full kernel extent, comfortably past the
-    half-extent minimum; it must cover that minimum when given (pad = 0 is
-    allowed as the degenerate case equivalent to a plain periodic solve).
-    The returned trace is that of the enlarged-domain run.
+    the margin on every side, ``((pad, pad), (pad, pad))`` for
+    :func:`extend` and :func:`crop`. It defaults to the full kernel extent,
+    comfortably past the half-extent minimum, and must cover that minimum
+    when given (pad = 0 is allowed as the degenerate case equivalent to a
+    plain periodic solve). The returned trace is that of the enlarged-domain
+    run.
     """
     f = as_image(f, "observed image")
     check_boundary_model(extension)
     if params is None:
         raise DataError("params is required")
-    if pad is None:
-        pad = max(psf.rows, psf.cols)
-    dom = PaddedDomain(f.shape[0], f.shape[1], int(pad), int(pad), extension)
-    if pad != 0:
-        dom.require_support(psf)
-    padded = extend(f, dom)
-    u_big, trace = solve(padded, psf, "periodic", params)
-    return crop(u_big, dom), trace
+    pad = max(psf.rows, psf.cols) if pad is None else int(pad)
+    need = -(-max(psf.rows, psf.cols) // 2)
+    if pad != 0 and pad < need:
+        raise PreconditionError(
+            f"padding {pad} too small for a {psf.rows}x{psf.cols} kernel; "
+            f"need at least {need} per side")
+    pads = ((pad, pad), (pad, pad))
+    u_big, trace = solve(extend(f, pads, extension), psf, "periodic", params)
+    return crop(u_big, pads), trace

@@ -165,13 +165,13 @@ class SystemPlanner:
         if min(self.shape) < 2:
             raise ShapeError(f"image dims must be at least 2x2, got {self.shape}")
         self.bc = bc
+        if bc in ("reflective", "antireflective") and not psf.quadrantally_symmetric:
+            raise SymmetryError(
+                f"{bc} restoration requires a quadrantally symmetric kernel; "
+                "use solve_enlarged with a reflective or antireflective extension instead")
         if psf.mass ** 2 < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
-        if bc in ("reflective", "antireflective") and not psf.quadrantally_symmetric:
-            raise SymmetryError(
-                f"{bc} solves require a quadrantally symmetric kernel; "
-                "use the enlarged-domain path for nonsymmetric kernels")
         acorr, acorr_center = autocorrelation(psf)
         self._acorr = (acorr, acorr_center)
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]

@@ -58,6 +58,12 @@ class TestSimulate:
                     "gaussian:hsize=3", "--sigma2", "0", "--out", tmp_path / "o.f64"])
         assert code == 1
 
+    def test_nan_noise_variance_is_data_error(self, tmp_path, truth_file):
+        out = tmp_path / "obs.f64"
+        assert run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta=1",
+                    "--sigma2", "nan", "--out", out]) == 2
+        assert not out.exists() and not (tmp_path / "obs.meta.json").exists()
+
 
 class TestDeblur:
     @pytest.fixture
@@ -162,15 +168,37 @@ class TestSweep:
         best = [line for line in lines[1:] if line.split(",")[5] == "1"]
         assert len(best) == 2
 
-    def test_duplicate_modes_are_solved_once(self, tmp_path, truth_file):
+    def test_duplicate_modes_are_solved_once(self, tmp_path, truth_file, capsys):
         out = tmp_path / "dup.csv"
         assert run(["sweep", "--truth", truth_file,
                     "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
                     "--modes", "periodic,periodic", "--alphas", "1e2,1e3",
-                    "--inner-max", "3", "--no-timing", "--out", out]) == 0
+                    "--inner-max", "3", "--no-timing", "--out", out,
+                    "--save-restorations", tmp_path / "best"]) == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 2
         assert sum(r.split(",")[5] == "1" for r in rows) == 1
+        assert capsys.readouterr().out.count("best[periodic]") == 1
+
+    def test_flat_truth_scores_minus_infinity(self, tmp_path):
+        truth = tmp_path / "flat.f64"
+        write_image(truth, np.full((24, 24), 0.5))
+        out = tmp_path / "flat.csv"
+        assert run(["sweep", "--truth", truth,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic", "--alphas", "1e2,1e3",
+                    "--inner-max", "3", "--no-timing", "--out", out]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["-inf", "-inf"]
+
+    @pytest.mark.parametrize("sigma2", ["nan", "inf"])
+    def test_non_finite_noise_variance_is_data_error(self, tmp_path, truth_file, sigma2):
+        out = tmp_path / "nan.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", sigma2,
+                    "--modes", "periodic", "--alphas", "1e2", "--inner-max", "3",
+                    "--no-timing", "--out", out]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, truth_file, capsys, jobs):

@@ -174,7 +174,7 @@ class TestBuildSystem:
         assert np.abs(M - M.T).max() <= 1e-12
 
     def test_matches_fft_path_application(self, rng):
-        from tvdeblur import SystemPlanner, solve_system
+        from tvdeblur.transforms import SystemPlanner, solve_system
         n = 8
         psf = gaussian_psf(3, 1.0)
         M = build_system(psf, n, "periodic", 2.0)

@@ -102,6 +102,11 @@ class TestSimulate:
         with pytest.raises(ShapeError):
             simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(9, 2.0), 0.0, 0)
 
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+    def test_non_finite_noise_variance_rejected(self, sigma2):
+        with pytest.raises(DataError, match="noise variance"):
+            simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(3, 1.0), sigma2, 0)
+
 
 class TestSnr:
     def test_mean_image_scores_zero_db(self):
@@ -123,6 +128,10 @@ class TestSnr:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             snr(rng.standard_normal((4, 4)), rng.standard_normal((4, 5)))
+
+    def test_inexact_restoration_of_a_flat_truth_is_minus_infinite(self):
+        truth = np.full((8, 8), 0.5)
+        assert snr(truth + 0.01, truth) == -math.inf
 
 
 class TestParseMode:
@@ -152,6 +161,13 @@ def small_experiment():
 class TestSweep:
     def test_duplicate_alphas_deduplicated(self, small_experiment):
         assert small_experiment.alphas == (50.0, 500.0, 5000.0)
+
+    @pytest.mark.parametrize("change,match", [
+        (dict(sigma2=math.nan), "sigma2"), (dict(sigma2=math.inf), "sigma2"),
+        (dict(alphas=(100.0, math.nan)), "alpha"), (dict(alphas=(math.inf,)), "alpha")])
+    def test_non_finite_experiment_rejected(self, small_experiment, change, match):
+        with pytest.raises(DataError, match=match):
+            replace(small_experiment, **change)
 
     def test_rows_sorted_and_one_best_per_mode(self, small_experiment):
         result = sweep(small_experiment, clock=None)

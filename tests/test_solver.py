@@ -4,11 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, SolveParams,
-                      SymmetryError, SystemPlanner, apply_correlation, builtin_truth,
-                      gaussian_psf, gradient, shrink, simulate, snr, solve,
-                      solve_enlarged, u_step)
+                      SymmetryError, apply_correlation, builtin_truth, gaussian_psf,
+                      gradient, shrink, simulate, snr, solve, solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.grid import DEFAULT_BETA_LADDER
+from tvdeblur.solver import u_step
+from tvdeblur.transforms import SystemPlanner
 
 
 class TestShrink:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      SystemPlanner, builtin_truth, gaussian_psf, simulate, solve,
-                      solve_system)
+                      builtin_truth, gaussian_psf, simulate, solve)
 from tvdeblur import dense
+from tvdeblur.transforms import SystemPlanner, solve_system
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -134,7 +134,7 @@ class TestPlannerReuse:
 
 
 def zero_system(psf, ratio):
-    """The zero model's normal-equations operator, from the public operators."""
+    """The zero model's normal-equations operator, from the image operators."""
     from tvdeblur.operators import adjoint_gradient, apply_blur, apply_correlation, gradient
 
     def apply(u):
