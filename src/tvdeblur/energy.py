@@ -8,6 +8,11 @@ image gradient:
 
 Integrals are plain pixel sums with unit cell area (the fidelity weight
 absorbs any grid constant).
+
+:func:`energy` validates its inputs and evaluates every term from scratch.
+The solver's trace does not call it: the loop assembles the same three
+terms from the gradient, shrinkage and blur it has already computed. This
+function is the reference those values are tested against.
 """
 
 from __future__ import annotations

@@ -138,6 +138,10 @@ class GradientField:
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.z1, self.z2)
 
+    def __iter__(self):
+        """Unpacks as ``z1, z2 = field``, like the plain pairs the solver passes."""
+        return iter((self.z1, self.z2))
+
     @staticmethod
     def zeros(shape) -> "GradientField":
         return GradientField(np.zeros(shape), np.zeros(shape))

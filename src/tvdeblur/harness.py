@@ -138,12 +138,14 @@ def snr(restored: np.ndarray, truth: np.ndarray) -> float:
     truth = as_image(truth, "truth")
     if restored.shape != truth.shape:
         raise ShapeError(f"shape mismatch: {restored.shape} vs {truth.shape}")
-    signal = float(np.sum((truth - truth.mean()) ** 2))
     err = float(np.sum((truth - restored) ** 2))
     if err == 0.0:
         return math.inf
-    if signal == 0.0:
+    # not the signal sum below: truth - truth.mean() of a flat truth keeps
+    # rounding residue whenever its mean is inexact
+    if truth.max() == truth.min():
         return -math.inf
+    signal = float(np.sum((truth - truth.mean()) ** 2))
     return 10.0 * math.log10(signal / err)
 
 

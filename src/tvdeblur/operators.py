@@ -14,11 +14,14 @@ enlarged domain of a nonsymmetric solve; :func:`crop` strips them again.
 Blur applies the kernel as a convolution over the extended image;
 correlation applies the doubly-flipped kernel under the same rule, which is
 the adjoint for zero and periodic models and the "reblurred" companion
-operator otherwise. Every stencil goes through :func:`apply_stencil`, which
-convolves stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5) directly and
-wider ones by a real FFT over the padded image, so a wide kernel costs a few
-transforms rather than k^2 multiply-adds per pixel. All functions are pure
-and safe for concurrent use.
+operator otherwise. Every stencil goes through :func:`apply_stencil`, or
+:func:`stencil_convolver` where one stencil is applied to one image shape
+many times; both convolve stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5)
+directly and wider ones by a real FFT over the padded image, so a wide
+kernel costs a few transforms rather than k^2 multiply-adds per pixel.
+:func:`differences` is the unvalidated, plain-array form of
+:func:`gradient`, and both divergences accept a plain pair ``(z1, z2)``, for
+the solver's inner loop. All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.nda
     operators; ``weights`` need not be a valid Psf (e.g. zero-mass stencils).
     The extension caps bound the admissible ghost depth, so composite
     stencils wider than the image are fine as long as their half-extent is.
+    It is :func:`stencil_convolver` built and applied once.
+    """
+    return stencil_convolver(weights, center, bc, u.shape)(u)
+
+
+def stencil_convolver(weights: np.ndarray, center, bc: str, shape):
+    """:func:`apply_stencil` for one stencil and image shape, as ``u -> out``.
 
     ``u`` is padded by the boundary rule and the stencil is applied with a
     "valid" convolution. Stencils of at most ``DIRECT_MAX_TAPS`` taps use
@@ -99,15 +109,23 @@ def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.nda
     copies shifted by ``L``; a linear output index runs up to ``P + k - 2``,
     so a copy lands at most at ``P + k - 2 - L <= k - 2``, inside the first
     ``k - 1`` samples that the "valid" crop drops. The FFT result differs
-    from direct convolution only by rounding.
+    from direct convolution only by rounding. The stencil's spectrum is
+    computed here, once, so a solve that applies the same stencil every
+    iteration pays one forward and one inverse transform per call.
     """
-    up = extend(u, stencil_pads(weights, center), bc)
+    pads = stencil_pads(weights, center)
     if weights.size <= DIRECT_MAX_TAPS:
-        return convolve2d(up, weights, mode="valid")
-    shape = tuple(_fft.next_fast_len(n, True) for n in up.shape)
-    full = _fft.irfft2(_fft.rfft2(up, shape) * _fft.rfft2(weights, shape), shape)
+        return lambda u: convolve2d(extend(u, pads, bc), weights, mode="valid")
+    padded = tuple(n + p0 + p1 for n, (p0, p1) in zip(shape, pads))
+    fft_shape = tuple(_fft.next_fast_len(n, True) for n in padded)
+    spectrum = _fft.rfft2(weights, fft_shape)
     kr, kc = weights.shape
-    return full[kr - 1:up.shape[0], kc - 1:up.shape[1]]
+
+    def convolve(u):
+        full = _fft.irfft2(_fft.rfft2(extend(u, pads, bc), fft_shape) * spectrum, fft_shape)
+        return full[kr - 1:padded[0], kc - 1:padded[1]]
+
+    return convolve
 
 
 def apply_blur(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
@@ -141,6 +159,14 @@ def gradient(u: np.ndarray, bc: str) -> GradientField:
     """
     u = as_image(u)
     check_boundary_model(bc)
+    return GradientField(*differences(u, bc))
+
+
+def differences(u: np.ndarray, bc: str):
+    """The components ``(z1, z2)`` of :func:`gradient` as plain arrays.
+
+    No validation: for loops that already hold a checked image.
+    """
     z1 = np.empty_like(u)
     z2 = np.empty_like(u)
     z1[:, :-1] = u[:, 1:] - u[:, :-1]
@@ -157,7 +183,7 @@ def gradient(u: np.ndarray, bc: str) -> GradientField:
     else:  # antireflective
         z1[:, -1] = u[:, -1] - u[:, -2]
         z2[-1, :] = u[-1, :] - u[-2, :]
-    return GradientField(z1, z2)
+    return z1, z2
 
 
 def adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
@@ -167,10 +193,11 @@ def adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
     so constants are annihilated for every non-zero model and
     ``adjoint_gradient(gradient(u))`` is the positive-semidefinite
     boundary-closed Laplacian for the periodic model, where this operator
-    equals the exact transpose of :func:`gradient`.
+    equals the exact transpose of :func:`gradient`. ``z`` is a
+    :class:`GradientField` or a plain pair ``(z1, z2)``.
     """
     check_boundary_model(bc)
-    z1, z2 = z.z1, z.z2
+    z1, z2 = z
     o1 = np.empty_like(z1)
     o2 = np.empty_like(z2)
     o1[:, 1:] = z1[:, :-1] - z1[:, 1:]
@@ -196,9 +223,10 @@ def transpose_adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
     Satisfies <grad(u), z> == <u, transpose_adjoint_gradient(z)> identically.
     This is the pairing the reflective-model restoration system uses, making
     its image update the exact partial minimizer of the discrete objective.
+    ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``.
     """
     check_boundary_model(bc)
-    z1, z2 = z.z1, z.z2
+    z1, z2 = z
     o1 = np.empty_like(z1)
     o2 = np.empty_like(z2)
     o1[:, 1:] = z1[:, :-1] - z1[:, 1:]

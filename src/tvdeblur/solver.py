@@ -21,6 +21,17 @@ rows), as can even-extent kernels under the reflective model, whose
 half-sample center offset leaves the transform solve a boundary-row
 approximation of the literal normal equations.
 
+The inner loop works on plain arrays and computes each quantity once. An
+iteration takes the gradient of ``u`` once; the shrinkage returns ``z`` and
+the shrunk magnitudes ``max(|grad u| - 1/beta, 0)``, whose sum is the TV
+term; the coupling is taken from ``z - grad u`` as :func:`energy` takes it;
+and the fidelity term uses the blur ``H u`` that the image update returned
+with ``u`` (see :func:`~tvdeblur.transforms.solve_and_blur`), so the
+objective costs no transform of its own. The trace's energies equal
+:func:`energy`'s to rounding, and the restoration does not depend on them.
+Each trace record carries the seconds of the shrinkage, the objective and
+the image update.
+
 :func:`solve` validates the observed image; its planner checks the boundary
 model and the kernel's symmetry before any work starts. Nonsymmetric
 kernels go through :func:`solve_enlarged`, which pads the data by the same
@@ -35,12 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy
 from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import (adjoint_gradient, apply_correlation, crop, extend, gradient,
-                        transpose_adjoint_gradient)
-from .transforms import SpectralPlan, SystemPlanner, _l2, solve_system
+from .operators import (adjoint_gradient, apply_blur, apply_correlation, crop, differences,
+                        extend, transpose_adjoint_gradient)
+from .transforms import SpectralPlan, SystemPlanner, _l2, solve_and_blur
+# Unused here, but perfbench/layers.py patches these names on this module.
+from .energy import energy  # noqa: F401
+from .operators import gradient  # noqa: F401
+from .transforms import solve_system  # noqa: F401
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
 ZERO_MAGNITUDE = 1e-300
@@ -57,36 +71,84 @@ def shrink(g: GradientField, beta: float) -> GradientField:
     """
     if not (beta > 0 and np.isfinite(beta)):
         raise DataError(f"beta must be positive and finite, got {beta}")
-    mag = g.magnitude()
-    safe = np.where(mag > ZERO_MAGNITUDE, mag, 1.0)
-    scale = np.where(mag > ZERO_MAGNITUDE,
-                     np.maximum(mag - 1.0 / beta, 0.0) / safe, 0.0)
-    return GradientField(g.z1 * scale, g.z2 * scale)
+    z1, z2, _ = _soft_threshold(g.z1, g.z2, beta)
+    return GradientField(z1, z2)
 
 
-def _rhs_divergence(z: GradientField, bc: str) -> np.ndarray:
+def _soft_threshold(g1: np.ndarray, g2: np.ndarray, beta: float):
+    """:func:`shrink` on plain arrays: ``z1``, ``z2`` and ``max(|g| - 1/beta, 0)``.
+
+    The magnitude's buffer becomes the divisor, then the scale, so the step
+    holds one image less than the expression form would.
+    """
+    scale = np.hypot(g1, g2)
+    dead = scale <= ZERO_MAGNITUDE
+    shrunk = scale - 1.0 / beta
+    np.maximum(shrunk, 0.0, out=shrunk)
+    scale[dead] = 1.0
+    np.divide(shrunk, scale, out=scale)
+    scale[dead] = 0.0
+    return g1 * scale, g2 * scale, shrunk
+
+
+def _shrink_and_objective(u, hu, f, bc, alpha, beta):
+    """z = shrink(grad u), and the objective at (u, z) from what that step
+    computed: ``hu`` is H u, kept from the image update that produced u.
+
+    Returns z1, z2, the EnergyReport and the seconds of the two phases. The
+    terms are those of :func:`energy`: the coupling to the bit, fidelity and
+    TV to rounding. The gradient, magnitudes and residual die on return,
+    before the image update allocates its own.
+    """
+    t0 = time.perf_counter()
+    g1, g2 = differences(u, bc)
+    z1, z2, shrunk = _soft_threshold(g1, g2, beta)
+    t1 = time.perf_counter()
+    tv_z = float(np.sum(shrunk))
+    del shrunk
+    residual = hu - f
+    residual *= residual
+    fidelity = 0.5 * alpha * float(np.sum(residual))
+    del residual
+    # squares of z - grad u, in the gradient's buffers
+    for d, z in ((g1, z1), (g2, z2)):
+        np.subtract(z, d, out=d)
+        d *= d
+    coupling = 0.5 * beta * float(np.sum(g1) + np.sum(g2))
+    report = EnergyReport(fidelity=fidelity, tv_z=tv_z, coupling=coupling,
+                          total=fidelity + tv_z + coupling)
+    return z1, z2, report, t1 - t0, time.perf_counter() - t1
+
+
+def _rhs_divergence(z, bc: str) -> np.ndarray:
     # Reflective uses the exact transpose pairing (see module docstring).
     if bc == "reflective":
         return transpose_adjoint_gradient(z, bc)
     return adjoint_gradient(z, bc)
 
 
-def u_step(plan: SpectralPlan, corr_f: np.ndarray, z: GradientField) -> np.ndarray:
+def u_step(plan: SpectralPlan, corr_f: np.ndarray, z):
     """Solve (H'H + ratio D'D) u = H'f + ratio D'z in the plan's basis.
 
     ``corr_f`` is the correlated data H'f under the plan's boundary model;
-    ``ratio`` (beta / alpha) and the model are read from the plan.
+    ``ratio`` (beta / alpha) and the model are read from the plan. ``z`` is
+    a GradientField or a plain pair ``(z1, z2)``. Returns ``u`` and its
+    blur ``H u``, which costs at most one more transform (see
+    :func:`~tvdeblur.transforms.solve_and_blur`).
     """
-    return solve_system(plan, corr_f + plan.ratio * _rhs_divergence(z, plan.bc))
+    return solve_and_blur(plan, corr_f + plan.ratio * _rhs_divergence(z, plan.bc))
 
 
 @dataclass(frozen=True)
 class TraceRecord:
     """One inner iteration: the objective at (u^k, z^k), then the step taken.
 
-    ``cg_iterations`` and ``cg_residual`` (the final ||b - Au|| / ||b||) are
-    the zero model's CG numerics for the image update, ``None`` for the
-    transform-solved models.
+    ``seconds`` is the wall time from the start of the ladder to the end of
+    this iteration. ``shrink_s``, ``objective_s`` and ``update_s`` are this
+    iteration's own seconds in the shrinkage, the objective evaluation and
+    the image update. ``cg_iterations`` and ``cg_residual`` (the final
+    ||b - Au|| / ||b||) are the zero model's CG numerics for the image
+    update, ``None`` for the transform-solved models.
     """
 
     beta: float
@@ -96,6 +158,9 @@ class TraceRecord:
     seconds: float
     cg_iterations: int | None
     cg_residual: float | None
+    shrink_s: float
+    objective_s: float
+    update_s: float
 
 
 @dataclass(frozen=True)
@@ -124,6 +189,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f = apply_correlation(f, psf, bc)
     u = f.copy()
+    hu = apply_blur(u, psf, bc)  # later ones come with each image update
     records = []
     violations = []
     start = time.perf_counter()
@@ -131,15 +197,18 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
         plan = planner.plan(beta / alpha)
         previous_total = None
         for it in range(params.inner_max):
-            z = shrink(gradient(u, bc), beta)
-            report = energy(u, z, f, psf, bc, alpha, beta)
+            z1, z2, report, shrink_s, objective_s = _shrink_and_objective(
+                u, hu, f, bc, alpha, beta)
+            del hu  # spent; the update returns the next one
             if previous_total is not None:
                 rise = report.total - previous_total
                 if rise > MONOTONE_SLACK * max(abs(previous_total), ZERO_MAGNITUDE):
                     violations.append(
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
-            u_new = u_step(plan, corr_f, z)
+            t0 = time.perf_counter()
+            u_new, hu = u_step(plan, corr_f, (z1, z2))
+            update_s = time.perf_counter() - t0
             if not np.isfinite(u_new).all():
                 raise ConvergenceError(
                     f"non-finite iterate at beta={beta:g}, inner iteration {it}")
@@ -147,7 +216,8 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
             rel = _l2(u_new - u) / (norm_u if norm_u > 0 else 1.0)
             cg_iterations, cg_residual = plan.cg_log[-1] if plan.cg_log else (None, None)
             records.append(TraceRecord(beta, it, report, rel, time.perf_counter() - start,
-                                       cg_iterations, cg_residual))
+                                       cg_iterations, cg_residual,
+                                       shrink_s, objective_s, update_s))
             u = u_new
             if rel < params.inner_tol:
                 break

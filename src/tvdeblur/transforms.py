@@ -29,6 +29,22 @@ where the composite operator is, per boundary model, diagonalized by:
   right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
   iterations.
 
+The antireflective frame load (the system stencil applied to the solved
+frame, which is zero inside) is convolved only on the bands within the
+stencil's reach of the frame when the stencil has at most
+``DIRECT_MAX_TAPS`` taps, with the bytes of the whole-image convolution;
+wider stencils go through a convolver whose spectrum the plan computes once.
+
+:func:`solve_and_blur` is the solver loop's image update: the solution and
+its blur ``H u``, which the objective needs, for at most one more transform.
+For periodic plans, and reflective ones whose kernel is odd and symmetric
+about its center sample, ``H u`` is an inverse transform of the solution's
+own coefficients times the kernel's symbol. Otherwise it is the plan's
+``blur``: one real-FFT pair on the CG grid for zero, and for antireflective
+and even-extent reflective kernels a stencil convolver built once per
+planner. :func:`solve_system` is the one solve; both share its coefficient
+and synthesis steps.
+
 Plans are deterministic and, apart from the zero plan's ``cg_log`` (one
 ``(iterations, relative residual)`` entry per solve), immutable; eigenvalue
 magnitudes below 1e-14 are clamped (never silently: the count is recorded
@@ -38,19 +54,23 @@ on the plan and logged).
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import fft as _fft
+from scipy.signal import convolve2d
 
 from .dense import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
                     combine_stencils)
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import apply_stencil, gradient, transpose_adjoint_gradient
+from .operators import (DIRECT_MAX_TAPS, apply_stencil, differences, extend, stencil_convolver,
+                        stencil_pads, transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .operators import apply_blur, apply_correlation  # noqa: F401
+from .operators import apply_blur, apply_correlation, gradient  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +79,15 @@ EIG_FLOOR = 1e-14
 #: The zero model's CG stops once ||b - Ax|| <= CG_RTOL * ||b||.
 CG_RTOL = 1e-12
 
-#: Iteration cap of the zero model's CG: the worst case measured with the
-#: preconditioner, 1844 iterations (the nonsymmetric 7x7 motion kernel at
-#: 48x48 with alpha = 1e6, so only the FFT preconditioner applies), with
-#: headroom; a 5x5 Gaussian update at alpha = 500 takes about 22. The cap
-#: does not grow with the image, so an update stays bounded at 1024x1024.
+#: Iteration cap of the zero model's CG. A 5x5 Gaussian update at
+#: alpha = 500 takes about 22 iterations, and gaussian_psf(5, 1) stays at
+#: 37-39 at every size up to 192x192 at ratio 2e-6. The count does grow with
+#: the image for ill-conditioned kernels: a cold solve of H'f with the
+#: nonsymmetric diagonal_motion_psf(7) at ratio 2e-6 (alpha = 1e6, first
+#: rung; only the FFT preconditioner applies) took 1,755, 2,610 and 3,515
+#: iterations at 48x48, 96x96 and 192x192, about +900 per doubling of the
+#: side. Extrapolated, such a solve reaches the cap between 512x512 and
+#: 768x768 and raises ConvergenceError there.
 CG_MAXITER = 5000
 
 
@@ -139,11 +163,17 @@ class SpectralPlan:
     eigenvalues: np.ndarray | None
     min_modulus: float | None
     clamp_count: int
-    # antireflective boundary data
+    # the blur H of the solution, for the objective: a symbol in the plan's
+    # transform basis (periodic, and reflective with an odd centered
+    # kernel), else a callable u -> H u
+    blur_symbol: np.ndarray | None = field(default=None, repr=False)
+    blur: Callable | None = field(default=None, repr=False)
+    # antireflective boundary data; frame_load is u -> (system stencil) u
+    # for a u that is zero off its frame
     edge_row: np.ndarray | None = None
     edge_col: np.ndarray | None = None
     corner: float | None = None
-    stencil: tuple | None = None
+    frame_load: Callable | None = field(default=None, repr=False)
     # zero-model fallback data
     psf: Psf | None = field(default=None, repr=False)
     preconditioner: SpectralPlan | None = field(default=None, repr=False)
@@ -174,6 +204,7 @@ class SystemPlanner:
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
         acorr, acorr_center = autocorrelation(psf)
         self._acorr = (acorr, acorr_center)
+        self._blur_symbol, self._blur = None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
             raise UnsupportedError(
@@ -183,10 +214,13 @@ class SystemPlanner:
                         and _ghost_depth(acorr, acorr_center) <= min(self.shape))
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
-            self._blur_eig = _fft.rfft2(psf.weights, _zero_grid(self.shape, psf))
+            grid = _zero_grid(self.shape, psf)
+            self._blur_eig = _fft.rfft2(psf.weights, grid)
+            self._blur = _zero_blur(self._blur_eig, psf.center, self.shape, grid)
         elif bc == "periodic":
             spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
             self._blur_eig = np.abs(spectrum) ** 2
+            self._blur_symbol = spectrum
             self._lap_eig = _fft.rfft2(
                 _embed_wrapped(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, self.shape)).real
         elif bc == "reflective":
@@ -201,6 +235,14 @@ class SystemPlanner:
             self._lap_eig = _fft.dctn(
                 apply_stencil(impulse, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, bc),
                 type=2, norm="ortho") / denom
+            # the blur itself is DCT-diagonal only when the kernel is
+            # symmetric about its center sample (Ng, Chan & Tang 1999)
+            if psf.rows % 2 and psf.cols % 2 and psf.center == (psf.rows // 2, psf.cols // 2):
+                self._blur_symbol = _fft.dctn(
+                    apply_stencil(impulse, psf.weights, psf.center, bc),
+                    type=2, norm="ortho") / denom
+            else:
+                self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
         else:  # antireflective
             self._check_ghost_depth(acorr, acorr_center, cap=min(self.shape) - 1)
             R, C = self.shape
@@ -218,6 +260,7 @@ class SystemPlanner:
             self._lap_edge_col = _cos_symbol(np.array([[-1.0, 2.0, -1.0]]), (0, 1),
                                              [0.0], theta_c)[0, :]
             self._blur_corner = float(acorr.sum())
+            self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
 
     @staticmethod
     def _check_ghost_depth(weights, center, cap):
@@ -232,14 +275,15 @@ class SystemPlanner:
         bc = self.bc
         if bc == "zero":
             return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=self._blur_eig,
-                                min_modulus=None, clamp_count=0, psf=self.psf,
+                                min_modulus=None, clamp_count=0, blur=self._blur, psf=self.psf,
                                 preconditioner=self._preconditioner.plan(ratio), cg_log=[])
         if bc in ("periodic", "reflective"):
             eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
             if count:
                 logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
             return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
-                                min_modulus=mn, clamp_count=count, psf=self.psf)
+                                min_modulus=mn, clamp_count=count,
+                                blur_symbol=self._blur_symbol, blur=self._blur, psf=self.psf)
         # antireflective
         interior, c_int, mn_int = _clamp(self._blur_int + ratio * self._lap_int)
         edge_row, c_er, mn_er = _clamp(self._blur_edge_row + ratio * self._lap_edge_row)
@@ -251,12 +295,16 @@ class SystemPlanner:
                            count, EIG_FLOOR)
         mins = [m for m in (mn_int, mn_er, mn_ec, mn_co) if m is not None]
         acorr, acorr_center = self._acorr
-        stencil = combine_stencils(acorr, acorr_center,
-                                   LAPLACIAN_STENCIL, LAPLACIAN_CENTER, ratio)
+        weights, center = combine_stencils(acorr, acorr_center,
+                                           LAPLACIAN_STENCIL, LAPLACIAN_CENTER, ratio)
+        if weights.size <= DIRECT_MAX_TAPS:
+            frame_load = partial(_banded_frame_load, weights=weights, center=center)
+        else:
+            frame_load = stencil_convolver(weights, center, bc, self.shape)
         return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=interior,
                             min_modulus=min(mins) if mins else None, clamp_count=count,
-                            edge_row=edge_row, edge_col=edge_col,
-                            corner=float(corner[0]), stencil=stencil, psf=self.psf)
+                            blur=self._blur, edge_row=edge_row, edge_col=edge_col,
+                            corner=float(corner[0]), frame_load=frame_load, psf=self.psf)
 
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
@@ -264,19 +312,16 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     matrix-free. Appends (iterations, relative residual) to ``plan.cg_log``."""
     psf, ratio, (R, C) = plan.psf, plan.ratio, rhs.shape
     (cr, cc), grid = psf.center, _zero_grid(rhs.shape, psf)
-    spectrum, transposed = plan.eigenvalues, plan.eigenvalues.conj()
+    transposed = plan.eigenvalues.conj()
 
     def matvec(u):
-        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeroing the
-        # rest leaves exactly the ghosts the zero model's H' reads, and the
+        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeros
+        # around it are exactly the ghosts the zero model's H' reads, and the
         # conjugate spectrum correlates them back onto [0:R, 0:C]
-        blurred = _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)
-        blurred[:cr] = 0.0
-        blurred[cr + R:] = 0.0
-        blurred[:, :cc] = 0.0
-        blurred[:, cc + C:] = 0.0
+        blurred = np.zeros(grid)
+        blurred[cr:cr + R, cc:cc + C] = plan.blur(u)
         out = _fft.irfft2(_fft.rfft2(blurred) * transposed, grid)[:R, :C]
-        return out + ratio * transpose_adjoint_gradient(gradient(u, "zero"), "zero")
+        return out + ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
 
     b_norm = _l2(rhs)
     tol = CG_RTOL * b_norm
@@ -310,16 +355,60 @@ def _edge_solve_1d(b: np.ndarray, end0: float, end1: float, eig: np.ndarray,
     return ramp + w
 
 
+def _zero_blur(spectrum, center, shape, grid):
+    """u -> H u under the zero model: the frame's window of the full linear
+    convolution, by one real-FFT pair on the no-wraparound grid."""
+    (cr, cc), (R, C) = center, shape
+    return lambda u: _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)[cr:cr + R, cc:cc + C]
+
+
+def _banded_frame_load(u: np.ndarray, weights: np.ndarray, center) -> np.ndarray:
+    """``apply_stencil(u, weights, center, "antireflective")`` for a ``u``
+    that is zero off its frame (first and last row and column).
+
+    An output pixel reads the extended ``u`` from ``top`` rows above it to
+    ``bottom`` rows below, and likewise across columns; off the frame's
+    bands of that depth it reads only zeros, so the load there is exactly
+    0.0. Each band is a "valid" convolution of its own slice of the
+    extended array, which sums the same products in the same order as the
+    whole-array convolution. Bands of small images overlap; the overlap is
+    written twice with the same values.
+    """
+    pads = ((top, bottom), (left, right)) = stencil_pads(weights, center)
+    R, C = u.shape
+    ext = extend(u, pads, "antireflective")
+    out = np.zeros((R, C))
+    for rows, cols in ((slice(0, min(top + 1, R)), slice(0, C)),
+                       (slice(max(R - 1 - bottom, 0), R), slice(0, C)),
+                       (slice(0, R), slice(0, min(left + 1, C))),
+                       (slice(0, R), slice(max(C - 1 - right, 0), C))):
+        out[rows, cols] = convolve2d(
+            ext[rows.start:rows.stop + top + bottom, cols.start:cols.stop + left + right],
+            weights, mode="valid")
+    return out
+
+
+def _coefficients(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
+    """The solution's coefficients in the periodic or reflective basis."""
+    if plan.bc == "periodic":
+        return _fft.rfft2(rhs) / plan.eigenvalues
+    return _fft.dctn(rhs, type=2, norm="ortho") / plan.eigenvalues
+
+
+def _synthesize(plan: SpectralPlan, coefficients: np.ndarray) -> np.ndarray:
+    """The image with the given periodic or reflective basis coefficients."""
+    if plan.bc == "periodic":
+        return _fft.irfft2(coefficients, s=plan.shape)
+    return _fft.idctn(coefficients, type=2, norm="ortho")
+
+
 def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     """Solve (H'H + ratio * D'D) u = rhs in the plan's transform basis."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != plan.shape:
         raise ShapeError(f"rhs shape {rhs.shape} does not match plan {plan.shape}")
-    if plan.bc == "periodic":
-        return _fft.irfft2(_fft.rfft2(rhs) / plan.eigenvalues, s=plan.shape)
-    if plan.bc == "reflective":
-        return _fft.idctn(_fft.dctn(rhs, type=2, norm="ortho") / plan.eigenvalues,
-                          type=2, norm="ortho")
+    if plan.bc in ("periodic", "reflective"):
+        return _synthesize(plan, _coefficients(plan, rhs))
     if plan.bc == "zero":
         return _solve_zero(plan, rhs)
     # antireflective: corners, then frame edges, then the interior
@@ -338,9 +427,24 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
         u[1:-1, -1] = _edge_solve_1d(rhs[1:-1, -1], u[0, -1], u[-1, -1],
                                      plan.edge_row, plan.corner)
     if R > 2 and C > 2:
-        weights, center = plan.stencil
-        frame_load = apply_stencil(u, weights, center, "antireflective")
-        interior = rhs[1:-1, 1:-1] - frame_load[1:-1, 1:-1]
+        interior = rhs[1:-1, 1:-1] - plan.frame_load(u)[1:-1, 1:-1]
         u[1:-1, 1:-1] = _fft.dstn(_fft.dstn(interior, type=1, norm="ortho") / plan.eigenvalues,
                                   type=1, norm="ortho")
     return u
+
+
+def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray):
+    """``solve_system(plan, rhs)`` and the blur ``H u`` of its solution.
+
+    With a blur symbol (periodic, reflective with an odd centered kernel)
+    ``H u`` is one more inverse transform of the solution's own
+    coefficients; otherwise it is the plan's ``blur``: an FFT pair on the
+    CG grid for zero, a stencil apply for the rest.
+    """
+    if plan.blur_symbol is None:
+        u = solve_system(plan, rhs)
+        return u, plan.blur(u)
+    coefficients = _coefficients(plan, rhs)
+    u = _synthesize(plan, coefficients)
+    coefficients *= plan.blur_symbol
+    return u, _synthesize(plan, coefficients)

@@ -82,6 +82,8 @@ class TestDeblur:
         assert code == 0
         trace = json.loads((tmp_path / "restored.trace.json").read_text())
         assert trace["records"] and trace["total_inner_iterations"] > 0
+        for r in trace["records"]:
+            assert min(r["shrink_s"], r["objective_s"], r["update_s"]) >= 0.0
         betas = {r["beta"] for r in trace["records"]}
         assert betas == {2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0}
         assert read_image(out).shape == (28, 28)
@@ -129,8 +131,8 @@ class TestDeblur:
 
     def test_non_finite_iterate_is_numerical_failure(self, tmp_path, observed_file,
                                                       monkeypatch):
-        monkeypatch.setattr("tvdeblur.solver.solve_system",
-                            lambda plan, rhs: np.full(rhs.shape, np.inf))
+        monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
+                            lambda plan, rhs: (np.full(rhs.shape, np.inf),) * 2)
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
                     "--alpha", "10", "--out", tmp_path / "r.f64"])

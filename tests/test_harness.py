@@ -133,6 +133,12 @@ class TestSnr:
         truth = np.full((8, 8), 0.5)
         assert snr(truth + 0.01, truth) == -math.inf
 
+    @pytest.mark.parametrize("value", [0.2, 0.3, 0.4, 0.5])
+    def test_flat_truth_with_an_inexact_mean_is_minus_infinite(self, value):
+        # the mean of 576 samples of 0.2 or 0.4 rounds away from the samples
+        truth = np.full((24, 24), value)
+        assert snr(truth + 0.01, truth) == -math.inf
+
 
 class TestParseMode:
     def test_boundary_models(self):

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, SolveParams,
-                      SymmetryError, apply_correlation, builtin_truth, gaussian_psf,
-                      gradient, shrink, simulate, snr, solve, solve_enlarged)
+                      SymmetryError, apply_blur, apply_correlation, builtin_truth, energy,
+                      extend, gaussian_psf, gradient, shrink, simulate, snr, solve,
+                      solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.grid import DEFAULT_BETA_LADDER
 from tvdeblur.solver import u_step
@@ -58,8 +59,9 @@ class TestUStep:
         f = rng.standard_normal((10, 10))
         z = gradient(f, bc)
         plan = SystemPlanner(Psf.delta(), f.shape, bc).plan(8.0 / 2.0)
-        u = u_step(plan, apply_correlation(f, Psf.delta(), bc), z)
+        u, hu = u_step(plan, apply_correlation(f, Psf.delta(), bc), z)
         assert np.abs(u - f).max() < 1e-10
+        assert np.abs(hu - u).max() < 1e-10
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
     def test_matches_dense_solve(self, rng, bc):
@@ -68,7 +70,8 @@ class TestUStep:
         f = rng.standard_normal((n, n))
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
         plan = SystemPlanner(psf, (n, n), bc).plan(beta / alpha)
-        u = u_step(plan, apply_correlation(f, psf, bc), z)
+        u, hu = u_step(plan, apply_correlation(f, psf, bc), z)
+        assert np.abs(hu - apply_blur(u, psf, bc)).max() < 1e-12
         system = dense.build_system(psf, n, bc, beta / alpha)
         corr = dense.build_correlation(psf, n, bc)
         if bc == "reflective":
@@ -86,7 +89,7 @@ class TestUStep:
         f = rng.standard_normal((12, 12))
         z = GradientField(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
         plan = SystemPlanner(Psf.delta(), f.shape, "periodic").plan(128.0 / 1e12)
-        u = u_step(plan, apply_correlation(f, Psf.delta(), "periodic"), z)
+        u, _ = u_step(plan, apply_correlation(f, Psf.delta(), "periodic"), z)
         assert np.abs(u - f).max() < 1e-4
 
 
@@ -147,8 +150,8 @@ class TestSolve:
 
     def test_non_finite_iterate_is_convergence_error(self, small_instance, monkeypatch):
         _, psf, observed, _ = small_instance
-        monkeypatch.setattr("tvdeblur.solver.solve_system",
-                            lambda plan, rhs: np.full(rhs.shape, np.nan))
+        monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
+                            lambda plan, rhs: (np.full(rhs.shape, np.nan),) * 2)
         with pytest.raises(ConvergenceError, match=r"beta=2\b.*iteration 0"):
             solve(observed, psf, "periodic", SolveParams(alpha=1e3))
 
@@ -200,6 +203,59 @@ class TestSolve:
         with pytest.raises(ConvergenceError,
                            match=r"after 1 iterations at relative residual \d\.\d+e[-+]\d+"):
             solve(observed, psf, "zero", SolveParams(alpha=1e3))
+
+
+class TestFusedLoop:
+    """The loop's own objective against energy() at every iterate."""
+
+    KERNELS = {"3x3": gaussian_psf(3, 0.8), "4x4": gaussian_psf(4, 1.0),
+               "7x7": gaussian_psf(7, 1.5),
+               "nonsymmetric": Psf(np.array([[0.5, 0.2, 0.1], [0.1, 0.05, 0.05]]), (0, 1))}
+    # the reflective models take quadrantally symmetric kernels only
+    CASES = [(kernel, mode) for kernel in sorted(KERNELS)
+             for mode in ("zero", "periodic", "reflective", "antireflective", "enlarge:reflective")
+             if kernel != "nonsymmetric" or mode not in ("reflective", "antireflective")]
+    PARAMS = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4)
+
+    @pytest.mark.parametrize("kernel, mode", CASES)
+    def test_trace_energies_match_energy_at_each_iterate(self, monkeypatch, kernel, mode):
+        from tvdeblur import solver
+        psf = self.KERNELS[kernel]
+        observed, _ = simulate(builtin_truth("cartoon", 30, 27), psf, 1e-4, seed=6)
+        iterates = []
+        step = solver.solve_and_blur
+
+        def recorded(plan, rhs):
+            u, hu = step(plan, rhs)
+            iterates.append(u)
+            return u, hu
+
+        monkeypatch.setattr(solver, "solve_and_blur", recorded)
+        if mode == "enlarge:reflective":
+            pads = ((4, 4), (4, 4))
+            _, trace = solve_enlarged(observed, psf, "reflective", 4, self.PARAMS)
+            f, bc = extend(observed, pads, "reflective"), "periodic"
+        else:
+            _, trace = solve(observed, psf, mode, self.PARAMS)
+            f, bc = observed, mode
+        assert len(iterates) == trace.total_inner_iterations >= 4
+        for record, u in zip(trace.records, [f] + iterates):
+            beta = record.beta
+            expected = energy(u, shrink(gradient(u, bc), beta), f, psf, bc,
+                              self.PARAMS.alpha, beta)
+            assert record.energy.coupling == expected.coupling
+            assert abs(record.energy.total - expected.total) <= 1e-12 * abs(expected.total)
+
+    @pytest.mark.parametrize("bc", ["periodic", "zero"])
+    def test_phase_seconds_fit_in_each_iteration(self, small_instance, bc):
+        _, psf, observed, _ = small_instance
+        _, trace = solve(observed, psf, bc, SolveParams(alpha=1e3, inner_max=4))
+        previous = 0.0
+        for r in trace.records:
+            phases = (r.shrink_s, r.objective_s, r.update_s)
+            assert min(phases) >= 0.0
+            assert sum(phases) <= r.seconds - previous
+            previous = r.seconds
 
 
 class TestSolveEnlarged:

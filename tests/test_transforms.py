@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      builtin_truth, gaussian_psf, simulate, solve)
+                      apply_blur, builtin_truth, gaussian_psf, simulate, solve)
 from tvdeblur import dense
-from tvdeblur.transforms import SystemPlanner, solve_system
+from tvdeblur.operators import apply_stencil
+from tvdeblur.transforms import SystemPlanner, _banded_frame_load, solve_and_blur, solve_system
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -204,11 +205,11 @@ class TestZeroPreconditionedCG:
         residuals = []
 
         def checked(plan, rhs):
-            u = solve_system(plan, rhs)
+            u, hu = solve_and_blur(plan, rhs)
             residuals.append(relative_residual(zero_system(psf, plan.ratio), u, rhs))
-            return u
+            return u, hu
 
-        monkeypatch.setattr(solver, "solve_system", checked)
+        monkeypatch.setattr(solver, "solve_and_blur", checked)
         _, trace = solver.solve(observed, psf, "zero",
                                 SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4))
         assert len(residuals) == trace.total_inner_iterations > 0
@@ -223,3 +224,68 @@ class TestZeroPreconditionedCG:
         assert np.all(np.isfinite(u))
         assert max(r.cg_iterations for r in trace.records) < CG_MAXITER
         assert max(r.cg_residual for r in trace.records) <= 1e-12
+
+
+def framed(rng, shape):
+    """Random values on the frame, zeros inside: what the frame load sees."""
+    u = rng.standard_normal(shape)
+    u[1:-1, 1:-1] = 0.0
+    return u
+
+
+class TestBandedFrameLoad:
+    STENCILS = {
+        "3x3 kernel": dense.system_stencil(gaussian_psf(3, 0.8), 2.5),
+        "2x2 kernel": dense.system_stencil(gaussian_psf(2, 0.7), 0.5),
+        "off-center 2x3": (np.arange(1.0, 7.0).reshape(2, 3), (0, 2)),
+        "off-center 5x5": (np.linspace(-1.0, 1.5, 25).reshape(5, 5), (1, 3)),
+        "column 3x1": (np.array([[0.25], [-1.0], [2.0]]), (2, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STENCILS))
+    @pytest.mark.parametrize("shape", [(12, 9), (9, 14), (5, 5), (6, 7)])
+    def test_equals_the_whole_image_load_bit_for_bit(self, rng, name, shape):
+        weights, center = self.STENCILS[name]
+        assert weights.size <= 25
+        u = framed(rng, shape)
+        expected = apply_stencil(u, weights, center, "antireflective")
+        assert _banded_frame_load(u, weights, center).tobytes() == expected.tobytes()
+
+    def test_plans_band_only_stencils_of_at_most_25_taps(self):
+        shape = (10, 12)
+        narrow = SystemPlanner(gaussian_psf(3, 0.8), shape, "antireflective").plan(2.0)
+        wide = SystemPlanner(gaussian_psf(4, 1.0), shape, "antireflective").plan(2.0)
+        assert narrow.frame_load.func is _banded_frame_load
+        assert not hasattr(wide.frame_load, "func")
+
+
+class TestSolveAndBlur:
+    KERNELS = {"3x3": gaussian_psf(3, 0.8), "4x4": gaussian_psf(4, 1.0),
+               "7x7": gaussian_psf(7, 1.5), "nonsymmetric": NONSYM}
+    # the reflective models take quadrantally symmetric kernels only
+    CASES = [(kernel, bc) for kernel in sorted(KERNELS) for bc in BCS
+             if kernel != "nonsymmetric" or bc in ("zero", "periodic")]
+
+    @pytest.mark.parametrize("kernel, bc", CASES)
+    def test_blur_of_the_solution(self, rng, kernel, bc):
+        psf = self.KERNELS[kernel]
+        rhs = rng.standard_normal((14, 11))
+        plan = SystemPlanner(psf, rhs.shape, bc).plan(0.7)
+        u, hu = solve_and_blur(plan, rhs)
+        assert u.tobytes() == solve_system(plan, rhs).tobytes()
+        expected = apply_blur(u, psf, bc)
+        assert np.abs(hu - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("kernel, symbol", [("3x3", True), ("7x7", True), ("4x4", False)])
+    def test_reflective_blur_is_a_dct_symbol_only_for_odd_kernels(self, kernel, symbol):
+        plan = SystemPlanner(self.KERNELS[kernel], (14, 11), "reflective").plan(0.7)
+        assert (plan.blur_symbol is not None) is symbol
+
+    def test_reflective_symbol_needs_a_centered_kernel(self, rng):
+        # symmetric weights declared off their middle sample
+        psf = Psf(gaussian_psf(3, 0.8).weights, (0, 0))
+        rhs = rng.standard_normal((10, 9))
+        plan = SystemPlanner(psf, rhs.shape, "reflective").plan(0.7)
+        assert plan.blur_symbol is None
+        u, hu = solve_and_blur(plan, rhs)
+        assert np.abs(hu - apply_blur(u, psf, "reflective")).max() <= 1e-12
