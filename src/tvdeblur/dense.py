@@ -7,6 +7,10 @@ loops over kernel offsets) and capped at ``n <= 64``; they exist to pin down
 the fast implementations, not to be fast themselves.
 
 Images are flattened row-major: pixel ``(i, j)`` maps to ``i * n + j``.
+
+The module imports nothing from ``operators`` or ``transforms``, the fast
+paths it checks: its Laplacian literal and its kernel autocorrelation (a
+plain loop over pairs of kernel taps) are its own.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate2d
 
 from .errors import DataError, PreconditionError, ShapeError, UnsupportedError
 from .grid import Psf, check_boundary_model
@@ -182,31 +185,17 @@ def build_adjgrad(n: int, direction: int, bc: str) -> DenseOperator:
 def autocorrelation(psf: Psf):
     """Autocorrelation stencil of the kernel, centered on its (2p-1)-grid.
 
-    Offsets are differences of kernel offsets, so the declared center of the
-    kernel drops out; the result is always point-symmetric.
+    Every pair of kernel taps ``(i, j)`` and ``(k, l)`` adds its product at
+    offset ``(i - k, j - l)``, so the declared center of the kernel drops
+    out and the result is point-symmetric.
     """
-    a = correlate2d(psf.weights, psf.weights, mode="full")
-    return a, (psf.rows - 1, psf.cols - 1)
-
-
-def combine_stencils(w1, c1, w2, c2, scale: float):
-    """w1 + scale * w2 on the smallest common offset grid."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    top = max(c1[0], c2[0])
-    bot = max(w1.shape[0] - c1[0], w2.shape[0] - c2[0])
-    left = max(c1[1], c2[1])
-    right = max(w1.shape[1] - c1[1], w2.shape[1] - c2[1])
-    out = np.zeros((top + bot, left + right))
-    out[top - c1[0]:top - c1[0] + w1.shape[0], left - c1[1]:left - c1[1] + w1.shape[1]] += w1
-    out[top - c2[0]:top - c2[0] + w2.shape[0], left - c2[1]:left - c2[1] + w2.shape[1]] += scale * w2
-    return out, (top, left)
-
-
-def system_stencil(psf: Psf, ratio: float):
-    """Stencil of the composite operator: autocorrelation + ratio * Laplacian."""
-    a, ac = autocorrelation(psf)
-    return combine_stencils(a, ac, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, ratio)
+    w = psf.weights
+    p, q = w.shape
+    a = np.zeros((2 * p - 1, 2 * q - 1))
+    for i, j in np.ndindex(p, q):
+        for k, l in np.ndindex(p, q):
+            a[p - 1 + i - k, q - 1 + j - l] += w[i, j] * w[k, l]
+    return a, (p - 1, q - 1)
 
 
 def build_system(psf: Psf, n: int, bc: str, ratio: float) -> DenseOperator:
@@ -239,5 +228,7 @@ def build_system(psf: Psf, n: int, bc: str, ratio: float) -> DenseOperator:
         Hp = build_correlation(psf, n, bc).matrix
         lap = build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, n, bc).matrix
         return DenseOperator(n, Hp @ H + ratio * lap, tag="system")
-    c, cc = system_stencil(psf, ratio)
-    return DenseOperator(n, build_stencil_matrix(c, cc, n, bc).matrix, tag="system")
+    a, ac = autocorrelation(psf)
+    lap = build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, n, bc).matrix
+    return DenseOperator(n, build_stencil_matrix(a, ac, n, bc).matrix + ratio * lap,
+                         tag="system")

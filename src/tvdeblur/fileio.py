@@ -110,9 +110,11 @@ def write_raw(path, image: np.ndarray) -> None:
 
 def read_raw(path) -> np.ndarray:
     meta = json.loads(_sidecar(path).read_text())
-    if meta.get("format") != "raw-float64":
+    if not isinstance(meta, dict) or meta.get("format") != "raw-float64":
         raise DataError(f"{path}: sidecar does not describe a raw-float64 image")
-    rows, cols = int(meta["rows"]), int(meta["cols"])
+    rows, cols = meta.get("rows"), meta.get("cols")
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise DataError(f"{path}: sidecar lacks non-negative integer rows and cols")
     raw = np.fromfile(path, dtype="<f8")
     if raw.size != rows * cols:
         raise DataError(f"{path}: expected {rows * cols} samples, got {raw.size}")

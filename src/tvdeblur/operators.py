@@ -19,7 +19,9 @@ operator otherwise. Every stencil goes through :func:`apply_stencil`, or
 many times; both convolve stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5)
 directly and wider ones by a real FFT over the padded image, so a wide
 kernel costs a few transforms rather than k^2 multiply-adds per pixel.
-:func:`differences` is the unvalidated, plain-array form of
+:func:`autocorrelation`, :func:`combine_stencils` and the five-point
+``LAPLACIAN_STENCIL`` build the system stencils the transform plans
+diagonalize. :func:`differences` is the unvalidated, plain-array form of
 :func:`gradient`, and both divergences accept a plain pair ``(z1, z2)``, for
 the solver's inner loop. All functions are pure and safe for concurrent use.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.signal import convolve2d
+from scipy.signal import convolve2d, correlate2d
 
 from .errors import PreconditionError, UnsupportedError
 from .grid import GradientField, Psf, as_image, check_boundary_model
@@ -62,12 +64,6 @@ def crop(u: np.ndarray, pads) -> np.ndarray:
     """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins."""
     (pt, pb), (pl, pr) = pads
     return u[pt:u.shape[0] - pb, pl:u.shape[1] - pr].copy()
-
-
-def _check_support(shape, weights, what="kernel"):
-    if weights.shape[0] > shape[0] or weights.shape[1] > shape[1]:
-        raise UnsupportedError(
-            f"{what} support {weights.shape} exceeds image dims {shape}")
 
 
 def stencil_pads(weights: np.ndarray, center):
@@ -132,7 +128,9 @@ def apply_blur(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
     """Blur ``u`` by the kernel under the given boundary model."""
     u = as_image(u)
     check_boundary_model(bc)
-    _check_support(u.shape, psf.weights)
+    if psf.rows > u.shape[0] or psf.cols > u.shape[1]:
+        raise UnsupportedError(
+            f"kernel support {psf.weights.shape} exceeds image dims {u.shape}")
     return apply_stencil(u, psf.weights, psf.center, bc)
 
 
@@ -143,11 +141,36 @@ def apply_correlation(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
     for reflective/antireflective it is the reblurred companion used in the
     restoration system.
     """
-    u = as_image(u)
-    check_boundary_model(bc)
-    _check_support(u.shape, psf.weights)
-    flipped = psf.flipped()
-    return apply_stencil(u, flipped.weights, flipped.center, bc)
+    return apply_blur(u, psf.flipped(), bc)
+
+
+#: Five-point Laplacian stencil with the sign making it positive semidefinite.
+LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0],
+                              [-1.0, 4.0, -1.0],
+                              [0.0, -1.0, 0.0]])
+LAPLACIAN_CENTER = (1, 1)
+
+
+def autocorrelation(psf: Psf):
+    """Autocorrelation stencil of the kernel, centered on its (2p-1)-grid.
+
+    Offsets are differences of kernel offsets, so the declared center of the
+    kernel drops out; the result is always point-symmetric. It is the
+    stencil of ``H'H`` away from the frame.
+    """
+    return correlate2d(psf.weights, psf.weights, mode="full"), (psf.rows - 1, psf.cols - 1)
+
+
+def combine_stencils(w1, c1, w2, c2, scale: float):
+    """w1 + scale * w2 on the smallest common offset grid."""
+    top = max(c1[0], c2[0])
+    bot = max(w1.shape[0] - c1[0], w2.shape[0] - c2[0])
+    left = max(c1[1], c2[1])
+    right = max(w1.shape[1] - c1[1], w2.shape[1] - c2[1])
+    out = np.zeros((top + bot, left + right))
+    out[top - c1[0]:top - c1[0] + w1.shape[0], left - c1[1]:left - c1[1] + w1.shape[1]] += w1
+    out[top - c2[0]:top - c2[0] + w2.shape[0], left - c2[1]:left - c2[1] + w2.shape[1]] += scale * w2
+    return out, (top, left)
 
 
 def gradient(u: np.ndarray, bc: str) -> GradientField:

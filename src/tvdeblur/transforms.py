@@ -29,6 +29,15 @@ where the composite operator is, per boundary model, diagonalized by:
   right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
   iterations.
 
+Both trigonometric models take their eigenvalues from one cosine symbol,
+``sum_st w[s,t] cos(s theta_r) cos(t theta_c)`` of the system stencil (the
+kernel's autocorrelation plus ``ratio`` times the five-point Laplacian),
+sampled at ``theta = pi k / n`` for the DCT-II and at
+``theta = pi k / (n - 1)`` for the DST-I (Ng, Chan & Tang 1999;
+Serra-Capizzano, SIAM J. Sci. Comput. 25, 2003). The antireflective grid's
+``theta = 0`` row and column are the frame edges' axis-collapsed symbols,
+and its origin is the corners' coefficient.
+
 The antireflective frame load (the system stencil applied to the solved
 frame, which is zero inside) is convolved only on the bands within the
 stencil's reach of the frame when the stencil has at most
@@ -62,15 +71,14 @@ import numpy as np
 from scipy import fft as _fft
 from scipy.signal import convolve2d
 
-from .dense import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
-                    combine_stencils)
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (DIRECT_MAX_TAPS, apply_stencil, differences, extend, stencil_convolver,
-                        stencil_pads, transpose_adjoint_gradient)
+from .operators import (DIRECT_MAX_TAPS, LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
+                        combine_stencils, differences, extend, stencil_convolver, stencil_pads,
+                        transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .operators import apply_blur, apply_correlation, gradient  # noqa: F401
+from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +118,8 @@ def _cos_symbol(weights, center, theta_r, theta_c) -> np.ndarray:
     """
     s = np.arange(weights.shape[0]) - center[0]
     t = np.arange(weights.shape[1]) - center[1]
-    cr = np.cos(np.outer(np.atleast_1d(theta_r), s))
-    cc = np.cos(np.outer(np.atleast_1d(theta_c), t))
+    cr = np.cos(np.outer(theta_r, s))
+    cc = np.cos(np.outer(theta_c, t))
     return cr @ weights @ cc.T
 
 
@@ -150,11 +158,22 @@ class SpectralPlan:
     """Prepared solve for one (kernel, shape, boundary model, ratio) tuple.
 
     ``eigenvalues`` holds the system eigenvalues in the matching transform
-    basis (half-spectrum for periodic, full grid for reflective, interior
-    grid for antireflective). For the zero model's CG fallback it holds the
-    kernel's real-FFT half-spectrum on the no-wraparound grid of
-    :func:`_zero_grid` (the eigenvalues of the blur embedded in a circulant
-    there), shared by the plans of every ratio.
+    basis:
+
+    * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``;
+    * reflective: the DCT-II eigenvalues, ``R x C``, the system stencil's
+      cosine symbol at ``theta = pi k / R`` and ``pi l / C``;
+    * antireflective: the same symbol at ``theta = pi k / (R - 1)`` and
+      ``pi l / (C - 1)``, ``(R - 1) x (C - 1)``. ``[1:, 1:]`` are the
+      interior's DST-I eigenvalues. At ``theta = 0`` the symbol is that of
+      the stencil summed along that axis, so ``[1:, 0]`` and ``[0, 1:]`` are
+      the DST-I eigenvalues of the left/right and top/bottom frame edges,
+      and ``[0, 0]``, the kernel mass squared, is the corners' coefficient;
+    * zero (the CG fallback): the kernel's real-FFT half-spectrum on the
+      no-wraparound grid of :func:`_zero_grid` (the eigenvalues of the blur
+      embedded in a circulant there), shared by the plans of every ratio.
+
+    Clamping, ``min_modulus`` and ``clamp_count`` cover the whole array.
     """
 
     bc: str
@@ -168,11 +187,7 @@ class SpectralPlan:
     # kernel), else a callable u -> H u
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
-    # antireflective boundary data; frame_load is u -> (system stencil) u
-    # for a u that is zero off its frame
-    edge_row: np.ndarray | None = None
-    edge_col: np.ndarray | None = None
-    corner: float | None = None
+    # antireflective: u -> (system stencil) u for a u that is zero off its frame
     frame_load: Callable | None = field(default=None, repr=False)
     # zero-model fallback data
     psf: Psf | None = field(default=None, repr=False)
@@ -223,51 +238,24 @@ class SystemPlanner:
             self._blur_symbol = spectrum
             self._lap_eig = _fft.rfft2(
                 _embed_wrapped(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, self.shape)).real
-        elif bc == "reflective":
-            self._check_ghost_depth(acorr, acorr_center, cap=min(self.shape))
-            impulse = np.zeros(self.shape)
-            impulse[0, 0] = 1.0
-            denom = _fft.dctn(impulse, type=2, norm="ortho")
-            if np.abs(denom).min() < EIG_FLOOR:
-                raise SingularPlanError("degenerate DCT basis sample")
-            self._blur_eig = _fft.dctn(apply_stencil(impulse, acorr, acorr_center, bc),
-                                        type=2, norm="ortho") / denom
-            self._lap_eig = _fft.dctn(
-                apply_stencil(impulse, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, bc),
-                type=2, norm="ortho") / denom
+        else:
+            # the cosine symbols on the DCT-II grid, theta = pi k / n, or the
+            # DST-I grid with its frame row and column, theta = pi k / (n - 1)
+            short = int(bc == "antireflective")
+            depth, cap = _ghost_depth(acorr, acorr_center), min(self.shape) - short
+            if depth > cap:
+                raise UnsupportedError(
+                    f"composite stencil ghost depth {depth} exceeds the extension cap {cap}")
+            theta_r, theta_c = (np.arange(n - short) * np.pi / (n - short) for n in self.shape)
+            self._blur_eig = _cos_symbol(acorr, acorr_center, theta_r, theta_c)
+            self._lap_eig = _cos_symbol(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, theta_r, theta_c)
             # the blur itself is DCT-diagonal only when the kernel is
             # symmetric about its center sample (Ng, Chan & Tang 1999)
-            if psf.rows % 2 and psf.cols % 2 and psf.center == (psf.rows // 2, psf.cols // 2):
-                self._blur_symbol = _fft.dctn(
-                    apply_stencil(impulse, psf.weights, psf.center, bc),
-                    type=2, norm="ortho") / denom
+            if (bc == "reflective" and psf.rows % 2 and psf.cols % 2
+                    and psf.center == (psf.rows // 2, psf.cols // 2)):
+                self._blur_symbol = _cos_symbol(psf.weights, psf.center, theta_r, theta_c)
             else:
                 self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
-        else:  # antireflective
-            self._check_ghost_depth(acorr, acorr_center, cap=min(self.shape) - 1)
-            R, C = self.shape
-            theta_r = np.arange(1, R - 1) * np.pi / (R - 1)
-            theta_c = np.arange(1, C - 1) * np.pi / (C - 1)
-            self._blur_int = _cos_symbol(acorr, acorr_center, theta_r, theta_c)
-            self._lap_int = _cos_symbol(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, theta_r, theta_c)
-            # frame edges see the stencil collapsed along the perpendicular axis
-            self._blur_edge_row = _cos_symbol(acorr.sum(axis=1)[:, None],
-                                              (acorr_center[0], 0), theta_r, [0.0])[:, 0]
-            self._blur_edge_col = _cos_symbol(acorr.sum(axis=0)[None, :],
-                                              (0, acorr_center[1]), [0.0], theta_c)[0, :]
-            self._lap_edge_row = _cos_symbol(np.array([[-1.0], [2.0], [-1.0]]), (1, 0),
-                                             theta_r, [0.0])[:, 0]
-            self._lap_edge_col = _cos_symbol(np.array([[-1.0, 2.0, -1.0]]), (0, 1),
-                                             [0.0], theta_c)[0, :]
-            self._blur_corner = float(acorr.sum())
-            self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
-
-    @staticmethod
-    def _check_ghost_depth(weights, center, cap):
-        depth = _ghost_depth(weights, center)
-        if depth > cap:
-            raise UnsupportedError(
-                f"composite stencil ghost depth {depth} exceeds the extension cap {cap}")
 
     def plan(self, ratio: float) -> SpectralPlan:
         if not (np.isfinite(ratio) and ratio >= 0):
@@ -277,34 +265,20 @@ class SystemPlanner:
             return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=self._blur_eig,
                                 min_modulus=None, clamp_count=0, blur=self._blur, psf=self.psf,
                                 preconditioner=self._preconditioner.plan(ratio), cg_log=[])
-        if bc in ("periodic", "reflective"):
-            eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
-            if count:
-                logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
-            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
-                                min_modulus=mn, clamp_count=count,
-                                blur_symbol=self._blur_symbol, blur=self._blur, psf=self.psf)
-        # antireflective
-        interior, c_int, mn_int = _clamp(self._blur_int + ratio * self._lap_int)
-        edge_row, c_er, mn_er = _clamp(self._blur_edge_row + ratio * self._lap_edge_row)
-        edge_col, c_ec, mn_ec = _clamp(self._blur_edge_col + ratio * self._lap_edge_col)
-        corner, c_co, mn_co = _clamp(self._blur_corner)  # laplacian mass is zero
-        count = c_int + c_er + c_ec + c_co
+        eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
-            logger.warning("antireflective plan: clamped %d eigenvalue(s) below %g",
-                           count, EIG_FLOOR)
-        mins = [m for m in (mn_int, mn_er, mn_ec, mn_co) if m is not None]
-        acorr, acorr_center = self._acorr
-        weights, center = combine_stencils(acorr, acorr_center,
-                                           LAPLACIAN_STENCIL, LAPLACIAN_CENTER, ratio)
-        if weights.size <= DIRECT_MAX_TAPS:
-            frame_load = partial(_banded_frame_load, weights=weights, center=center)
-        else:
-            frame_load = stencil_convolver(weights, center, bc, self.shape)
-        return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=interior,
-                            min_modulus=min(mins) if mins else None, clamp_count=count,
-                            blur=self._blur, edge_row=edge_row, edge_col=edge_col,
-                            corner=float(corner[0]), frame_load=frame_load, psf=self.psf)
+            logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
+        frame_load = None
+        if bc == "antireflective":
+            weights, center = combine_stencils(*self._acorr, LAPLACIAN_STENCIL,
+                                               LAPLACIAN_CENTER, ratio)
+            if weights.size <= DIRECT_MAX_TAPS:
+                frame_load = partial(_banded_frame_load, weights=weights, center=center)
+            else:
+                frame_load = stencil_convolver(weights, center, bc, self.shape)
+        return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
+                            min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
+                            blur=self._blur, frame_load=frame_load, psf=self.psf)
 
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
@@ -413,22 +387,20 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
         return _solve_zero(plan, rhs)
     # antireflective: corners, then frame edges, then the interior
     R, C = plan.shape
+    eig = plan.eigenvalues
+    corner = eig[0, 0]
     u = np.zeros((R, C))
     for i, j in ((0, 0), (0, C - 1), (R - 1, 0), (R - 1, C - 1)):
-        u[i, j] = rhs[i, j] / plan.corner
+        u[i, j] = rhs[i, j] / corner
     if C > 2:
-        u[0, 1:-1] = _edge_solve_1d(rhs[0, 1:-1], u[0, 0], u[0, -1],
-                                    plan.edge_col, plan.corner)
-        u[-1, 1:-1] = _edge_solve_1d(rhs[-1, 1:-1], u[-1, 0], u[-1, -1],
-                                     plan.edge_col, plan.corner)
+        u[0, 1:-1] = _edge_solve_1d(rhs[0, 1:-1], u[0, 0], u[0, -1], eig[0, 1:], corner)
+        u[-1, 1:-1] = _edge_solve_1d(rhs[-1, 1:-1], u[-1, 0], u[-1, -1], eig[0, 1:], corner)
     if R > 2:
-        u[1:-1, 0] = _edge_solve_1d(rhs[1:-1, 0], u[0, 0], u[-1, 0],
-                                    plan.edge_row, plan.corner)
-        u[1:-1, -1] = _edge_solve_1d(rhs[1:-1, -1], u[0, -1], u[-1, -1],
-                                     plan.edge_row, plan.corner)
+        u[1:-1, 0] = _edge_solve_1d(rhs[1:-1, 0], u[0, 0], u[-1, 0], eig[1:, 0], corner)
+        u[1:-1, -1] = _edge_solve_1d(rhs[1:-1, -1], u[0, -1], u[-1, -1], eig[1:, 0], corner)
     if R > 2 and C > 2:
         interior = rhs[1:-1, 1:-1] - plan.frame_load(u)[1:-1, 1:-1]
-        u[1:-1, 1:-1] = _fft.dstn(_fft.dstn(interior, type=1, norm="ortho") / plan.eigenvalues,
+        u[1:-1, 1:-1] = _fft.dstn(_fft.dstn(interior, type=1, norm="ortho") / eig[1:, 1:],
                                   type=1, norm="ortho")
     return u
 

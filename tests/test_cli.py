@@ -116,6 +116,16 @@ class TestDeblur:
         assert code == 2
         assert "enlarged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", [{"format": "raw-float64"},
+                                         {"format": "raw-float64", "rows": "36", "cols": 36},
+                                         ["raw-float64", 36, 36]],
+                             ids=["no-dims", "string-rows", "list"])
+    def test_malformed_raw_sidecar_is_data_error(self, tmp_path, observed_file, sidecar):
+        (tmp_path / "obs.f64.json").write_text(json.dumps(sidecar))
+        code = run(["deblur", "--in", observed_file, "--psf", "gaussian:hsize=5,delta=1.2",
+                    "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 2
+
     def test_unknown_mode_is_data_error(self, tmp_path, observed_file):
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "mirror",

@@ -5,7 +5,7 @@ trusted against them."""
 import numpy as np
 import pytest
 
-from tvdeblur import Psf, UnsupportedError, gaussian_psf
+from tvdeblur import Psf, UnsupportedError, gaussian_psf, operators
 from tvdeblur.dense import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
                             build_adjgrad, build_blur, build_correlation,
                             build_grad, build_stencil_matrix, build_system,
@@ -226,6 +226,18 @@ class TestAlgebraIdentities:
         psf = Psf(rng.random((3, 2)) + 0.01, (1, 1))
         a, _ = autocorrelation(psf)
         assert np.allclose(a, a[::-1, ::-1], atol=1e-15)
+
+    @pytest.mark.parametrize("psf", [
+        gaussian_psf(5, 1.0), gaussian_psf(4, 1.0),
+        Psf(np.random.default_rng(5).random((3, 2)) + 0.01, (1, 1)),
+        Psf(np.random.default_rng(6).random((1, 6)) + 0.01, (0, 2)),
+        Psf(np.random.default_rng(7).random((5, 1)) + 0.01, (3, 0)),
+    ], ids=["odd", "even-extent", "nonsymmetric", "1xn", "nx1"])
+    def test_autocorrelation_matches_the_fast_path(self, psf):
+        a, ac = autocorrelation(psf)
+        b, bc = operators.autocorrelation(psf)
+        assert ac == bc and a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-15
 
     def test_autocorrelation_of_even_gaussian_is_quadrantally_symmetric(self):
         a, _ = autocorrelation(gaussian_psf(4, 1.0))
