@@ -25,9 +25,10 @@ The inner loop works on plain arrays and computes each quantity once. An
 iteration takes the gradient of ``u`` once; the shrinkage returns ``z`` and
 the shrunk magnitudes ``max(|grad u| - 1/beta, 0)``, whose sum is the TV
 term; the coupling is taken from ``z - grad u`` as :func:`energy` takes it;
-and the fidelity term uses the blur ``H u`` that the image update returned
-with ``u`` (see :func:`~tvdeblur.transforms.solve_and_blur`), so the
-objective costs no transform of its own. The trace's energies equal
+and the fidelity term is the ``||H u - f||^2`` that the image update
+returned with ``u`` (see :func:`~tvdeblur.transforms.solve_and_blur`), so
+the objective costs no transform of its own. The zero model's CG starts
+from the current iterate. The trace's energies equal
 :func:`energy`'s to rounding, and the restoration does not depend on them.
 Each trace record carries the seconds of the shrinkage, the objective and
 the image update.
@@ -50,7 +51,7 @@ from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
 from .operators import (adjoint_gradient, apply_blur, apply_correlation, crop, differences,
                         extend, transpose_adjoint_gradient)
-from .transforms import SpectralPlan, SystemPlanner, _l2, solve_and_blur
+from .transforms import SpectralPlan, SystemPlanner, _l2, fidelity_target, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .energy import energy  # noqa: F401
 from .operators import gradient  # noqa: F401
@@ -78,27 +79,36 @@ def shrink(g: GradientField, beta: float) -> GradientField:
 def _soft_threshold(g1: np.ndarray, g2: np.ndarray, beta: float):
     """:func:`shrink` on plain arrays: ``z1``, ``z2`` and ``max(|g| - 1/beta, 0)``.
 
-    The magnitude's buffer becomes the divisor, then the scale, so the step
-    holds one image less than the expression form would.
+    One pass over two buffers: ``|g|`` is the root of the sum of squares,
+    and the divisor is floored at ``ZERO_MAGNITUDE``, where the shrunk
+    magnitude is already 0. Where a square overflows (``|g|`` above about
+    1e154), or the threshold is so small that squares underflowing to 0
+    would matter, ``|g|`` comes from ``np.hypot`` instead.
     """
-    scale = np.hypot(g1, g2)
-    dead = scale <= ZERO_MAGNITUDE
-    shrunk = scale - 1.0 / beta
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.multiply(g1, g1)
+        shrunk = np.multiply(g2, g2)
+        scale += shrunk
+    if np.isfinite(scale.max()) and beta < 1e150:
+        np.sqrt(scale, out=scale)
+    else:
+        np.hypot(g1, g2, out=scale)
+    np.subtract(scale, 1.0 / beta, out=shrunk)
     np.maximum(shrunk, 0.0, out=shrunk)
-    scale[dead] = 1.0
+    np.maximum(scale, ZERO_MAGNITUDE, out=scale)
     np.divide(shrunk, scale, out=scale)
-    scale[dead] = 0.0
     return g1 * scale, g2 * scale, shrunk
 
 
-def _shrink_and_objective(u, hu, f, bc, alpha, beta):
+def _shrink_and_objective(u, fit, bc, alpha, beta):
     """z = shrink(grad u), and the objective at (u, z) from what that step
-    computed: ``hu`` is H u, kept from the image update that produced u.
+    computed: ``fit`` is ``||H u - f||^2``, kept from the image update that
+    produced u.
 
     Returns z1, z2, the EnergyReport and the seconds of the two phases. The
     terms are those of :func:`energy`: the coupling to the bit, fidelity and
-    TV to rounding. The gradient, magnitudes and residual die on return,
-    before the image update allocates its own.
+    TV to rounding. The gradient and magnitudes die on return, before the
+    image update allocates its own.
     """
     t0 = time.perf_counter()
     g1, g2 = differences(u, bc)
@@ -106,10 +116,7 @@ def _shrink_and_objective(u, hu, f, bc, alpha, beta):
     t1 = time.perf_counter()
     tv_z = float(np.sum(shrunk))
     del shrunk
-    residual = hu - f
-    residual *= residual
-    fidelity = 0.5 * alpha * float(np.sum(residual))
-    del residual
+    fidelity = 0.5 * alpha * fit
     # squares of z - grad u, in the gradient's buffers
     for d, z in ((g1, z1), (g2, z2)):
         np.subtract(z, d, out=d)
@@ -127,16 +134,18 @@ def _rhs_divergence(z, bc: str) -> np.ndarray:
     return adjoint_gradient(z, bc)
 
 
-def u_step(plan: SpectralPlan, corr_f: np.ndarray, z):
+def u_step(plan: SpectralPlan, corr_f: np.ndarray, z, target: np.ndarray, start=None):
     """Solve (H'H + ratio D'D) u = H'f + ratio D'z in the plan's basis.
 
     ``corr_f`` is the correlated data H'f under the plan's boundary model;
     ``ratio`` (beta / alpha) and the model are read from the plan. ``z`` is
-    a GradientField or a plain pair ``(z1, z2)``. Returns ``u`` and its
-    blur ``H u``, which costs at most one more transform (see
-    :func:`~tvdeblur.transforms.solve_and_blur`).
+    a GradientField or a plain pair ``(z1, z2)``. ``target`` is f as
+    :func:`~tvdeblur.transforms.fidelity_target` prepares it, and ``start``
+    the zero model's CG start. Returns ``u`` and its fidelity
+    ``||H u - f||^2`` (see :func:`~tvdeblur.transforms.solve_and_blur`).
     """
-    return solve_and_blur(plan, corr_f + plan.ratio * _rhs_divergence(z, plan.bc))
+    rhs = corr_f + plan.ratio * _rhs_divergence(z, plan.bc)
+    return solve_and_blur(plan, rhs, target, start)
 
 
 @dataclass(frozen=True)
@@ -148,7 +157,8 @@ class TraceRecord:
     iteration's own seconds in the shrinkage, the objective evaluation and
     the image update. ``cg_iterations`` and ``cg_residual`` (the final
     ||b - Au|| / ||b||) are the zero model's CG numerics for the image
-    update, ``None`` for the transform-solved models.
+    update, ``None`` for the transform-solved models; the CG starts from
+    u^k, so ``cg_iterations`` counts the steps from there.
     """
 
     beta: float
@@ -189,7 +199,10 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f = apply_correlation(f, psf, bc)
     u = f.copy()
-    hu = apply_blur(u, psf, bc)  # later ones come with each image update
+    target = fidelity_target(planner, f)
+    residual = apply_blur(u, psf, bc) - f
+    fit = float(np.sum(residual * residual))  # later ones come with each image update
+    del residual
     records = []
     violations = []
     start = time.perf_counter()
@@ -198,8 +211,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
         previous_total = None
         for it in range(params.inner_max):
             z1, z2, report, shrink_s, objective_s = _shrink_and_objective(
-                u, hu, f, bc, alpha, beta)
-            del hu  # spent; the update returns the next one
+                u, fit, bc, alpha, beta)
             if previous_total is not None:
                 rise = report.total - previous_total
                 if rise > MONOTONE_SLACK * max(abs(previous_total), ZERO_MAGNITUDE):
@@ -207,7 +219,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             t0 = time.perf_counter()
-            u_new, hu = u_step(plan, corr_f, (z1, z2))
+            u_new, fit = u_step(plan, corr_f, (z1, z2), target, u)
             update_s = time.perf_counter() - t0
             if not np.isfinite(u_new).all():
                 raise ConvergenceError(
@@ -237,6 +249,10 @@ def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, pad=None,
     when given (pad = 0 is allowed as the degenerate case equivalent to a
     plain periodic solve). The returned trace is that of the enlarged-domain
     run.
+
+    Every image update transforms the enlarged grid, so choose ``pad`` to
+    make ``n + 2 * pad`` a 2-3-5-smooth length on both axes: at 256 + 2*14
+    = 284 = 4 * 71 a real FFT pair costs more than twice what it costs at 288.
     """
     f = as_image(f, "observed image")
     check_boundary_model(extension)

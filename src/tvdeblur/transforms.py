@@ -44,15 +44,20 @@ stencil's reach of the frame when the stencil has at most
 ``DIRECT_MAX_TAPS`` taps, with the bytes of the whole-image convolution;
 wider stencils go through a convolver whose spectrum the plan computes once.
 
+The zero model's CG starts from zeros in :func:`solve_system`; the solver
+loop's update starts it from the current iterate instead.
+
 :func:`solve_and_blur` is the solver loop's image update: the solution and
-its blur ``H u``, which the objective needs, for at most one more transform.
-For periodic plans, and reflective ones whose kernel is odd and symmetric
-about its center sample, ``H u`` is an inverse transform of the solution's
-own coefficients times the kernel's symbol. Otherwise it is the plan's
-``blur``: one real-FFT pair on the CG grid for zero, and for antireflective
-and even-extent reflective kernels a stencil convolver built once per
-planner. :func:`solve_system` is the one solve; both share its coefficient
-and synthesis steps.
+its fidelity ``||H u - f||^2``, which the objective needs. For periodic
+plans, and reflective ones whose kernel is odd and symmetric about its
+center sample, the fidelity comes from the solution's own coefficients by
+Parseval: the kernel's symbol times the coefficients, minus the transform
+of ``f`` (:func:`fidelity_target`, taken once per solve), summed in the
+transform domain, so the update makes one forward and one inverse
+transform. Otherwise ``H u`` is the plan's ``blur``: one real-FFT pair on
+the CG grid for zero, and for antireflective and even-extent reflective
+kernels a stencil convolver built once per planner. :func:`solve_system`
+is the one solve; both share its coefficient and synthesis steps.
 
 Plans are deterministic and, apart from the zero plan's ``cg_log`` (one
 ``(iterations, relative residual)`` entry per solve), immutable; eigenvalue
@@ -281,9 +286,10 @@ class SystemPlanner:
                             blur=self._blur, frame_load=frame_load, psf=self.psf)
 
 
-def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
+def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None) -> np.ndarray:
     """Preconditioned CG on the literal normal equations; exact transposes,
-    matrix-free. Appends (iterations, relative residual) to ``plan.cg_log``."""
+    matrix-free. Starts from ``start`` (zeros when ``None``) and appends
+    (iterations, relative residual) to ``plan.cg_log``."""
     psf, ratio, (R, C) = plan.psf, plan.ratio, rhs.shape
     (cr, cc), grid = psf.center, _zero_grid(rhs.shape, psf)
     transposed = plan.eigenvalues.conj()
@@ -298,8 +304,18 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
         return out + ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
 
     b_norm = _l2(rhs)
+    if b_norm == 0:
+        # the solution is zero whatever the start; a tolerance of 0 could
+        # not be met from a nonzero one
+        plan.cg_log.append((0, 0.0))
+        return np.zeros((R, C))
     tol = CG_RTOL * b_norm
-    x, r, steps = np.zeros((R, C)), rhs.copy(), 0
+    if start is None:
+        x, r = np.zeros((R, C)), rhs.copy()
+    else:
+        x = np.array(start, dtype=float)
+        r = rhs - matvec(x)
+    steps = 0
     while _l2(r) > tol and steps < CG_MAXITER:
         z = solve_system(plan.preconditioner, r)
         rho = np.sum(r * z)
@@ -309,7 +325,7 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
         x += alpha * p
         r -= alpha * q
         rho_prev, steps = rho, steps + 1
-    residual = _l2(rhs - matvec(x)) / b_norm if b_norm > 0 else 0.0
+    residual = _l2(rhs - matvec(x)) / b_norm
     if _l2(r) > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
@@ -362,11 +378,11 @@ def _banded_frame_load(u: np.ndarray, weights: np.ndarray, center) -> np.ndarray
     return out
 
 
-def _coefficients(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
-    """The solution's coefficients in the periodic or reflective basis."""
-    if plan.bc == "periodic":
-        return _fft.rfft2(rhs) / plan.eigenvalues
-    return _fft.dctn(rhs, type=2, norm="ortho") / plan.eigenvalues
+def _analyze(bc: str, image: np.ndarray) -> np.ndarray:
+    """The image's coefficients in the periodic or reflective basis."""
+    if bc == "periodic":
+        return _fft.rfft2(image)
+    return _fft.dctn(image, type=2, norm="ortho")
 
 
 def _synthesize(plan: SpectralPlan, coefficients: np.ndarray) -> np.ndarray:
@@ -376,13 +392,31 @@ def _synthesize(plan: SpectralPlan, coefficients: np.ndarray) -> np.ndarray:
     return _fft.idctn(coefficients, type=2, norm="ortho")
 
 
+def _squared_norm(plan: SpectralPlan, coefficients: np.ndarray) -> float:
+    """``||x||^2`` of the image x with these periodic or reflective basis
+    coefficients, by Parseval; squares the coefficients in place.
+
+    The orthonormal DCT needs no weights. A real-FFT half-spectrum row holds
+    column 0, the columns 1 .. C/2 whose conjugates it leaves out, and for
+    even C the Nyquist column, its own conjugate: the inner columns count
+    twice, and the sum is divided by R*C.
+    """
+    if plan.bc == "reflective":
+        coefficients *= coefficients
+        return float(np.sum(coefficients))
+    (R, C), parts = plan.shape, coefficients.view(float)  # re, im interleaved
+    parts *= parts
+    own = np.sum(parts[:, :2]) + (np.sum(parts[:, -2:]) if C % 2 == 0 else 0.0)
+    return float((2.0 * np.sum(parts) - own) / (R * C))
+
+
 def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     """Solve (H'H + ratio * D'D) u = rhs in the plan's transform basis."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != plan.shape:
         raise ShapeError(f"rhs shape {rhs.shape} does not match plan {plan.shape}")
     if plan.bc in ("periodic", "reflective"):
-        return _synthesize(plan, _coefficients(plan, rhs))
+        return _synthesize(plan, _analyze(plan.bc, rhs) / plan.eigenvalues)
     if plan.bc == "zero":
         return _solve_zero(plan, rhs)
     # antireflective: corners, then frame edges, then the interior
@@ -405,18 +439,33 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray):
-    """``solve_system(plan, rhs)`` and the blur ``H u`` of its solution.
+def fidelity_target(planner: SystemPlanner, f: np.ndarray) -> np.ndarray:
+    """What :func:`solve_and_blur` compares ``H u`` with, for every plan of
+    the planner: ``f`` in the plans' transform basis when they carry a blur
+    symbol, else ``f`` itself."""
+    return f if planner._blur_symbol is None else _analyze(planner.bc, f)
+
+
+def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, start=None):
+    """``solve_system(plan, rhs)`` and the fidelity ``||H u - f||^2`` of its
+    solution, for the ``target`` that :func:`fidelity_target` made of ``f``.
 
     With a blur symbol (periodic, reflective with an odd centered kernel)
-    ``H u`` is one more inverse transform of the solution's own
-    coefficients; otherwise it is the plan's ``blur``: an FFT pair on the
-    CG grid for zero, a stencil apply for the rest.
+    the fidelity is the squared norm of the symbol times the solution's
+    coefficients minus the target, by Parseval, so the update makes one
+    forward and one inverse transform. Otherwise ``H u`` is the plan's
+    ``blur``: an FFT pair on the CG grid for zero, a stencil apply for the
+    rest. ``start`` is where the zero model's CG starts (zeros when
+    ``None``); the other models ignore it.
     """
     if plan.blur_symbol is None:
-        u = solve_system(plan, rhs)
-        return u, plan.blur(u)
-    coefficients = _coefficients(plan, rhs)
+        u = _solve_zero(plan, rhs, start) if plan.bc == "zero" else solve_system(plan, rhs)
+        residual = plan.blur(u) - target
+        residual *= residual
+        return u, float(np.sum(residual))
+    coefficients = _analyze(plan.bc, rhs)
+    coefficients /= plan.eigenvalues
     u = _synthesize(plan, coefficients)
     coefficients *= plan.blur_symbol
-    return u, _synthesize(plan, coefficients)
+    coefficients -= target
+    return u, _squared_norm(plan, coefficients)

@@ -142,7 +142,7 @@ class TestDeblur:
     def test_non_finite_iterate_is_numerical_failure(self, tmp_path, observed_file,
                                                       monkeypatch):
         monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
-                            lambda plan, rhs: (np.full(rhs.shape, np.inf),) * 2)
+                            lambda plan, rhs, *_: (np.full(rhs.shape, np.inf), np.inf))
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
                     "--alpha", "10", "--out", tmp_path / "r.f64"])

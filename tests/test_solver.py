@@ -9,8 +9,8 @@ from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, S
                       solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.grid import DEFAULT_BETA_LADDER
-from tvdeblur.solver import u_step
-from tvdeblur.transforms import SystemPlanner
+from tvdeblur.solver import _soft_threshold, u_step
+from tvdeblur.transforms import SystemPlanner, fidelity_target
 
 
 class TestShrink:
@@ -51,6 +51,38 @@ class TestShrink:
         # inactive pixels sit exactly at zero
         assert np.array_equal(z.z1[~active], np.zeros(int((~active).sum())))
 
+    MAGNITUDES = (0.0, 5e-324, 1e-170, 1.0, 1e170)
+
+    # beta = 1e200 puts the threshold below magnitudes whose squares underflow
+    @pytest.mark.parametrize("beta", [4.0, 1e200])
+    @pytest.mark.parametrize("magnitude", [pytest.param(m, id=f"{m:g}") for m in MAGNITUDES]
+                             + [pytest.param(MAGNITUDES, id="all")])
+    def test_extreme_magnitudes_match_a_hypot_reference(self, magnitude, beta):
+        angles = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False) + 0.3
+        mags = np.atleast_1d(magnitude)
+        g1, g2 = np.outer(mags, np.cos(angles)), np.outer(mags, np.sin(angles))
+        z1, z2, shrunk = _soft_threshold(g1, g2, beta)
+        assert np.isfinite(z1).all() and np.isfinite(z2).all() and np.isfinite(shrunk).all()
+        # the reference: |g| by np.hypot, zero pixels masked
+        mag = np.hypot(g1, g2)
+        ref_shrunk = np.maximum(mag - 1.0 / beta, 0.0)
+        ref_scale = np.divide(ref_shrunk, mag, out=np.zeros_like(mag), where=mag > 0)
+        tiny = np.broadcast_to((mags < 1e-300)[:, None], g1.shape)
+        for got, ref in ((z1, g1 * ref_scale), (z2, g2 * ref_scale), (shrunk, ref_shrunk)):
+            assert not got[tiny].any()
+            assert np.all(np.abs(got - ref)[~tiny] <= 1e-15 * np.abs(ref)[~tiny])
+
+    def test_ordinary_magnitudes_take_no_hypot(self, rng, monkeypatch):
+        g1, g2 = rng.standard_normal((2, 6, 6))
+        expected = _soft_threshold(g1, g2, 4.0)
+
+        def no_hypot(*args, **kwargs):
+            raise AssertionError("np.hypot called on finite squares")
+
+        monkeypatch.setattr(np, "hypot", no_hypot)
+        for got, ref in zip(_soft_threshold(g1, g2, 4.0), expected):
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestUStep:
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective"])
@@ -58,10 +90,12 @@ class TestUStep:
         # with the identity kernel and z = grad f, u = f solves the system
         f = rng.standard_normal((10, 10))
         z = gradient(f, bc)
-        plan = SystemPlanner(Psf.delta(), f.shape, bc).plan(8.0 / 2.0)
-        u, hu = u_step(plan, apply_correlation(f, Psf.delta(), bc), z)
+        planner = SystemPlanner(Psf.delta(), f.shape, bc)
+        u, fit = u_step(planner.plan(8.0 / 2.0), apply_correlation(f, Psf.delta(), bc), z,
+                        fidelity_target(planner, f))
         assert np.abs(u - f).max() < 1e-10
-        assert np.abs(hu - u).max() < 1e-10
+        # ||H u - f||^2 with H u = u: every pixel within 1e-10 of f
+        assert fit < f.size * 1e-20
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
     def test_matches_dense_solve(self, rng, bc):
@@ -69,9 +103,11 @@ class TestUStep:
         psf = gaussian_psf(3, 1.0)
         f = rng.standard_normal((n, n))
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        plan = SystemPlanner(psf, (n, n), bc).plan(beta / alpha)
-        u, hu = u_step(plan, apply_correlation(f, psf, bc), z)
-        assert np.abs(hu - apply_blur(u, psf, bc)).max() < 1e-12
+        planner = SystemPlanner(psf, (n, n), bc)
+        u, fit = u_step(planner.plan(beta / alpha), apply_correlation(f, psf, bc), z,
+                        fidelity_target(planner, f))
+        expected_fit = np.sum((apply_blur(u, psf, bc) - f) ** 2)
+        assert abs(fit - expected_fit) <= 1e-12 * expected_fit
         system = dense.build_system(psf, n, bc, beta / alpha)
         corr = dense.build_correlation(psf, n, bc)
         if bc == "reflective":
@@ -88,8 +124,9 @@ class TestUStep:
     def test_huge_alpha_returns_data(self, rng):
         f = rng.standard_normal((12, 12))
         z = GradientField(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
-        plan = SystemPlanner(Psf.delta(), f.shape, "periodic").plan(128.0 / 1e12)
-        u, _ = u_step(plan, apply_correlation(f, Psf.delta(), "periodic"), z)
+        planner = SystemPlanner(Psf.delta(), f.shape, "periodic")
+        u, _ = u_step(planner.plan(128.0 / 1e12), apply_correlation(f, Psf.delta(), "periodic"),
+                      z, fidelity_target(planner, f))
         assert np.abs(u - f).max() < 1e-4
 
 
@@ -151,7 +188,7 @@ class TestSolve:
     def test_non_finite_iterate_is_convergence_error(self, small_instance, monkeypatch):
         _, psf, observed, _ = small_instance
         monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
-                            lambda plan, rhs: (np.full(rhs.shape, np.nan),) * 2)
+                            lambda plan, rhs, *_: (np.full(rhs.shape, np.nan), np.nan))
         with pytest.raises(ConvergenceError, match=r"beta=2\b.*iteration 0"):
             solve(observed, psf, "periodic", SolveParams(alpha=1e3))
 
@@ -212,23 +249,32 @@ class TestFusedLoop:
                "7x7": gaussian_psf(7, 1.5),
                "nonsymmetric": Psf(np.array([[0.5, 0.2, 0.1], [0.1, 0.05, 0.05]]), (0, 1))}
     # the reflective models take quadrantally symmetric kernels only
-    CASES = [(kernel, mode) for kernel in sorted(KERNELS)
+    # observed shape: None for a 30x27 truth; an odd and an even number of
+    # columns pin the real-FFT half-spectrum's Nyquist column
+    CASES = [pytest.param(kernel, mode, None, id=f"{kernel}-{mode}") for kernel in sorted(KERNELS)
              for mode in ("zero", "periodic", "reflective", "antireflective", "enlarge:reflective")
              if kernel != "nonsymmetric" or mode not in ("reflective", "antireflective")]
+    CASES += [pytest.param("3x3", mode, shape, id=f"3x3-{mode}-{shape[0]}x{shape[1]}")
+              for mode in ("periodic", "reflective", "enlarge:reflective")
+              for shape in ((17, 18), (18, 17))]
     PARAMS = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4)
 
-    @pytest.mark.parametrize("kernel, mode", CASES)
-    def test_trace_energies_match_energy_at_each_iterate(self, monkeypatch, kernel, mode):
+    @pytest.mark.parametrize("kernel, mode, shape", CASES)
+    def test_trace_energies_match_energy_at_each_iterate(self, monkeypatch, kernel, mode, shape):
         from tvdeblur import solver
         psf = self.KERNELS[kernel]
-        observed, _ = simulate(builtin_truth("cartoon", 30, 27), psf, 1e-4, seed=6)
+        truth = (builtin_truth("cartoon", 30, 27) if shape is None else
+                 builtin_truth("cartoon", shape[0] + 2 * (psf.rows - 1),
+                               shape[1] + 2 * (psf.cols - 1)))
+        observed, _ = simulate(truth, psf, 1e-4, seed=6)
+        assert shape is None or observed.shape == shape
         iterates = []
         step = solver.solve_and_blur
 
-        def recorded(plan, rhs):
-            u, hu = step(plan, rhs)
+        def recorded(plan, rhs, *args):
+            u, fit = step(plan, rhs, *args)
             iterates.append(u)
-            return u, hu
+            return u, fit
 
         monkeypatch.setattr(solver, "solve_and_blur", recorded)
         if mode == "enlarge:reflective":

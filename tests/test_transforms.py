@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      UnsupportedError, apply_blur, builtin_truth, gaussian_psf, simulate, solve)
+                      UnsupportedError, apply_blur, builtin_truth, gaussian_psf, simulate, solve,
+                      solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.operators import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, apply_stencil,
                                 autocorrelation, combine_stencils)
-from tvdeblur.transforms import SystemPlanner, _banded_frame_load, solve_and_blur, solve_system
+from tvdeblur.transforms import (SystemPlanner, _banded_frame_load, _fft, _solve_zero,
+                                 _squared_norm, fidelity_target, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -226,10 +228,10 @@ class TestZeroPreconditionedCG:
         observed, _ = simulate(truth, psf, 1e-4, seed=2)
         residuals = []
 
-        def checked(plan, rhs):
-            u, hu = solve_and_blur(plan, rhs)
+        def checked(plan, rhs, *args):
+            u, fit = solve_and_blur(plan, rhs, *args)
             residuals.append(relative_residual(zero_system(psf, plan.ratio), u, rhs))
-            return u, hu
+            return u, fit
 
         monkeypatch.setattr(solver, "solve_and_blur", checked)
         _, trace = solver.solve(observed, psf, "zero",
@@ -293,12 +295,13 @@ class TestSolveAndBlur:
     @pytest.mark.parametrize("kernel, bc", CASES)
     def test_blur_of_the_solution(self, rng, kernel, bc):
         psf = self.KERNELS[kernel]
-        rhs = rng.standard_normal((14, 11))
-        plan = SystemPlanner(psf, rhs.shape, bc).plan(0.7)
-        u, hu = solve_and_blur(plan, rhs)
+        rhs, f = rng.standard_normal((2, 14, 11))
+        planner = SystemPlanner(psf, rhs.shape, bc)
+        plan = planner.plan(0.7)
+        u, fit = solve_and_blur(plan, rhs, fidelity_target(planner, f))
         assert u.tobytes() == solve_system(plan, rhs).tobytes()
-        expected = apply_blur(u, psf, bc)
-        assert np.abs(hu - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = np.sum((apply_blur(u, psf, bc) - f) ** 2)
+        assert abs(fit - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("kernel, symbol", [("3x3", True), ("7x7", True), ("4x4", False)])
     def test_reflective_blur_is_a_dct_symbol_only_for_odd_kernels(self, kernel, symbol):
@@ -308,8 +311,90 @@ class TestSolveAndBlur:
     def test_reflective_symbol_needs_a_centered_kernel(self, rng):
         # symmetric weights declared off their middle sample
         psf = Psf(gaussian_psf(3, 0.8).weights, (0, 0))
-        rhs = rng.standard_normal((10, 9))
-        plan = SystemPlanner(psf, rhs.shape, "reflective").plan(0.7)
+        rhs, f = rng.standard_normal((2, 10, 9))
+        planner = SystemPlanner(psf, rhs.shape, "reflective")
+        plan = planner.plan(0.7)
         assert plan.blur_symbol is None
-        u, hu = solve_and_blur(plan, rhs)
-        assert np.abs(hu - apply_blur(u, psf, "reflective")).max() <= 1e-12
+        u, fit = solve_and_blur(plan, rhs, fidelity_target(planner, f))
+        expected = np.sum((apply_blur(u, psf, "reflective") - f) ** 2)
+        assert abs(fit - expected) <= 1e-12 * expected
+
+    # (mode, psf): enlarge:* runs a periodic solve on the enlarged domain
+    SYMBOL_CASES = [("periodic", gaussian_psf(3, 0.8)), ("periodic", NONSYM),
+                    ("reflective", gaussian_psf(3, 0.8)), ("reflective", gaussian_psf(7, 1.5))]
+    SYMBOL_CASES += [(f"enlarge:{rule}", NONSYM) for rule in BCS]
+
+    @pytest.mark.parametrize("mode, psf", SYMBOL_CASES)
+    def test_a_symbol_plan_update_makes_one_transform_each_way(self, monkeypatch, mode, psf):
+        from tvdeblur import solver
+        calls = {}
+        for name in ("rfft2", "irfft2", "dctn", "idctn", "dstn", "dst"):
+            def counted(*args, _name=name, _call=getattr(_fft, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(_fft, name, counted)
+        step, per_update = solver.solve_and_blur, []
+
+        def recorded(*args):
+            calls.clear()
+            out = step(*args)
+            per_update.append(dict(calls))
+            return out
+
+        monkeypatch.setattr(solver, "solve_and_blur", recorded)
+        observed, _ = simulate(builtin_truth("cartoon", 26, 25), psf, 1e-4, seed=6)
+        params = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=3)
+        if mode.startswith("enlarge:"):
+            solve_enlarged(observed, psf, mode.split(":")[1], 3, params)
+            pair = {"rfft2": 1, "irfft2": 1}
+        else:
+            solve(observed, psf, mode, params)
+            pair = {"rfft2": 1, "irfft2": 1} if mode == "periodic" else {"dctn": 1, "idctn": 1}
+        assert len(per_update) >= 4
+        assert all(counts == pair for counts in per_update)
+
+    @pytest.mark.parametrize("shape", [(17, 18), (18, 17), (2, 2), (5, 3)])
+    def test_half_spectrum_parseval_weights(self, rng, shape):
+        plan = SystemPlanner(Psf.delta(), shape, "periodic").plan(0.0)
+        x = rng.standard_normal(shape)
+        assert _squared_norm(plan, _fft.rfft2(x)) == pytest.approx(np.sum(x * x), rel=1e-13)
+
+
+class TestZeroWarmStart:
+    PSF = gaussian_psf(5, 1.0)
+
+    def plan(self):
+        return SystemPlanner(self.PSF, (14, 12), "zero").plan(0.3)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_zero_rhs_returns_zeros_in_no_steps(self, rng, start):
+        plan = self.plan()
+        x0 = None if start == "cold" else rng.standard_normal(plan.shape)
+        u = _solve_zero(plan, np.zeros(plan.shape), x0)
+        assert u.tobytes() == np.zeros(plan.shape).tobytes()
+        assert plan.cg_log == [(0, 0.0)]
+
+    def test_start_that_meets_the_tolerance_takes_no_steps(self, rng):
+        plan = self.plan()
+        b = rng.standard_normal(plan.shape)
+        solution = _solve_zero(plan, b)
+        u = _solve_zero(plan, b, solution)
+        (cold_steps, cold_residual), (steps, residual) = plan.cg_log
+        assert cold_steps >= 1 and steps == 0 and u.tobytes() == solution.tobytes()
+        # the true residual of the start, as the cold solve logged it for the same u
+        assert residual == cold_residual <= 1e-12
+        assert residual == pytest.approx(
+            relative_residual(zero_system(self.PSF, 0.3), solution, b), abs=1e-14)
+
+    def test_warm_start_meets_the_tolerance_in_fewer_steps(self, rng):
+        plan = self.plan()
+        b = rng.standard_normal(plan.shape)
+        cold = _solve_zero(plan, b)
+        _solve_zero(plan, b, cold + 1e-6 * rng.standard_normal(plan.shape))
+        (cold_steps, _), (warm_steps, warm_residual) = plan.cg_log
+        assert 1 <= warm_steps < cold_steps and warm_residual <= 1e-12
+
+    def test_solve_system_starts_cold(self, rng):
+        plan = self.plan()
+        b = rng.standard_normal(plan.shape)
+        assert solve_system(plan, b).tobytes() == _solve_zero(plan, b).tobytes()
