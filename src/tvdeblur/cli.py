@@ -150,6 +150,7 @@ def _meta_path(out) -> Path:
 
 
 def cmd_deblur(args) -> int:
+    fileio._image_format(args.out)  # reject the output suffix before any work
     observed = fileio.read_image(args.input)
     psf = parse_psf_spec(args.psf)
     parse_mode(args.mode)  # validate early for a usage-grade message
@@ -192,6 +193,9 @@ def cmd_sweep(args) -> int:
     params = _solve_params(args, alphas[0])
     exp = Experiment(truth=truth, psf=psf, sigma2=args.sigma2, modes=modes,
                      alphas=alphas, params=params, seed=args.seed)
+    for dirname in (args.save_restorations, args.save_cells):
+        if dirname:
+            Path(dirname).mkdir(parents=True, exist_ok=True)
     clock = None if args.no_timing else time.perf_counter
     result = sweep(exp, jobs=args.jobs, clock=clock)
     write_sweep_csv(result, args.out)
@@ -209,7 +213,6 @@ def cmd_sweep(args) -> int:
                          for row in result.rows if not row.failed)
     for dirname, kind, row in to_render:
         outdir = Path(dirname)
-        outdir.mkdir(parents=True, exist_ok=True)
         mode_tag = row.mode.replace(":", "_")
         name = (f"best_{mode_tag}.pgm" if kind == "best"
                 else f"cell_{mode_tag}_alpha{row.alpha:g}.pgm")
@@ -260,8 +263,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, SingularPlanError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TvDeblurError, FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (TvDeblurError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -84,8 +84,10 @@ def read_pgm(path) -> np.ndarray:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     if binary:
         pos += 1  # single whitespace after maxval
-        dtype = ">u2" if maxval > 255 else "u1"
-        raw = np.frombuffer(data, dtype=dtype, count=rows * cols, offset=pos)
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        # no more samples than the payload holds: a short one is caught below
+        count = min(rows * cols, max(len(data) - pos, 0) // dtype.itemsize)
+        raw = np.frombuffer(memoryview(data)[pos:], dtype=dtype, count=count)
     else:
         raw = np.array(data[pos:].split()[:rows * cols], dtype=float)
     if raw.size != rows * cols:
@@ -121,24 +123,24 @@ def read_raw(path) -> np.ndarray:
     return raw.reshape(rows, cols).astype(float)
 
 
+_IMAGE_FORMATS = {".pgm": (read_pgm, write_pgm), ".f64": (read_raw, write_raw)}
+
+
+def _image_format(path):
+    """The (reader, writer) pair for the path's suffix."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in _IMAGE_FORMATS:
+        raise DataError(f"unsupported image suffix {suffix!r}; use .pgm or .f64")
+    return _IMAGE_FORMATS[suffix]
+
+
 def write_image(path, image: np.ndarray) -> None:
     """Dispatch on suffix: .pgm (clamped 16-bit) or .f64 (lossless raw)."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        write_pgm(path, image)
-    elif suffix == ".f64":
-        write_raw(path, image)
-    else:
-        raise DataError(f"unsupported image suffix {suffix!r}; use .pgm or .f64")
+    _image_format(path)[1](path, image)
 
 
 def read_image(path) -> np.ndarray:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        return read_pgm(path)
-    if suffix == ".f64":
-        return read_raw(path)
-    raise DataError(f"unsupported image suffix {suffix!r}; use .pgm or .f64")
+    return _image_format(path)[0](path)
 
 
 # --- kernel text files ---

@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import (adjoint_gradient, apply_blur, apply_correlation, crop, differences,
-                        extend, transpose_adjoint_gradient)
+from .operators import (adjoint_gradient, apply_correlation, crop, differences, extend,
+                        transpose_adjoint_gradient)
 from .transforms import SpectralPlan, SystemPlanner, _l2, fidelity_target, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .energy import energy  # noqa: F401
@@ -127,13 +127,6 @@ def _shrink_and_objective(u, fit, bc, alpha, beta):
     return z1, z2, report, t1 - t0, time.perf_counter() - t1
 
 
-def _rhs_divergence(z, bc: str) -> np.ndarray:
-    # Reflective uses the exact transpose pairing (see module docstring).
-    if bc == "reflective":
-        return transpose_adjoint_gradient(z, bc)
-    return adjoint_gradient(z, bc)
-
-
 def u_step(plan: SpectralPlan, corr_f: np.ndarray, z, target: np.ndarray, start=None):
     """Solve (H'H + ratio D'D) u = H'f + ratio D'z in the plan's basis.
 
@@ -141,11 +134,13 @@ def u_step(plan: SpectralPlan, corr_f: np.ndarray, z, target: np.ndarray, start=
     ``ratio`` (beta / alpha) and the model are read from the plan. ``z`` is
     a GradientField or a plain pair ``(z1, z2)``. ``target`` is f as
     :func:`~tvdeblur.transforms.fidelity_target` prepares it, and ``start``
-    the zero model's CG start. Returns ``u`` and its fidelity
-    ``||H u - f||^2`` (see :func:`~tvdeblur.transforms.solve_and_blur`).
+    the zero model's CG start. Returns ``u``, its fidelity
+    ``||H u - f||^2`` and the zero model's CG numerics (see
+    :func:`~tvdeblur.transforms.solve_and_blur`).
     """
-    rhs = corr_f + plan.ratio * _rhs_divergence(z, plan.bc)
-    return solve_and_blur(plan, rhs, target, start)
+    # Reflective uses the exact transpose pairing (see module docstring).
+    divergence = transpose_adjoint_gradient if plan.bc == "reflective" else adjoint_gradient
+    return solve_and_blur(plan, corr_f + plan.ratio * divergence(z, plan.bc), target, start)
 
 
 @dataclass(frozen=True)
@@ -199,10 +194,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f = apply_correlation(f, psf, bc)
     u = f.copy()
-    target = fidelity_target(planner, f)
-    residual = apply_blur(u, psf, bc) - f
-    fit = float(np.sum(residual * residual))  # later ones come with each image update
-    del residual
+    target, fit = fidelity_target(planner, f)  # later fits come with each image update
     records = []
     violations = []
     start = time.perf_counter()
@@ -219,14 +211,14 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             t0 = time.perf_counter()
-            u_new, fit = u_step(plan, corr_f, (z1, z2), target, u)
+            u_new, fit, cg = u_step(plan, corr_f, (z1, z2), target, u)
             update_s = time.perf_counter() - t0
             if not np.isfinite(u_new).all():
                 raise ConvergenceError(
                     f"non-finite iterate at beta={beta:g}, inner iteration {it}")
             norm_u = _l2(u)
             rel = _l2(u_new - u) / (norm_u if norm_u > 0 else 1.0)
-            cg_iterations, cg_residual = plan.cg_log[-1] if plan.cg_log else (None, None)
+            cg_iterations, cg_residual = cg or (None, None)
             records.append(TraceRecord(beta, it, report, rel, time.perf_counter() - start,
                                        cg_iterations, cg_residual,
                                        shrink_s, objective_s, update_s))

@@ -21,8 +21,8 @@ where the composite operator is, per boundary model, diagonalized by:
   Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
   21, 1999), else the ``periodic`` (FFT) plan (T. F. Chan's optimal
   circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is two real-FFT
-  products on a grid ``L = (R + kr - 1) x (C + kc - 1)`` or larger, where
-  neither the blur nor its transpose wraps around, plus ``ratio * D'D u``.
+  products, built once per planner, on a grid ``L = (R + kr - 1) x (C + kc - 1)``
+  or larger, where neither H nor H' wraps around, plus ``ratio * D'D u``.
   The loop takes its norms and dot products as NumPy sums, never through
   BLAS, whose threads would spin against sweep workers. CG stops when the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
@@ -56,13 +56,12 @@ of ``f`` (:func:`fidelity_target`, taken once per solve), summed in the
 transform domain, so the update makes one forward and one inverse
 transform. Otherwise ``H u`` is the plan's ``blur``: one real-FFT pair on
 the CG grid for zero, and for antireflective and even-extent reflective
-kernels a stencil convolver built once per planner. :func:`solve_system`
-is the one solve; both share its coefficient and synthesis steps.
+kernels a stencil convolver built once per planner; the first iterate's
+fidelity comes the same way. :func:`solve_system`, the update and the CG
+preconditioner share one analyze, divide and synthesize step.
 
-Plans are deterministic and, apart from the zero plan's ``cg_log`` (one
-``(iterations, relative residual)`` entry per solve), immutable; eigenvalue
-magnitudes below 1e-14 are clamped (never silently: the count is recorded
-on the plan and logged).
+Plans are deterministic and immutable; eigenvalue magnitudes below 1e-14
+are clamped (never silently: the count is recorded on the plan and logged).
 """
 
 from __future__ import annotations
@@ -140,13 +139,6 @@ def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def _zero_grid(shape, psf: Psf) -> tuple[int, int]:
-    """Real-FFT grid on which the zero model's blur and its transpose, each a
-    linear convolution of an image with the kernel, do not wrap around."""
-    return tuple(_fft.next_fast_len(n + k - 1, True)
-                 for n, k in zip(shape, psf.weights.shape))
-
-
 def _clamp(values):
     """Clamp magnitudes below EIG_FLOOR, preserving sign; report count and min."""
     v = np.atleast_1d(np.asarray(values, dtype=float))
@@ -163,7 +155,7 @@ class SpectralPlan:
     """Prepared solve for one (kernel, shape, boundary model, ratio) tuple.
 
     ``eigenvalues`` holds the system eigenvalues in the matching transform
-    basis:
+    basis (``None`` for zero, like ``min_modulus``):
 
     * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``;
     * reflective: the DCT-II eigenvalues, ``R x C``, the system stencil's
@@ -173,10 +165,7 @@ class SpectralPlan:
       interior's DST-I eigenvalues. At ``theta = 0`` the symbol is that of
       the stencil summed along that axis, so ``[1:, 0]`` and ``[0, 1:]`` are
       the DST-I eigenvalues of the left/right and top/bottom frame edges,
-      and ``[0, 0]``, the kernel mass squared, is the corners' coefficient;
-    * zero (the CG fallback): the kernel's real-FFT half-spectrum on the
-      no-wraparound grid of :func:`_zero_grid` (the eigenvalues of the blur
-      embedded in a circulant there), shared by the plans of every ratio.
+      and ``[0, 0]``, the kernel mass squared, is the corners' coefficient.
 
     Clamping, ``min_modulus`` and ``clamp_count`` cover the whole array.
     """
@@ -194,10 +183,9 @@ class SpectralPlan:
     blur: Callable | None = field(default=None, repr=False)
     # antireflective: u -> (system stencil) u for a u that is zero off its frame
     frame_load: Callable | None = field(default=None, repr=False)
-    # zero-model fallback data
-    psf: Psf | None = field(default=None, repr=False)
+    # zero: u -> H'H u, and the fast-transform plan that preconditions the CG
+    normal: Callable | None = field(default=None, repr=False)
     preconditioner: SpectralPlan | None = field(default=None, repr=False)
-    cg_log: list | None = field(default=None, repr=False, compare=False)
 
 
 class SystemPlanner:
@@ -210,7 +198,6 @@ class SystemPlanner:
 
     def __init__(self, psf: Psf, shape, bc: str):
         check_boundary_model(bc)
-        self.psf = psf
         self.shape = (int(shape[0]), int(shape[1]))
         if min(self.shape) < 2:
             raise ShapeError(f"image dims must be at least 2x2, got {self.shape}")
@@ -224,7 +211,7 @@ class SystemPlanner:
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
         acorr, acorr_center = autocorrelation(psf)
         self._acorr = (acorr, acorr_center)
-        self._blur_symbol, self._blur = None, None
+        self._blur_symbol, self._blur, self._normal = None, None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
             raise UnsupportedError(
@@ -234,9 +221,7 @@ class SystemPlanner:
                         and _ghost_depth(acorr, acorr_center) <= min(self.shape))
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
-            grid = _zero_grid(self.shape, psf)
-            self._blur_eig = _fft.rfft2(psf.weights, grid)
-            self._blur = _zero_blur(self._blur_eig, psf.center, self.shape, grid)
+            self._blur, self._normal = _zero_products(psf, self.shape)
         elif bc == "periodic":
             spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
             self._blur_eig = np.abs(spectrum) ** 2
@@ -267,9 +252,9 @@ class SystemPlanner:
             raise DataError(f"ratio must be finite and non-negative, got {ratio}")
         bc = self.bc
         if bc == "zero":
-            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=self._blur_eig,
-                                min_modulus=None, clamp_count=0, blur=self._blur, psf=self.psf,
-                                preconditioner=self._preconditioner.plan(ratio), cg_log=[])
+            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=None, min_modulus=None,
+                                clamp_count=0, blur=self._blur, normal=self._normal,
+                                preconditioner=self._preconditioner.plan(ratio))
         eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
             logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
@@ -283,41 +268,31 @@ class SystemPlanner:
                 frame_load = stencil_convolver(weights, center, bc, self.shape)
         return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, frame_load=frame_load, psf=self.psf)
+                            blur=self._blur, frame_load=frame_load)
 
 
-def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None) -> np.ndarray:
+def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     """Preconditioned CG on the literal normal equations; exact transposes,
-    matrix-free. Starts from ``start`` (zeros when ``None``) and appends
-    (iterations, relative residual) to ``plan.cg_log``."""
-    psf, ratio, (R, C) = plan.psf, plan.ratio, rhs.shape
-    (cr, cc), grid = psf.center, _zero_grid(rhs.shape, psf)
-    transposed = plan.eigenvalues.conj()
-
+    matrix-free. Starts from ``start`` (zeros when ``None``) and returns the
+    solution, the iterations taken and the final relative residual."""
     def matvec(u):
-        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeros
-        # around it are exactly the ghosts the zero model's H' reads, and the
-        # conjugate spectrum correlates them back onto [0:R, 0:C]
-        blurred = np.zeros(grid)
-        blurred[cr:cr + R, cc:cc + C] = plan.blur(u)
-        out = _fft.irfft2(_fft.rfft2(blurred) * transposed, grid)[:R, :C]
-        return out + ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
+        return plan.normal(u) + plan.ratio * transpose_adjoint_gradient(
+            differences(u, "zero"), "zero")
 
     b_norm = _l2(rhs)
     if b_norm == 0:
         # the solution is zero whatever the start; a tolerance of 0 could
         # not be met from a nonzero one
-        plan.cg_log.append((0, 0.0))
-        return np.zeros((R, C))
+        return np.zeros(rhs.shape), 0, 0.0
     tol = CG_RTOL * b_norm
     if start is None:
-        x, r = np.zeros((R, C)), rhs.copy()
+        x, r = np.zeros(rhs.shape), rhs.copy()
     else:
         x = np.array(start, dtype=float)
         r = rhs - matvec(x)
     steps = 0
     while _l2(r) > tol and steps < CG_MAXITER:
-        z = solve_system(plan.preconditioner, r)
+        z = _transform_solve(plan.preconditioner, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
         q = matvec(p)
@@ -330,8 +305,7 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None) -> np.ndarray:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
             f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")
-    plan.cg_log.append((steps, residual))
-    return x
+    return x, steps, residual
 
 
 def _edge_solve_1d(b: np.ndarray, end0: float, end1: float, eig: np.ndarray,
@@ -345,11 +319,27 @@ def _edge_solve_1d(b: np.ndarray, end0: float, end1: float, eig: np.ndarray,
     return ramp + w
 
 
-def _zero_blur(spectrum, center, shape, grid):
-    """u -> H u under the zero model: the frame's window of the full linear
-    convolution, by one real-FFT pair on the no-wraparound grid."""
-    (cr, cc), (R, C) = center, shape
-    return lambda u: _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)[cr:cr + R, cc:cc + C]
+def _zero_products(psf: Psf, shape):
+    """u -> H u and u -> H'H u under the zero model, by real-FFT products
+    with the kernel's spectrum and its conjugate on a grid where neither
+    linear convolution wraps around."""
+    (cr, cc), (R, C) = psf.center, shape
+    grid = tuple(_fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, psf.weights.shape))
+    spectrum = _fft.rfft2(psf.weights, grid)
+    transposed = spectrum.conj()
+
+    def blur(u):
+        return _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)[cr:cr + R, cc:cc + C]
+
+    def normal(u):
+        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeros
+        # around it are exactly the ghosts the zero model's H' reads, and the
+        # conjugate spectrum correlates them back onto [0:R, 0:C]
+        blurred = np.zeros(grid)
+        blurred[cr:cr + R, cc:cc + C] = blur(u)
+        return _fft.irfft2(_fft.rfft2(blurred) * transposed, grid)[:R, :C]
+
+    return blur, normal
 
 
 def _banded_frame_load(u: np.ndarray, weights: np.ndarray, center) -> np.ndarray:
@@ -385,26 +375,28 @@ def _analyze(bc: str, image: np.ndarray) -> np.ndarray:
     return _fft.dctn(image, type=2, norm="ortho")
 
 
-def _synthesize(plan: SpectralPlan, coefficients: np.ndarray) -> np.ndarray:
-    """The image with the given periodic or reflective basis coefficients."""
+def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
+    """A periodic or reflective plan's solution and its coefficients."""
+    coefficients = _analyze(plan.bc, rhs)
+    coefficients /= plan.eigenvalues
     if plan.bc == "periodic":
-        return _fft.irfft2(coefficients, s=plan.shape)
-    return _fft.idctn(coefficients, type=2, norm="ortho")
+        return _fft.irfft2(coefficients, s=plan.shape), coefficients
+    return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
 
 
-def _squared_norm(plan: SpectralPlan, coefficients: np.ndarray) -> float:
-    """``||x||^2`` of the image x with these periodic or reflective basis
-    coefficients, by Parseval; squares the coefficients in place.
+def _squared_norm(owner, coefficients: np.ndarray) -> float:
+    """``||x||^2`` of the image x with these coefficients in the periodic or
+    reflective basis of ``owner`` (a plan or planner), by Parseval; squares them in place.
 
     The orthonormal DCT needs no weights. A real-FFT half-spectrum row holds
     column 0, the columns 1 .. C/2 whose conjugates it leaves out, and for
     even C the Nyquist column, its own conjugate: the inner columns count
     twice, and the sum is divided by R*C.
     """
-    if plan.bc == "reflective":
+    if owner.bc == "reflective":
         coefficients *= coefficients
         return float(np.sum(coefficients))
-    (R, C), parts = plan.shape, coefficients.view(float)  # re, im interleaved
+    (R, C), parts = owner.shape, coefficients.view(float)  # re, im interleaved
     parts *= parts
     own = np.sum(parts[:, :2]) + (np.sum(parts[:, -2:]) if C % 2 == 0 else 0.0)
     return float((2.0 * np.sum(parts) - own) / (R * C))
@@ -416,9 +408,9 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape != plan.shape:
         raise ShapeError(f"rhs shape {rhs.shape} does not match plan {plan.shape}")
     if plan.bc in ("periodic", "reflective"):
-        return _synthesize(plan, _analyze(plan.bc, rhs) / plan.eigenvalues)
+        return _transform_solve(plan, rhs)[0]
     if plan.bc == "zero":
-        return _solve_zero(plan, rhs)
+        return _solve_zero(plan, rhs)[0]
     # antireflective: corners, then frame edges, then the interior
     R, C = plan.shape
     eig = plan.eigenvalues
@@ -439,16 +431,20 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def fidelity_target(planner: SystemPlanner, f: np.ndarray) -> np.ndarray:
-    """What :func:`solve_and_blur` compares ``H u`` with, for every plan of
-    the planner: ``f`` in the plans' transform basis when they carry a blur
-    symbol, else ``f`` itself."""
-    return f if planner._blur_symbol is None else _analyze(planner.bc, f)
+def fidelity_target(planner: SystemPlanner, f: np.ndarray):
+    """``f`` as :func:`solve_and_blur` compares ``H u`` with it, for every plan
+    of the planner (in their transform basis when they carry a blur symbol),
+    and the fidelity ``||H f - f||^2`` of ``f`` itself, taken the same way."""
+    if planner._blur_symbol is None:
+        return f, float(np.sum((planner._blur(f) - f) ** 2))
+    target = _analyze(planner.bc, f)
+    return target, _squared_norm(planner, planner._blur_symbol * target - target)
 
 
 def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, start=None):
-    """``solve_system(plan, rhs)`` and the fidelity ``||H u - f||^2`` of its
-    solution, for the ``target`` that :func:`fidelity_target` made of ``f``.
+    """``solve_system(plan, rhs)``, the fidelity ``||H u - f||^2`` of its
+    solution for the ``target`` that :func:`fidelity_target` made of ``f``,
+    and the zero model's CG ``(iterations, relative residual)``, else ``None``.
 
     With a blur symbol (periodic, reflective with an odd centered kernel)
     the fidelity is the squared norm of the symbol times the solution's
@@ -458,14 +454,16 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
     rest. ``start`` is where the zero model's CG starts (zeros when
     ``None``); the other models ignore it.
     """
-    if plan.blur_symbol is None:
-        u = _solve_zero(plan, rhs, start) if plan.bc == "zero" else solve_system(plan, rhs)
-        residual = plan.blur(u) - target
-        residual *= residual
-        return u, float(np.sum(residual))
-    coefficients = _analyze(plan.bc, rhs)
-    coefficients /= plan.eigenvalues
-    u = _synthesize(plan, coefficients)
-    coefficients *= plan.blur_symbol
-    coefficients -= target
-    return u, _squared_norm(plan, coefficients)
+    if plan.blur_symbol is not None:
+        u, coefficients = _transform_solve(plan, rhs)
+        coefficients *= plan.blur_symbol
+        coefficients -= target
+        return u, _squared_norm(plan, coefficients), None
+    if plan.bc == "zero":
+        u, iterations, residual = _solve_zero(plan, rhs, start)
+        cg = (iterations, residual)
+    else:
+        u, cg = solve_system(plan, rhs), None
+    misfit = plan.blur(u) - target
+    misfit *= misfit
+    return u, float(np.sum(misfit)), cg

@@ -126,6 +126,24 @@ class TestDeblur:
                     "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
         assert code == 2
 
+    def test_output_under_a_file_is_data_error(self, observed_file, capsys):
+        code = run(["deblur", "--in", observed_file,
+                    "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
+                    "--alpha", "10", "--inner-max", "1", "--out", observed_file / "r.pgm"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unsupported_output_suffix_fails_before_the_restore(self, tmp_path, observed_file,
+                                                               monkeypatch):
+        def unused(*args):
+            raise AssertionError("deblur restored before checking --out")
+
+        monkeypatch.setattr("tvdeblur.cli.restore", unused)
+        code = run(["deblur", "--in", observed_file,
+                    "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
+                    "--alpha", "10", "--out", tmp_path / "r.png"])
+        assert code == 2
+
     def test_unknown_mode_is_data_error(self, tmp_path, observed_file):
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "mirror",
@@ -142,7 +160,7 @@ class TestDeblur:
     def test_non_finite_iterate_is_numerical_failure(self, tmp_path, observed_file,
                                                       monkeypatch):
         monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
-                            lambda plan, rhs, *_: (np.full(rhs.shape, np.inf), np.inf))
+                            lambda plan, rhs, *_: (np.full(rhs.shape, np.inf), np.inf, None))
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "periodic",
                     "--alpha", "10", "--out", tmp_path / "r.f64"])
@@ -250,6 +268,23 @@ class TestSweep:
                     "--save-restorations", rdir, "--save-cells", cdir]) == 0
         assert (rdir / "best_periodic.pgm").exists()
         assert len(list(cdir.glob("cell_periodic_alpha*.pgm"))) == 2
+
+    @pytest.mark.parametrize("flag", ["--save-restorations", "--save-cells"])
+    def test_save_directory_that_is_a_file_fails_before_the_sweep(
+            self, tmp_path, truth_file, monkeypatch, capsys, flag):
+        def unused(*args, **kwargs):
+            raise AssertionError("sweep ran before creating its save directories")
+
+        monkeypatch.setattr("tvdeblur.cli.sweep", unused)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic", "--alphas", "1e2", "--inner-max", "3",
+                    "--no-timing", "--out", out, flag, taken]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestOracleCheck:

@@ -42,6 +42,14 @@ class TestPgm:
         with pytest.raises(DataError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval, payload", [(255, bytes(10)), (65535, bytes(20))],
+                             ids=["8-bit", "16-bit"])
+    def test_truncated_binary_payload_is_data_error(self, tmp_path, maxval, payload):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(f"P5\n4 4\n{maxval}\n".encode() + payload)
+        with pytest.raises(DataError, match="expected 16 samples"):
+            read_pgm(path)
+
 
 class TestRaw:
     def test_lossless_roundtrip(self, tmp_path, rng):

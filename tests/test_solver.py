@@ -91,8 +91,8 @@ class TestUStep:
         f = rng.standard_normal((10, 10))
         z = gradient(f, bc)
         planner = SystemPlanner(Psf.delta(), f.shape, bc)
-        u, fit = u_step(planner.plan(8.0 / 2.0), apply_correlation(f, Psf.delta(), bc), z,
-                        fidelity_target(planner, f))
+        u, fit, _ = u_step(planner.plan(8.0 / 2.0), apply_correlation(f, Psf.delta(), bc), z,
+                           fidelity_target(planner, f)[0])
         assert np.abs(u - f).max() < 1e-10
         # ||H u - f||^2 with H u = u: every pixel within 1e-10 of f
         assert fit < f.size * 1e-20
@@ -104,8 +104,8 @@ class TestUStep:
         f = rng.standard_normal((n, n))
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
         planner = SystemPlanner(psf, (n, n), bc)
-        u, fit = u_step(planner.plan(beta / alpha), apply_correlation(f, psf, bc), z,
-                        fidelity_target(planner, f))
+        u, fit, _ = u_step(planner.plan(beta / alpha), apply_correlation(f, psf, bc), z,
+                           fidelity_target(planner, f)[0])
         expected_fit = np.sum((apply_blur(u, psf, bc) - f) ** 2)
         assert abs(fit - expected_fit) <= 1e-12 * expected_fit
         system = dense.build_system(psf, n, bc, beta / alpha)
@@ -125,8 +125,9 @@ class TestUStep:
         f = rng.standard_normal((12, 12))
         z = GradientField(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
         planner = SystemPlanner(Psf.delta(), f.shape, "periodic")
-        u, _ = u_step(planner.plan(128.0 / 1e12), apply_correlation(f, Psf.delta(), "periodic"),
-                      z, fidelity_target(planner, f))
+        u, _, _ = u_step(planner.plan(128.0 / 1e12),
+                         apply_correlation(f, Psf.delta(), "periodic"), z,
+                         fidelity_target(planner, f)[0])
         assert np.abs(u - f).max() < 1e-4
 
 
@@ -188,7 +189,7 @@ class TestSolve:
     def test_non_finite_iterate_is_convergence_error(self, small_instance, monkeypatch):
         _, psf, observed, _ = small_instance
         monkeypatch.setattr("tvdeblur.solver.solve_and_blur",
-                            lambda plan, rhs, *_: (np.full(rhs.shape, np.nan), np.nan))
+                            lambda plan, rhs, *_: (np.full(rhs.shape, np.nan), np.nan, None))
         with pytest.raises(ConvergenceError, match=r"beta=2\b.*iteration 0"):
             solve(observed, psf, "periodic", SolveParams(alpha=1e3))
 
@@ -272,9 +273,9 @@ class TestFusedLoop:
         step = solver.solve_and_blur
 
         def recorded(plan, rhs, *args):
-            u, fit = step(plan, rhs, *args)
+            u, fit, cg = step(plan, rhs, *args)
             iterates.append(u)
-            return u, fit
+            return u, fit, cg
 
         monkeypatch.setattr(solver, "solve_and_blur", recorded)
         if mode == "enlarge:reflective":
