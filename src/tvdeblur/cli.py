@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 import time
@@ -149,15 +150,23 @@ def _meta_path(out) -> Path:
     return out.with_name(out.stem + ".meta.json")
 
 
+def _require_directory(path) -> None:
+    """Fail before any work if the directory an output goes into is missing."""
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no directory to write", str(path))
+
+
 def cmd_deblur(args) -> int:
     fileio._image_format(args.out)  # reject the output suffix before any work
+    trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
+    for path in (args.out, trace_path):
+        _require_directory(path)
     observed = fileio.read_image(args.input)
     psf = parse_psf_spec(args.psf)
     parse_mode(args.mode)  # validate early for a usage-grade message
     params = _solve_params(args, args.alpha)
     restored, trace = restore(observed, psf, args.mode, params)
     fileio.write_image(args.out, restored)
-    trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
     payload = {
         "status": trace.status,
         "mode": args.mode,
@@ -182,6 +191,7 @@ def cmd_deblur(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    _require_directory(args.out)
     truth = fileio.read_image(args.truth)
     psf = parse_psf_spec(args.psf)
     modes = tuple(m.strip() for m in args.modes.split(","))

@@ -23,10 +23,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import DataError, ShapeError, TvDeblurError
 from .grid import BOUNDARY_MODELS, Psf, SolveParams, as_image
+from .operators import _sliding_sum
 from .solver import solve, solve_enlarged
 
 CSV_HEADER = "mode,alpha,snr_db,seconds,iterations,is_best,is_reference"
@@ -119,7 +119,7 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
         raise ShapeError(
             f"truth {truth.shape} too small for kernel {(psf.rows, psf.cols)}: "
             f"the field of view would be {(out_rows, out_cols)}")
-    full = convolve2d(truth, psf.weights, mode="valid")
+    full = _sliding_sum(truth, psf.weights)
     cr, cc = psf.center
     observed = full[cr:cr + out_rows, cc:cc + out_cols].copy()
     if sigma2 > 0:

@@ -17,8 +17,10 @@ the adjoint for zero and periodic models and the "reblurred" companion
 operator otherwise. Every stencil goes through :func:`apply_stencil`, or
 :func:`stencil_convolver` where one stencil is applied to one image shape
 many times; both convolve stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5)
-directly and wider ones by a real FFT over the padded image, so a wide
-kernel costs a few transforms rather than k^2 multiply-adds per pixel.
+directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
+``convolve2d`` and so keeps its bytes, and wider ones by a real FFT over the
+padded image, so a wide kernel costs a few transforms rather than k^2
+multiply-adds per pixel. The package takes only ``scipy.fft`` from SciPy.
 :func:`autocorrelation`, :func:`combine_stencils` and the five-point
 ``LAPLACIAN_STENCIL`` build the system stencils the transform plans
 diagonalize. :func:`differences` is the unvalidated, plain-array form of
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.signal import convolve2d, correlate2d
 
 from .errors import PreconditionError, UnsupportedError
 from .grid import GradientField, Psf, as_image, check_boundary_model
@@ -73,12 +74,41 @@ def stencil_pads(weights: np.ndarray, center):
     return ((pr - 1 - cr, cr), (pc - 1 - cc, cc))
 
 
+def _sliding_sum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The "valid" 2-D convolution of ``x`` with ``weights``, one tap at a time.
+
+    Adds the products in the order of SciPy 1.17's ``convolve2d(x, weights,
+    mode="valid")``, whose bytes it reproduces: kernel rows ascending; within
+    a row, groups of four taps summed from the group's first tap and then
+    added to the running total, and the zero to three taps left over added
+    one at a time. Like ``convolve2d`` it is silent on IEEE overflow, so a
+    non-finite input reaches the caller's own checks.
+    """
+    kr, kc = weights.shape
+    rows, cols = x.shape[0] - kr + 1, x.shape[1] - kc + 1
+    at = [slice(kc - 1 - b, kc - 1 - b + cols) for b in range(kc)]
+    grouped = kc - kc % 4
+    out = np.zeros((rows, cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(kr):
+            band, w = x[kr - 1 - a:kr - 1 - a + rows], weights[a]
+            for b in range(0, grouped, 4):
+                group = w[b] * band[:, at[b]]
+                group += w[b + 1] * band[:, at[b + 1]]
+                group += w[b + 2] * band[:, at[b + 2]]
+                group += w[b + 3] * band[:, at[b + 3]]
+                out += group
+            for b in range(grouped, kc):
+                out += w[b] * band[:, at[b]]
+    return out
+
+
 # Stencils up to this many taps are convolved directly, wider ones by FFT.
-# The cutoff is not the speed break-even: on a 2-vCPU Xeon at 128^2-512^2
-# the FFT is already 1.1-1.6x faster at 3x3, 2.2-3.0x at 5x5 and 5.6-9.2x at
-# 9x9. It sits at 25 so that the delta, 3x3 and 5x5 kernels and their 5x5
-# composites (a 3x3 kernel's autocorrelation and system stencil) keep the
-# exact bytes of direct convolution, at a cost of at most a few ms a call.
+# On a 2-vCPU Xeon at 128^2-512^2 the sliding sum takes 0.3-0.6x the time of
+# the FFT route at 3x3 and 1.2-1.3x at 5x5 (SciPy's convolve2d took 1.8-4.7x
+# the sliding sum's). The cutoff sits at 25 so that the delta, 3x3 and 5x5
+# kernels and their 5x5 composites (a 3x3 kernel's autocorrelation and
+# system stencil) keep the exact bytes of direct convolution.
 DIRECT_MAX_TAPS = 25
 
 
@@ -99,26 +129,30 @@ def stencil_convolver(weights: np.ndarray, center, bc: str, shape):
 
     ``u`` is padded by the boundary rule and the stencil is applied with a
     "valid" convolution. Stencils of at most ``DIRECT_MAX_TAPS`` taps use
-    direct ``convolve2d``; wider ones use a real 2-D FFT of each axis length
-    ``L >= P``, where ``P`` is the padded length and ``k`` the stencil length
-    along that axis. The circular product equals the linear convolution plus
-    copies shifted by ``L``; a linear output index runs up to ``P + k - 2``,
-    so a copy lands at most at ``P + k - 2 - L <= k - 2``, inside the first
+    the direct sliding sum, with the bytes of ``scipy.signal.convolve2d``;
+    wider ones use a real 2-D FFT of each axis length ``L >= P``, where
+    ``P`` is the padded length and ``k`` the stencil length along that
+    axis. The circular product equals the linear convolution plus copies
+    shifted by ``L``; a linear output index runs up to ``P + k - 2``, so a
+    copy lands at most at ``P + k - 2 - L <= k - 2``, inside the first
     ``k - 1`` samples that the "valid" crop drops. The FFT result differs
     from direct convolution only by rounding. The stencil's spectrum is
     computed here, once, so a solve that applies the same stencil every
-    iteration pays one forward and one inverse transform per call.
+    iteration pays one forward and one inverse transform per call. Both
+    routes are silent on IEEE overflow and invalid values: a non-finite
+    iterate is the solver's to report, as ``ConvergenceError``.
     """
     pads = stencil_pads(weights, center)
     if weights.size <= DIRECT_MAX_TAPS:
-        return lambda u: convolve2d(extend(u, pads, bc), weights, mode="valid")
+        return lambda u: _sliding_sum(extend(u, pads, bc), weights)
     padded = tuple(n + p0 + p1 for n, (p0, p1) in zip(shape, pads))
     fft_shape = tuple(_fft.next_fast_len(n, True) for n in padded)
     spectrum = _fft.rfft2(weights, fft_shape)
     kr, kc = weights.shape
 
     def convolve(u):
-        full = _fft.irfft2(_fft.rfft2(extend(u, pads, bc), fft_shape) * spectrum, fft_shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _fft.irfft2(_fft.rfft2(extend(u, pads, bc), fft_shape) * spectrum, fft_shape)
         return full[kr - 1:padded[0], kc - 1:padded[1]]
 
     return convolve
@@ -156,9 +190,13 @@ def autocorrelation(psf: Psf):
 
     Offsets are differences of kernel offsets, so the declared center of the
     kernel drops out; the result is always point-symmetric. It is the
-    stencil of ``H'H`` away from the frame.
+    stencil of ``H'H`` away from the frame. The doubly-flipped sliding sum
+    over the zero-padded kernel keeps the bytes of
+    ``scipy.signal.correlate2d(w, w, "full")``.
     """
-    return correlate2d(psf.weights, psf.weights, mode="full"), (psf.rows - 1, psf.cols - 1)
+    w, (kr, kc) = psf.weights, psf.weights.shape
+    padded = np.pad(w, ((kr - 1, kr - 1), (kc - 1, kc - 1)))
+    return _sliding_sum(padded[::-1, ::-1], w)[::-1, ::-1].copy(), (kr - 1, kc - 1)
 
 
 def combine_stencils(w1, c1, w2, c2, scale: float):

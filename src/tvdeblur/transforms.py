@@ -41,8 +41,10 @@ and its origin is the corners' coefficient.
 The antireflective frame load (the system stencil applied to the solved
 frame, which is zero inside) is convolved only on the bands within the
 stencil's reach of the frame when the stencil has at most
-``DIRECT_MAX_TAPS`` taps, with the bytes of the whole-image convolution;
-wider stencils go through a convolver whose spectrum the plan computes once.
+``DIRECT_MAX_TAPS`` taps, each band by the operators' NumPy sliding sum,
+with the bytes of the whole-image convolution (and of SciPy's
+``convolve2d``); wider stencils go through a convolver whose spectrum the
+plan computes once.
 
 The zero model's CG starts from zeros in :func:`solve_system`; the solver
 loop's update starts it from the current iterate instead.
@@ -73,14 +75,13 @@ from functools import partial
 
 import numpy as np
 from scipy import fft as _fft
-from scipy.signal import convolve2d
 
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (DIRECT_MAX_TAPS, LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
-                        combine_stencils, differences, extend, stencil_convolver, stencil_pads,
-                        transpose_adjoint_gradient)
+from .operators import (DIRECT_MAX_TAPS, LAPLACIAN_CENTER, LAPLACIAN_STENCIL, _sliding_sum,
+                        autocorrelation, combine_stencils, differences, extend,
+                        stencil_convolver, stencil_pads, transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
 
@@ -362,9 +363,9 @@ def _banded_frame_load(u: np.ndarray, weights: np.ndarray, center) -> np.ndarray
                        (slice(max(R - 1 - bottom, 0), R), slice(0, C)),
                        (slice(0, R), slice(0, min(left + 1, C))),
                        (slice(0, R), slice(max(C - 1 - right, 0), C))):
-        out[rows, cols] = convolve2d(
+        out[rows, cols] = _sliding_sum(
             ext[rows.start:rows.stop + top + bottom, cols.start:cols.stop + left + right],
-            weights, mode="valid")
+            weights)
     return out
 
 

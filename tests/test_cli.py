@@ -144,6 +144,22 @@ class TestDeblur:
                     "--alpha", "10", "--out", tmp_path / "r.png"])
         assert code == 2
 
+    @pytest.mark.parametrize("outputs", [("r.f64", "nodir/t.json"), ("nodir/r.f64", None)],
+                             ids=["trace", "default-trace"])
+    def test_missing_output_directory_fails_before_the_restore(self, tmp_path, observed_file,
+                                                               monkeypatch, capsys, outputs):
+        def unused(*args):
+            raise AssertionError("deblur restored before checking its output directories")
+
+        monkeypatch.setattr("tvdeblur.cli.restore", unused)
+        out, trace = (None if name is None else tmp_path / name for name in outputs)
+        argv = ["deblur", "--in", observed_file, "--psf", "gaussian:hsize=5,delta=1.2",
+                "--mode", "periodic", "--alpha", "10", "--out", out]
+        code = run(argv + (["--trace", trace] if trace else []))
+        assert code == 2
+        assert f"'{trace or out}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.f64").exists()
+
     def test_unknown_mode_is_data_error(self, tmp_path, observed_file):
         code = run(["deblur", "--in", observed_file,
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "mirror",
@@ -285,6 +301,18 @@ class TestSweep:
                     "--no-timing", "--out", out, flag, taken]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_missing_csv_directory_fails_before_the_sweep(self, tmp_path, truth_file,
+                                                          monkeypatch, capsys):
+        def unused(*args, **kwargs):
+            raise AssertionError("sweep ran before checking the CSV directory")
+
+        monkeypatch.setattr("tvdeblur.cli.sweep", unused)
+        out = tmp_path / "nodir" / "s.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic", "--alphas", "1e2", "--no-timing", "--out", out]) == 2
+        assert f"'{out}'" in capsys.readouterr().err
 
 
 class TestOracleCheck:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
 from tvdeblur import (DataError, Experiment, Psf, ShapeError, SolveParams,
                       apply_blur, builtin_truth, diagonal_motion_psf,
@@ -70,6 +71,15 @@ class TestSimulate:
         observed, fov = simulate(truth, gaussian_psf(16, 5.0), 0.0, seed=0)
         assert (fov.row0, fov.col0) == (15, 15)
         assert observed.shape == (64 - 30, 64 - 30)
+
+    @pytest.mark.parametrize("psf", [gaussian_psf(16, 5.0), diagonal_motion_psf(7)],
+                             ids=["gauss16", "motion7"])
+    def test_blur_keeps_convolve2d_bytes(self, psf):
+        truth = builtin_truth("ramp-disk", 50, 44)
+        observed, fov = simulate(truth, psf, 0.0, seed=0)
+        full = convolve2d(truth, psf.weights, mode="valid")
+        cr, cc = psf.center
+        assert observed.tobytes() == full[cr:cr + fov.rows, cc:cc + fov.cols].tobytes()
 
     def test_seeded_noise_is_reproducible(self):
         truth = builtin_truth("cartoon", 32, 32)

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.signal import convolve2d
+from scipy.signal import convolve2d, correlate2d
 
 from tvdeblur import (GradientField, Psf, UnsupportedError, apply_blur,
-                      apply_correlation, crop, extend, gaussian_psf, gradient)
+                      apply_correlation, crop, diagonal_motion_psf, extend, gaussian_psf,
+                      gradient)
 from tvdeblur import dense
-from tvdeblur.operators import (DIRECT_MAX_TAPS, adjoint_gradient, apply_stencil,
-                                stencil_pads, transpose_adjoint_gradient)
+from tvdeblur.operators import (DIRECT_MAX_TAPS, _sliding_sum, adjoint_gradient, apply_stencil,
+                                autocorrelation, stencil_pads, transpose_adjoint_gradient)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -152,6 +155,48 @@ class TestStencilRoutes:
         up = extend(u, stencil_pads(weights, center), bc)
         expected = convolve2d(up, weights, mode="valid")
         assert apply_stencil(u, weights, center, bc).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("shape", [(3, 3), (7, 7)], ids=["direct", "fft"])
+    def test_overflow_and_inf_pass_through_silently(self, rng, bc, shape):
+        # a non-finite iterate is the solver's to report (ConvergenceError);
+        # applying a stencil to it must not raise a RuntimeWarning first
+        weights = 1e10 * rng.standard_normal(shape)
+        u = rng.standard_normal((12, 12))
+        u[0, 0] = u[5, 6] = 1e300
+        u[8, 3] = u[-1, 5] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_stencil(u, weights, (shape[0] // 2, shape[1] // 2), bc)
+        assert not np.isfinite(out).all()
+
+
+# SciPy's convolve2d adds the taps of a kernel row in groups of four, so the
+# byte checks cover every width remainder; a failure here after a SciPy
+# upgrade means its summation order changed, not that the sliding sum broke.
+SLIDING_SHAPES = [(r, c) for r in range(1, 10) for c in range(1, 10)] + [(16, 16), (31, 31)]
+
+
+class TestSlidingSum:
+    @pytest.mark.parametrize("shape", SLIDING_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_keeps_convolve2d_bytes(self, rng, shape):
+        weights = rng.standard_normal(shape)
+        x = rng.standard_normal((shape[0] + 13, shape[1] + 10))
+        x *= 10.0 ** rng.uniform(-3, 3, x.shape)
+        assert (_sliding_sum(x, weights).tobytes()
+                == convolve2d(x, weights, mode="valid").tobytes())
+
+    @pytest.mark.parametrize("psf", [
+        gaussian_psf(5, 1.2), gaussian_psf(6, 1.5), gaussian_psf(16, 5.0),
+        Psf(np.random.default_rng(4).uniform(0.1, 1.0, (1, 7)), (0, 3)),
+        Psf(np.random.default_rng(5).uniform(0.1, 1.0, (3, 5)), (1, 2)),
+        NONSYM, diagonal_motion_psf(7)],
+        ids=["odd", "even", "even16", "1x7", "3x5", "nonsym3x2", "motion7"])
+    def test_autocorrelation_keeps_correlate2d_bytes(self, psf):
+        weights, center = autocorrelation(psf)
+        expected = correlate2d(psf.weights, psf.weights, mode="full")
+        assert weights.tobytes() == expected.tobytes()
+        assert center == (psf.rows - 1, psf.cols - 1)
 
 
 class TestGradient:

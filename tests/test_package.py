@@ -31,14 +31,25 @@ def test_public_names_are_the_entry_points():
         assert getattr(tvdeblur, name) is not None
 
 
-def test_importing_the_package_leaves_the_dense_oracle_unloaded():
-    # the oracle checks the fast paths, so they must not import it
-    code = "import sys, tvdeblur; print('tvdeblur.dense' in sys.modules)"
+def _loaded_after(statement, modules):
+    """Which of ``modules`` a fresh interpreter holds after ``statement``."""
+    code = f"import sys; {statement}; print(sorted(set({modules!r}) & set(sys.modules)))"
     src = str(Path(tvdeblur.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_the_dense_oracle_unloaded():
+    # the oracle checks the fast paths, so they must not import it
+    assert _loaded_after("import tvdeblur", ["tvdeblur.dense"]) == "[]"
+
+
+@pytest.mark.parametrize("statement", ["import tvdeblur", "import tvdeblur.cli"])
+def test_importing_the_package_leaves_scipy_signal_unloaded(statement):
+    # scipy.signal (with scipy.stats) was most of the package's start-up time
+    assert _loaded_after(statement, ["scipy.signal", "scipy.stats"]) == "[]"
 
 
 @pytest.mark.parametrize("module", [solver, transforms], ids=lambda m: m.__name__)
