@@ -2,7 +2,7 @@
 
 Alternating minimization with a quadratic-penalty continuation ladder;
 the image update is solved by the fast transform matching the boundary
-model (FFT / DCT-II / a decoupled sine-transform scheme), or on an
+model (FFT / DCT-II / the antireflective ramp-and-sine transform), or on an
 enlarged periodic domain for nonsymmetric kernels.
 """
 

@@ -119,9 +119,9 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
         raise ShapeError(
             f"truth {truth.shape} too small for kernel {(psf.rows, psf.cols)}: "
             f"the field of view would be {(out_rows, out_cols)}")
-    full = _sliding_sum(truth, psf.weights)
+    # only the samples kept: the "valid" convolution of the slice they read
     cr, cc = psf.center
-    observed = full[cr:cr + out_rows, cc:cc + out_cols].copy()
+    observed = _sliding_sum(truth[cr:cr + out_rows + mr, cc:cc + out_cols + mc], psf.weights)
     if sigma2 > 0:
         rng = np.random.default_rng(seed)
         observed += rng.normal(0.0, math.sqrt(sigma2), observed.shape)

@@ -14,18 +14,18 @@ enlarged domain of a nonsymmetric solve; :func:`crop` strips them again.
 Blur applies the kernel as a convolution over the extended image;
 correlation applies the doubly-flipped kernel under the same rule, which is
 the adjoint for zero and periodic models and the "reblurred" companion
-operator otherwise. Every stencil goes through :func:`apply_stencil`, or
-:func:`stencil_convolver` where one stencil is applied to one image shape
+operator otherwise. Every kernel goes through :func:`apply_stencil`, or
+:func:`stencil_convolver` where one kernel is applied to one image shape
 many times; both convolve stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5)
 directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
 ``convolve2d`` and so keeps its bytes, and wider ones by a real FFT over the
 padded image, so a wide kernel costs a few transforms rather than k^2
 multiply-adds per pixel. The package takes only ``scipy.fft`` from SciPy.
-:func:`autocorrelation`, :func:`combine_stencils` and the five-point
-``LAPLACIAN_STENCIL`` build the system stencils the transform plans
-diagonalize. :func:`differences` is the unvalidated, plain-array form of
-:func:`gradient`, and both divergences accept a plain pair ``(z1, z2)``, for
-the solver's inner loop. All functions are pure and safe for concurrent use.
+:func:`autocorrelation` and the five-point ``LAPLACIAN_STENCIL`` are the
+parts of the system stencil whose symbols the transform plans sample; the
+package never convolves that stencil itself. :func:`differences` is the
+unvalidated, plain-array form of :func:`gradient`, and both divergences
+accept a plain pair ``(z1, z2)``, for the solver's inner loop. All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -106,17 +106,16 @@ def _sliding_sum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # Stencils up to this many taps are convolved directly, wider ones by FFT.
 # On a 2-vCPU Xeon at 128^2-512^2 the sliding sum takes 0.3-0.6x the time of
 # the FFT route at 3x3 and 1.2-1.3x at 5x5 (SciPy's convolve2d took 1.8-4.7x
-# the sliding sum's). The cutoff sits at 25 so that the delta, 3x3 and 5x5
-# kernels and their 5x5 composites (a 3x3 kernel's autocorrelation and
-# system stencil) keep the exact bytes of direct convolution.
+# the sliding sum's). The cutoff sits at 25 so that kernels up to 5x5 (the
+# delta, 3x3 and 5x5 Gaussians) keep the exact bytes of direct convolution.
 DIRECT_MAX_TAPS = 25
 
 
 def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.ndarray:
     """out[i,j] = sum_ab w[a,b] * u_ext[i - (a - cr), j - (b - cc)].
 
-    Core primitive behind blur, correlation and the composite system
-    operators; ``weights`` need not be a valid Psf (e.g. zero-mass stencils).
+    Core primitive behind blur and correlation; ``weights`` need not be a
+    valid Psf (e.g. zero-mass stencils such as the Laplacian).
     The extension caps bound the admissible ghost depth, so composite
     stencils wider than the image are fine as long as their half-extent is.
     It is :func:`stencil_convolver` built and applied once.
@@ -197,18 +196,6 @@ def autocorrelation(psf: Psf):
     w, (kr, kc) = psf.weights, psf.weights.shape
     padded = np.pad(w, ((kr - 1, kr - 1), (kc - 1, kc - 1)))
     return _sliding_sum(padded[::-1, ::-1], w)[::-1, ::-1].copy(), (kr - 1, kc - 1)
-
-
-def combine_stencils(w1, c1, w2, c2, scale: float):
-    """w1 + scale * w2 on the smallest common offset grid."""
-    top = max(c1[0], c2[0])
-    bot = max(w1.shape[0] - c1[0], w2.shape[0] - c2[0])
-    left = max(c1[1], c2[1])
-    right = max(w1.shape[1] - c1[1], w2.shape[1] - c2[1])
-    out = np.zeros((top + bot, left + right))
-    out[top - c1[0]:top - c1[0] + w1.shape[0], left - c1[1]:left - c1[1] + w1.shape[1]] += w1
-    out[top - c2[0]:top - c2[0] + w2.shape[0], left - c2[1]:left - c2[1] + w2.shape[1]] += scale * w2
-    return out, (top, left)
 
 
 def gradient(u: np.ndarray, bc: str) -> GradientField:

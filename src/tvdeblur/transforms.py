@@ -8,11 +8,14 @@ where the composite operator is, per boundary model, diagonalized by:
 
 * ``periodic``        2-D real FFT: eigenvalues |fft(kernel)|^2 + ratio * fft(laplacian);
 * ``reflective``      2-D DCT-II (quadrantally symmetric kernels only);
-* ``antireflective``  a decoupled solve: the four corner unknowns satisfy
-  scalar equations with coefficient (kernel mass)^2, each frame edge
-  satisfies a closed 1-D problem in the axis-collapsed stencil (solved by a
-  linear-ramp lift plus a 1-D DST-I), and the interior satisfies a 2-D DST-I
-  system once the known frame values are moved to the right-hand side;
+* ``antireflective``  the antireflective transform (quadrantally symmetric
+  kernels only): per axis, the two linear ramps through the end samples
+  plus the DST-I sines that vanish there (Serra-Capizzano, SIAM J. Sci.
+  Comput. 25, 2003; Arico, Donatelli & Serra-Capizzano, Linear Algebra
+  Appl. 428, 2008). Its forward step keeps the four corners, subtracts from
+  each frame edge the ramp through its two corners and takes a 1-D DST-I of
+  the rest, and subtracts from the interior the bilinear (Coons) blend of
+  the frame and takes a 2-D DST-I; the inverse undoes these in reverse;
 * ``zero``            no fast transform exists; the plan falls back to
   conjugate gradients on the literal normal equations, preconditioned by a
   fast-transform plan for the same kernel, shape and ratio: the
@@ -33,18 +36,9 @@ Both trigonometric models take their eigenvalues from one cosine symbol,
 ``sum_st w[s,t] cos(s theta_r) cos(t theta_c)`` of the system stencil (the
 kernel's autocorrelation plus ``ratio`` times the five-point Laplacian),
 sampled at ``theta = pi k / n`` for the DCT-II and at
-``theta = pi k / (n - 1)`` for the DST-I (Ng, Chan & Tang 1999;
-Serra-Capizzano, SIAM J. Sci. Comput. 25, 2003). The antireflective grid's
-``theta = 0`` row and column are the frame edges' axis-collapsed symbols,
-and its origin is the corners' coefficient.
-
-The antireflective frame load (the system stencil applied to the solved
-frame, which is zero inside) is convolved only on the bands within the
-stencil's reach of the frame when the stencil has at most
-``DIRECT_MAX_TAPS`` taps, each band by the operators' NumPy sliding sum,
-with the bytes of the whole-image convolution (and of SciPy's
-``convolve2d``); wider stencils go through a convolver whose spectrum the
-plan computes once.
+``theta = pi k / (n - 1)`` for the antireflective basis (Ng, Chan & Tang
+1999; Serra-Capizzano 2003), where both ramps take ``theta = 0``, the
+symbol of the stencil summed along that axis.
 
 The zero model's CG starts from zeros in :func:`solve_system`; the solver
 loop's update starts it from the current iterate instead.
@@ -59,8 +53,9 @@ transform domain, so the update makes one forward and one inverse
 transform. Otherwise ``H u`` is the plan's ``blur``: one real-FFT pair on
 the CG grid for zero, and for antireflective and even-extent reflective
 kernels a stencil convolver built once per planner; the first iterate's
-fidelity comes the same way. :func:`solve_system`, the update and the CG
-preconditioner share one analyze, divide and synthesize step.
+fidelity comes the same way. :func:`solve_system` of every model but zero,
+the update and the CG preconditioner share one analyze, divide and
+synthesize step.
 
 Plans are deterministic and immutable; eigenvalue magnitudes below 1e-14
 are clamped (never silently: the count is recorded on the plan and logged).
@@ -71,7 +66,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import fft as _fft
@@ -79,9 +73,8 @@ from scipy import fft as _fft
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (DIRECT_MAX_TAPS, LAPLACIAN_CENTER, LAPLACIAN_STENCIL, _sliding_sum,
-                        autocorrelation, combine_stencils, differences, extend,
-                        stencil_convolver, stencil_pads, transpose_adjoint_gradient)
+from .operators import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation, differences,
+                        stencil_convolver, transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
 
@@ -161,14 +154,17 @@ class SpectralPlan:
     * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``;
     * reflective: the DCT-II eigenvalues, ``R x C``, the system stencil's
       cosine symbol at ``theta = pi k / R`` and ``pi l / C``;
-    * antireflective: the same symbol at ``theta = pi k / (R - 1)`` and
-      ``pi l / (C - 1)``, ``(R - 1) x (C - 1)``. ``[1:, 1:]`` are the
-      interior's DST-I eigenvalues. At ``theta = 0`` the symbol is that of
-      the stencil summed along that axis, so ``[1:, 0]`` and ``[0, 1:]`` are
-      the DST-I eigenvalues of the left/right and top/bottom frame edges,
-      and ``[0, 0]``, the kernel mass squared, is the corners' coefficient.
+    * antireflective: one eigenvalue per basis function, ``R x C``, laid out
+      like the image the transform came from: the symbol at
+      ``theta = pi k / (R - 1)`` and ``pi l / (C - 1)`` for
+      ``k = 0 .. R - 2, 0`` and ``l = 0 .. C - 2, 0``, since the ramps at
+      either end share ``theta = 0``. ``[1:-1, 1:-1]`` are the interior's
+      DST-I eigenvalues, the rest of the frame rows and columns those of the
+      edges, and the corners hold the kernel mass squared.
 
-    Clamping, ``min_modulus`` and ``clamp_count`` cover the whole array.
+    Clamping, ``min_modulus`` and ``clamp_count`` cover the distinct
+    eigenvalues: the periodic half-spectrum, the reflective grid and the
+    antireflective ``(R - 1) x (C - 1)`` grid before the ramps' copies.
     """
 
     bc: str
@@ -182,8 +178,6 @@ class SpectralPlan:
     # kernel), else a callable u -> H u
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
-    # antireflective: u -> (system stencil) u for a u that is zero off its frame
-    frame_load: Callable | None = field(default=None, repr=False)
     # zero: u -> H'H u, and the fast-transform plan that preconditions the CG
     normal: Callable | None = field(default=None, repr=False)
     preconditioner: SpectralPlan | None = field(default=None, repr=False)
@@ -211,7 +205,6 @@ class SystemPlanner:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
         acorr, acorr_center = autocorrelation(psf)
-        self._acorr = (acorr, acorr_center)
         self._blur_symbol, self._blur, self._normal = None, None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
@@ -231,7 +224,8 @@ class SystemPlanner:
                 _embed_wrapped(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, self.shape)).real
         else:
             # the cosine symbols on the DCT-II grid, theta = pi k / n, or the
-            # DST-I grid with its frame row and column, theta = pi k / (n - 1)
+            # antireflective grid, theta = pi k / (n - 1), whose k = 0 both
+            # ramps share
             short = int(bc == "antireflective")
             depth, cap = _ghost_depth(acorr, acorr_center), min(self.shape) - short
             if depth > cap:
@@ -259,17 +253,11 @@ class SystemPlanner:
         eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
             logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
-        frame_load = None
         if bc == "antireflective":
-            weights, center = combine_stencils(*self._acorr, LAPLACIAN_STENCIL,
-                                               LAPLACIAN_CENTER, ratio)
-            if weights.size <= DIRECT_MAX_TAPS:
-                frame_load = partial(_banded_frame_load, weights=weights, center=center)
-            else:
-                frame_load = stencil_convolver(weights, center, bc, self.shape)
+            eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
         return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, frame_load=frame_load)
+                            blur=self._blur)
 
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
@@ -309,17 +297,6 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     return x, steps, residual
 
 
-def _edge_solve_1d(b: np.ndarray, end0: float, end1: float, eig: np.ndarray,
-                   corner: float) -> np.ndarray:
-    """Interior of a frame edge: lift a linear ramp through the known ends,
-    then a DST-I solve for the remainder, which vanishes at both ends."""
-    m = b.size
-    ramp = end0 + (end1 - end0) * np.arange(1, m + 1) / (m + 1)
-    w = _fft.dst(_fft.dst(b - corner * ramp, type=1, norm="ortho") / eig,
-                 type=1, norm="ortho")
-    return ramp + w
-
-
 def _zero_products(psf: Psf, shape):
     """u -> H u and u -> H'H u under the zero model, by real-FFT products
     with the kernel's spectrum and its conjugate on a grid where neither
@@ -343,46 +320,72 @@ def _zero_products(psf: Psf, shape):
     return blur, normal
 
 
-def _banded_frame_load(u: np.ndarray, weights: np.ndarray, center) -> np.ndarray:
-    """``apply_stencil(u, weights, center, "antireflective")`` for a ``u``
-    that is zero off its frame (first and last row and column).
+def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``x`` in the antireflective basis, or with ``inverse`` the image with
+    coefficients ``x``; a new array either way.
 
-    An output pixel reads the extended ``u`` from ``top`` rows above it to
-    ``bottom`` rows below, and likewise across columns; off the frame's
-    bands of that depth it reads only zeros, so the load there is exactly
-    0.0. Each band is a "valid" convolution of its own slice of the
-    extended array, which sums the same products in the same order as the
-    whole-array convolution. Bands of small images overlap; the overlap is
-    written twice with the same values.
+    Forward: the corners stay, each frame edge loses the ramp through its
+    two corners and the interior loses the bilinear (Coons) blend of the
+    frame; then the edges take a 1-D DST-I and the interior a 2-D DST-I.
+    The inverse runs the same steps backwards (the orthonormal DST-I is its
+    own inverse).
+
+    The blend is taken as the whole top and bottom rows blended down the
+    columns plus the left and right edges less their ramps blended across
+    the rows, so it falls between the two pairs of edges' ramp steps. The
+    products are non-optimized ``einsum`` loops, not BLAS calls. An axis of
+    two samples has only the ramps.
     """
-    pads = ((top, bottom), (left, right)) = stencil_pads(weights, center)
-    R, C = u.shape
-    ext = extend(u, pads, "antireflective")
-    out = np.zeros((R, C))
-    for rows, cols in ((slice(0, min(top + 1, R)), slice(0, C)),
-                       (slice(max(R - 1 - bottom, 0), R), slice(0, C)),
-                       (slice(0, R), slice(0, min(left + 1, C))),
-                       (slice(0, R), slice(max(C - 1 - right, 0), C))):
-        out[rows, cols] = _sliding_sum(
-            ext[rows.start:rows.stop + top + bottom, cols.start:cols.stop + left + right],
-            weights)
+    out = np.array(x, dtype=float)
+    R, C = out.shape
+    s, t = (np.arange(1, n - 1) / (n - 1) for n in (R, C))
+    down, across = np.stack([1 - s, s], axis=1), np.stack([1 - t, t])
+    corners = out[::R - 1, ::C - 1]
+    rows, cols, inner = out[::R - 1, 1:-1], out[1:-1, ::C - 1], out[1:-1, 1:-1]
+
+    def blend():
+        return np.einsum("ik,kj->ij", np.hstack([down, cols]), np.vstack([rows, across]))
+
+    def sines():
+        # scipy.fft rejects a transform of length 0
+        if C > 2:
+            rows[...] = _fft.dst(rows, type=1, norm="ortho", axis=1)
+        if R > 2:
+            cols[...] = _fft.dst(cols, type=1, norm="ortho", axis=0)
+        if R > 2 and C > 2:
+            inner[...] = _fft.dstn(inner, type=1, norm="ortho")
+
+    if inverse:
+        sines()
+        rows += np.einsum("ik,kj->ij", corners, across)
+        inner += blend()
+        cols += np.einsum("ik,kj->ij", down, corners)
+    else:
+        cols -= np.einsum("ik,kj->ij", down, corners)
+        inner -= blend()
+        rows -= np.einsum("ik,kj->ij", corners, across)
+        sines()
     return out
 
 
 def _analyze(bc: str, image: np.ndarray) -> np.ndarray:
-    """The image's coefficients in the periodic or reflective basis."""
+    """The image's coefficients in the plan's transform basis."""
     if bc == "periodic":
         return _fft.rfft2(image)
-    return _fft.dctn(image, type=2, norm="ortho")
+    if bc == "reflective":
+        return _fft.dctn(image, type=2, norm="ortho")
+    return _antireflective(image)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
-    """A periodic or reflective plan's solution and its coefficients."""
+    """A transform plan's solution and its coefficients."""
     coefficients = _analyze(plan.bc, rhs)
     coefficients /= plan.eigenvalues
     if plan.bc == "periodic":
         return _fft.irfft2(coefficients, s=plan.shape), coefficients
-    return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
+    if plan.bc == "reflective":
+        return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
+    return _antireflective(coefficients, inverse=True), coefficients
 
 
 def _squared_norm(owner, coefficients: np.ndarray) -> float:
@@ -408,28 +411,9 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != plan.shape:
         raise ShapeError(f"rhs shape {rhs.shape} does not match plan {plan.shape}")
-    if plan.bc in ("periodic", "reflective"):
-        return _transform_solve(plan, rhs)[0]
     if plan.bc == "zero":
         return _solve_zero(plan, rhs)[0]
-    # antireflective: corners, then frame edges, then the interior
-    R, C = plan.shape
-    eig = plan.eigenvalues
-    corner = eig[0, 0]
-    u = np.zeros((R, C))
-    for i, j in ((0, 0), (0, C - 1), (R - 1, 0), (R - 1, C - 1)):
-        u[i, j] = rhs[i, j] / corner
-    if C > 2:
-        u[0, 1:-1] = _edge_solve_1d(rhs[0, 1:-1], u[0, 0], u[0, -1], eig[0, 1:], corner)
-        u[-1, 1:-1] = _edge_solve_1d(rhs[-1, 1:-1], u[-1, 0], u[-1, -1], eig[0, 1:], corner)
-    if R > 2:
-        u[1:-1, 0] = _edge_solve_1d(rhs[1:-1, 0], u[0, 0], u[-1, 0], eig[1:, 0], corner)
-        u[1:-1, -1] = _edge_solve_1d(rhs[1:-1, -1], u[0, -1], u[-1, -1], eig[1:, 0], corner)
-    if R > 2 and C > 2:
-        interior = rhs[1:-1, 1:-1] - plan.frame_load(u)[1:-1, 1:-1]
-        u[1:-1, 1:-1] = _fft.dstn(_fft.dstn(interior, type=1, norm="ortho") / eig[1:, 1:],
-                                  type=1, norm="ortho")
-    return u
+    return _transform_solve(plan, rhs)[0]
 
 
 def fidelity_target(planner: SystemPlanner, f: np.ndarray):

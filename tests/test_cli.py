@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,12 @@ class TestOracleCheck:
         assert run(["oracle-check", "--n", "6"]) == 0
         out = capsys.readouterr().out
         assert "all fast paths match" in out
+
+    def test_grid_smaller_than_a_kernel_skips_that_kernel(self, capsys):
+        # gauss5 does not fit 3x3; gauss3 fits every model, and the
+        # antireflective interior is one sample
+        assert run(["oracle-check", "--n", "3"]) == 0
+        assert re.search(r"^solve\s+antireflective\s", capsys.readouterr().out, re.M)
 
     def test_cap_is_usage_error(self):
         assert run(["oracle-check", "--n", "70"]) == 1
