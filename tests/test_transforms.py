@@ -11,8 +11,8 @@ from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryE
 from tvdeblur import dense
 from tvdeblur.operators import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, apply_stencil,
                                 autocorrelation)
-from tvdeblur.transforms import (SystemPlanner, _fft, _solve_zero, _squared_norm,
-                                 fidelity_target, solve_and_blur, solve_system)
+from tvdeblur.transforms import (SystemPlanner, _antireflective, _fft, _solve_zero,
+                                 _squared_norm, fidelity_target, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -159,6 +159,51 @@ def test_antireflective_transform_inverts_the_dense_system(n, k, sigma, ratio, s
     b = dense.build_system(psf, n, "antireflective", ratio).apply(x)
     got = solve_system(SystemPlanner(psf, (n, n), "antireflective").plan(ratio), b)
     assert np.abs(got - x).max() < 1e-8
+
+
+def _antireflective_basis(n):
+    """Columns: the ramp 1 - s, the DST-I sines k = 1 .. n - 2, the ramp s."""
+    i, s = np.arange(n), np.arange(n) / (n - 1)
+    sines = np.sqrt(2 / (n - 1)) * np.sin(np.pi * np.outer(i, np.arange(1, n - 1)) / (n - 1))
+    return np.column_stack([1 - s, sines, s])
+
+
+AR_SHAPES = [(12, 9), (9, 14), (5, 5), (6, 7), (2, 2), (2, 5), (3, 3)]
+AR_KERNELS = {"delta": Psf.delta(), "2x2 kernel": gaussian_psf(2, 0.7),
+              "3x3 kernel": gaussian_psf(3, 0.8),
+              "column 3x1": Psf(np.array([[0.25], [0.5], [0.25]]), (1, 0)),
+              "4x4 kernel, 49-tap stencil": gaussian_psf(4, 1.0)}
+
+
+class TestAntireflectiveTransform:
+    @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_inverse_undoes_forward(self, rng, shape):
+        x = rng.standard_normal(shape)
+        back = _antireflective(_antireflective(x), inverse=True)
+        assert np.abs(back - x).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_synthesizes_ramps_and_sines(self, rng, shape):
+        # corners weight the bilinear ramps, frame edges a ramp times a
+        # sine, the interior products of sines
+        c = rng.standard_normal(shape)
+        expected = _antireflective_basis(shape[0]) @ c @ _antireflective_basis(shape[1]).T
+        assert np.abs(_antireflective(c, inverse=True) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("shape,name", [
+        pytest.param(shape, name, id=f"{shape[0]}x{shape[1]}-{name}")
+        for shape in AR_SHAPES for name in AR_KERNELS
+        if _planner_accepts(AR_KERNELS[name], shape, "antireflective")])
+    def test_diagonalizes_the_system(self, rng, shape, name):
+        psf, ratio = AR_KERNELS[name], 0.7
+        plan = SystemPlanner(psf, shape, "antireflective").plan(ratio)
+        c = rng.standard_normal(shape)
+        u = _antireflective(c, inverse=True)
+        system_u = (apply_stencil(u, *autocorrelation(psf), "antireflective")
+                    + ratio * apply_stencil(u, LAPLACIAN_STENCIL, LAPLACIAN_CENTER,
+                                            "antireflective"))
+        assert plan.eigenvalues.shape == shape
+        assert np.abs(_antireflective(system_u) - plan.eigenvalues * c).max() < 1e-12
 
 
 class TestPlannerReuse:
