@@ -126,6 +126,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_simulate(args) -> int:
+    fileio._image_format(args.out)  # reject the output suffix before any work
+    _require_directory(args.out)  # the metadata goes next to it
     truth = fileio.read_image(args.truth)
     psf = parse_psf_spec(args.psf)
     observed, fov = simulate(truth, psf, args.sigma2, args.seed)
@@ -237,6 +239,8 @@ def cmd_oracle_check(args) -> int:
         raise _UsageError(f"oracle grid capped at n <= 64, got {args.n}")
     if args.n < 2:
         raise _UsageError("oracle grid needs n >= 2")
+    if not (np.isfinite(args.ratio) and args.ratio >= 0):
+        raise _UsageError(f"--ratio must be finite and non-negative, got {args.ratio}")
     bcs = BOUNDARY_MODELS if args.bc == "all" else (args.bc,)
     for bc in bcs:
         if bc not in BOUNDARY_MODELS:

@@ -79,8 +79,12 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
+    if not all(t.isdigit() and int(t) > 0 for t in tokens):
+        header = " ".join(t.decode(errors="replace") for t in tokens)
+        raise DataError(f"{path}: PGM width, height and maxval must be positive integers, "
+                        f"got {header!r}")
     cols, rows, maxval = (int(t) for t in tokens)
-    if maxval <= 0 or maxval > 65535:
+    if maxval > 65535:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     if binary:
         pos += 1  # single whitespace after maxval

@@ -21,11 +21,12 @@ directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
 ``convolve2d`` and so keeps its bytes, and wider ones by a real FFT over the
 padded image, so a wide kernel costs a few transforms rather than k^2
 multiply-adds per pixel. The package takes only ``scipy.fft`` from SciPy.
-:func:`autocorrelation` and the five-point ``LAPLACIAN_STENCIL`` are the
-parts of the system stencil whose symbols the transform plans sample; the
-package never convolves that stencil itself. :func:`differences` is the
-unvalidated, plain-array form of :func:`gradient`, and both divergences
-accept a plain pair ``(z1, z2)``, for the solver's inner loop. All functions are pure and safe for concurrent use.
+The system stencil (the kernel's autocorrelation plus ``ratio`` times the
+five-point Laplacian) is never built here: the transform plans sample its
+symbol from the kernel alone. :func:`differences` is the unvalidated,
+plain-array form of :func:`gradient`, and both divergences accept a plain
+pair ``(z1, z2)``, for the solver's inner loop. All functions are pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _sliding_sum(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     a row, groups of four taps summed from the group's first tap and then
     added to the running total, and the zero to three taps left over added
     one at a time. Like ``convolve2d`` it is silent on IEEE overflow, so a
-    non-finite input reaches the caller's own checks.
+    non-finite input reaches the caller's own checks. It is the direct route
+    of :func:`stencil_convolver` and the blur of ``harness.simulate``.
     """
     kr, kc = weights.shape
     rows, cols = x.shape[0] - kr + 1, x.shape[1] - kc + 1
@@ -175,27 +177,6 @@ def apply_correlation(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
     restoration system.
     """
     return apply_blur(u, psf.flipped(), bc)
-
-
-#: Five-point Laplacian stencil with the sign making it positive semidefinite.
-LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0],
-                              [-1.0, 4.0, -1.0],
-                              [0.0, -1.0, 0.0]])
-LAPLACIAN_CENTER = (1, 1)
-
-
-def autocorrelation(psf: Psf):
-    """Autocorrelation stencil of the kernel, centered on its (2p-1)-grid.
-
-    Offsets are differences of kernel offsets, so the declared center of the
-    kernel drops out; the result is always point-symmetric. It is the
-    stencil of ``H'H`` away from the frame. The doubly-flipped sliding sum
-    over the zero-padded kernel keeps the bytes of
-    ``scipy.signal.correlate2d(w, w, "full")``.
-    """
-    w, (kr, kc) = psf.weights, psf.weights.shape
-    padded = np.pad(w, ((kr - 1, kr - 1), (kc - 1, kc - 1)))
-    return _sliding_sum(padded[::-1, ::-1], w)[::-1, ::-1].copy(), (kr - 1, kc - 1)
 
 
 def gradient(u: np.ndarray, bc: str) -> GradientField:

@@ -6,7 +6,7 @@ The image update of the alternating-minimization loop solves
 
 where the composite operator is, per boundary model, diagonalized by:
 
-* ``periodic``        2-D real FFT: eigenvalues |fft(kernel)|^2 + ratio * fft(laplacian);
+* ``periodic``        2-D real FFT;
 * ``reflective``      2-D DCT-II (quadrantally symmetric kernels only);
 * ``antireflective``  the antireflective transform (quadrantally symmetric
   kernels only): per axis, the two linear ramps through the end samples
@@ -32,13 +32,16 @@ where the composite operator is, per boundary model, diagonalized by:
   right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
   iterations.
 
-Both trigonometric models take their eigenvalues from one cosine symbol,
-``sum_st w[s,t] cos(s theta_r) cos(t theta_c)`` of the system stencil (the
-kernel's autocorrelation plus ``ratio`` times the five-point Laplacian),
-sampled at ``theta = pi k / n`` for the DCT-II and at
-``theta = pi k / (n - 1)`` for the antireflective basis (Ng, Chan & Tang
-1999; Serra-Capizzano 2003), where both ramps take ``theta = 0``, the
-symbol of the stencil summed along that axis.
+Every transform plan samples one symbol, the kernel's
+``h(theta) = sum_st w[s,t] exp(-i (s theta_r + t theta_c))`` over its
+offsets from the center (:func:`_symbol`), on its transform's grid:
+``theta = 2 pi k / n`` for the FFT, ``pi k / n`` for the DCT-II and
+``pi k / (n - 1)`` for the antireflective basis, where both ramps take
+``theta = 0``. There the system's eigenvalues are
+``|h|^2 + ratio * (4 - 2 cos theta_r - 2 cos theta_c)``: ``|h|^2`` is the
+symbol of the kernel's autocorrelation, the stencil of H'H, and the rest
+that of the five-point Laplacian D'D (Ng, Chan & Tang 1999;
+Serra-Capizzano 2003). Neither stencil is built.
 
 The zero model's CG starts from zeros in :func:`solve_system`; the solver
 loop's update starts it from the current iterate instead.
@@ -57,8 +60,9 @@ fidelity comes the same way. :func:`solve_system` of every model but zero,
 the update and the CG preconditioner share one analyze, divide and
 synthesize step.
 
-Plans are deterministic and immutable; eigenvalue magnitudes below 1e-14
-are clamped (never silently: the count is recorded on the plan and logged).
+Plans are deterministic and immutable. Every eigenvalue is non-negative by
+construction; those below 1e-14 are raised to it (never silently: the count
+is recorded on the plan and logged).
 """
 
 from __future__ import annotations
@@ -73,8 +77,7 @@ from scipy import fft as _fft
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation, differences,
-                        stencil_convolver, transpose_adjoint_gradient)
+from .operators import differences, stencil_convolver, transpose_adjoint_gradient
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
 
@@ -99,32 +102,18 @@ CG_MAXITER = 5000
 
 # --- plan machinery ---
 
-def _embed_wrapped(weights, center, shape) -> np.ndarray:
-    """Place stencil weights on the torus at their offsets modulo the shape."""
-    out = np.zeros(shape)
-    cr, cc = center
-    for a in range(weights.shape[0]):
-        for b in range(weights.shape[1]):
-            out[(a - cr) % shape[0], (b - cc) % shape[1]] += weights[a, b]
-    return out
+def _symbol(weights, center, theta_r, theta_c) -> np.ndarray:
+    """sum_st w[s,t] exp(-i (s theta_r + t theta_c)), over the stencil's
+    offsets ``(s, t)`` from its center, sampled on the grid.
 
-
-def _cos_symbol(weights, center, theta_r, theta_c) -> np.ndarray:
-    """sum_st w[s,t] cos(s*theta_r) cos(t*theta_c), sampled on the grid.
-
-    Exact transform-basis eigenvalues for quadrantally symmetric stencils.
+    The products are non-optimized ``einsum`` loops: a complex matmul of
+    this size is a threaded BLAS call, whose spinning threads would compete
+    with the solve and with sweep workers.
     """
     s = np.arange(weights.shape[0]) - center[0]
     t = np.arange(weights.shape[1]) - center[1]
-    cr = np.cos(np.outer(theta_r, s))
-    cc = np.cos(np.outer(theta_c, t))
-    return cr @ weights @ cc.T
-
-
-def _ghost_depth(weights, center) -> int:
-    """How far a stencil reaches past its center, along either axis."""
-    return max(weights.shape[0] - 1 - center[0], center[0],
-               weights.shape[1] - 1 - center[1], center[1])
+    rows = np.einsum("is,st->it", np.exp(-1j * np.outer(theta_r, s)), weights)
+    return np.einsum("it,tj->ij", rows, np.exp(-1j * np.outer(t, theta_c)))
 
 
 def _l2(x: np.ndarray) -> float:
@@ -134,14 +123,9 @@ def _l2(x: np.ndarray) -> float:
 
 
 def _clamp(values):
-    """Clamp magnitudes below EIG_FLOOR, preserving sign; report count and min."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    mags = np.abs(v)
-    count = int(np.count_nonzero(mags < EIG_FLOOR))
-    if count:
-        sign = np.where(v < 0, -1.0, 1.0)
-        v = np.where(mags < EIG_FLOOR, sign * EIG_FLOOR, v)
-    return v, count, float(mags.min()) if mags.size else None
+    """Raise eigenvalues below EIG_FLOOR to it; report the count and the minimum."""
+    return (np.maximum(values, EIG_FLOOR), int(np.count_nonzero(values < EIG_FLOOR)),
+            float(values.min()))
 
 
 @dataclass(frozen=True)
@@ -151,9 +135,11 @@ class SpectralPlan:
     ``eigenvalues`` holds the system eigenvalues in the matching transform
     basis (``None`` for zero, like ``min_modulus``):
 
-    * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``;
-    * reflective: the DCT-II eigenvalues, ``R x C``, the system stencil's
-      cosine symbol at ``theta = pi k / R`` and ``pi l / C``;
+    * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``, the
+      system's symbol at ``theta = 2 pi k / R`` and ``2 pi l / C`` for
+      ``l <= C // 2``;
+    * reflective: the DCT-II eigenvalues, ``R x C``, the symbol at
+      ``theta = pi k / R`` and ``pi l / C``;
     * antireflective: one eigenvalue per basis function, ``R x C``, laid out
       like the image the transform came from: the symbol at
       ``theta = pi k / (R - 1)`` and ``pi l / (C - 1)`` for
@@ -162,9 +148,10 @@ class SpectralPlan:
       DST-I eigenvalues, the rest of the frame rows and columns those of the
       edges, and the corners hold the kernel mass squared.
 
-    Clamping, ``min_modulus`` and ``clamp_count`` cover the distinct
-    eigenvalues: the periodic half-spectrum, the reflective grid and the
-    antireflective ``(R - 1) x (C - 1)`` grid before the ramps' copies.
+    Clamping, ``min_modulus`` (the smallest eigenvalue before clamping; all
+    are non-negative) and ``clamp_count`` cover the distinct eigenvalues:
+    the periodic half-spectrum, the reflective grid and the antireflective
+    ``(R - 1) x (C - 1)`` grid before the ramps' copies.
     """
 
     bc: str
@@ -204,41 +191,42 @@ class SystemPlanner:
         if psf.mass ** 2 < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
-        acorr, acorr_center = autocorrelation(psf)
         self._blur_symbol, self._blur, self._normal = None, None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
             raise UnsupportedError(
                 f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
+        # how far H'H, the kernel's autocorrelation, reaches past its center
+        depth = max(psf.rows, psf.cols) - 1
         if bc == "zero":
-            fits_dct = (psf.quadrantally_symmetric
-                        and _ghost_depth(acorr, acorr_center) <= min(self.shape))
+            fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
             self._blur, self._normal = _zero_products(psf, self.shape)
-        elif bc == "periodic":
-            spectrum = _fft.rfft2(_embed_wrapped(psf.weights, psf.center, self.shape))
-            self._blur_eig = np.abs(spectrum) ** 2
-            self._blur_symbol = spectrum
-            self._lap_eig = _fft.rfft2(
-                _embed_wrapped(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, self.shape)).real
         else:
-            # the cosine symbols on the DCT-II grid, theta = pi k / n, or the
-            # antireflective grid, theta = pi k / (n - 1), whose k = 0 both
-            # ramps share
-            short = int(bc == "antireflective")
-            depth, cap = _ghost_depth(acorr, acorr_center), min(self.shape) - short
-            if depth > cap:
-                raise UnsupportedError(
-                    f"composite stencil ghost depth {depth} exceeds the extension cap {cap}")
-            theta_r, theta_c = (np.arange(n - short) * np.pi / (n - short) for n in self.shape)
-            self._blur_eig = _cos_symbol(acorr, acorr_center, theta_r, theta_c)
-            self._lap_eig = _cos_symbol(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, theta_r, theta_c)
-            # the blur itself is DCT-diagonal only when the kernel is
-            # symmetric about its center sample (Ng, Chan & Tang 1999)
-            if (bc == "reflective" and psf.rows % 2 and psf.cols % 2
+            # the transform's grid: theta = 2 pi k / n for the real FFT, whose
+            # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
+            # pi k / (n - 1) for the antireflective basis, whose ramps share k = 0
+            (R, C), short = self.shape, int(bc == "antireflective")
+            if bc == "periodic":
+                theta_r = 2 * np.pi * np.arange(R) / R
+                theta_c = 2 * np.pi * np.arange(C // 2 + 1) / C
+            elif depth > min(R, C) - short:
+                raise UnsupportedError(f"composite stencil ghost depth {depth} exceeds the "
+                                       f"extension cap {min(R, C) - short}")
+            else:
+                theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
+            symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
+            self._blur_eig = np.abs(symbol) ** 2
+            self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
+            # the blur itself is diagonal in the FFT basis, and in the DCT-II
+            # basis when the kernel is symmetric about its center sample (Ng,
+            # Chan & Tang 1999)
+            if bc == "periodic":
+                self._blur_symbol = symbol
+            elif (bc == "reflective" and psf.rows % 2 and psf.cols % 2
                     and psf.center == (psf.rows // 2, psf.cols // 2)):
-                self._blur_symbol = _cos_symbol(psf.weights, psf.center, theta_r, theta_c)
+                self._blur_symbol = symbol.real.copy()  # contiguous, for the per-iteration product
             else:
                 self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
 

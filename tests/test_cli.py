@@ -65,6 +65,21 @@ class TestSimulate:
                     "--sigma2", "nan", "--out", out]) == 2
         assert not out.exists() and not (tmp_path / "obs.meta.json").exists()
 
+    @pytest.mark.parametrize("out", ["nodir/o.pgm", "o.png"], ids=["directory", "suffix"])
+    def test_bad_output_fails_before_the_work(self, tmp_path, truth_file, monkeypatch,
+                                              capsys, out):
+        def unused(*args):
+            raise AssertionError("simulate ran before checking --out")
+
+        monkeypatch.setattr("tvdeblur.cli.simulate", unused)
+        monkeypatch.setattr("tvdeblur.fileio.read_image", unused)
+        out = tmp_path / out
+        assert run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta=1",
+                    "--sigma2", "0", "--out", out]) == 2
+        named = f"'{out}'" if out.suffix == ".pgm" else "unsupported image suffix '.png'"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
 
 class TestDeblur:
     @pytest.fixture
@@ -330,6 +345,15 @@ class TestOracleCheck:
 
     def test_cap_is_usage_error(self):
         assert run(["oracle-check", "--n", "70"]) == 1
+
+    @pytest.mark.parametrize("ratio", ["-1", "nan", "inf", "-inf"])
+    def test_bad_ratio_is_usage_error(self, monkeypatch, capsys, ratio):
+        def unused(*args, **kwargs):
+            raise AssertionError("oracle-check built operators before checking --ratio")
+
+        monkeypatch.setattr("tvdeblur.cli.oracle_deviations", unused)
+        assert run(["oracle-check", "--n", "4", f"--ratio={ratio}"]) == 1
+        assert "--ratio must be finite and non-negative" in capsys.readouterr().err
 
     def test_single_bc_selection(self):
         assert run(["oracle-check", "--n", "5", "--bc", "periodic"]) == 0

@@ -5,7 +5,7 @@ trusted against them."""
 import numpy as np
 import pytest
 
-from tvdeblur import Psf, UnsupportedError, gaussian_psf, operators
+from tvdeblur import Psf, UnsupportedError, gaussian_psf
 from tvdeblur.dense import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation,
                             build_adjgrad, build_blur, build_correlation,
                             build_grad, build_stencil_matrix, build_system,
@@ -234,10 +234,29 @@ class TestAlgebraIdentities:
         Psf(np.random.default_rng(7).random((5, 1)) + 0.01, (3, 0)),
     ], ids=["odd", "even-extent", "nonsymmetric", "1xn", "nx1"])
     def test_autocorrelation_matches_the_fast_path(self, psf):
-        a, ac = autocorrelation(psf)
-        b, bc = operators.autocorrelation(psf)
-        assert ac == bc and a.shape == b.shape
-        assert np.abs(a - b).max() <= 1e-15
+        # the planner's H'H eigenvalues are the autocorrelation's symbol on
+        # each transform's grid; a non-square shape with an even width keeps
+        # the real FFT's Nyquist column
+        from tvdeblur.transforms import SystemPlanner
+        a, (ar, ac) = autocorrelation(psf)
+        rows, cols = 9, 8
+        grids = {"periodic": (2 * np.pi * np.arange(rows) / rows,
+                              2 * np.pi * np.arange(cols // 2 + 1) / cols),
+                 "reflective": (np.pi * np.arange(rows) / rows, np.pi * np.arange(cols) / cols),
+                 "antireflective": (np.pi * np.arange(rows - 1) / (rows - 1),
+                                    np.pi * np.arange(cols - 1) / (cols - 1))}
+        checked = 0
+        for bc, (theta_r, theta_c) in grids.items():
+            if bc != "periodic" and not psf.quadrantally_symmetric:
+                continue
+            symbol = np.zeros((theta_r.size, theta_c.size), dtype=complex)
+            for (i, j), w in np.ndenumerate(a):
+                symbol += w * np.exp(-1j * ((i - ar) * theta_r[:, None] + (j - ac) * theta_c))
+            eigenvalues = SystemPlanner(psf, (rows, cols), bc)._blur_eig
+            assert eigenvalues.shape == symbol.shape
+            assert np.abs(eigenvalues - symbol).max() <= 1e-14
+            checked += 1
+        assert checked == (3 if psf.quadrantally_symmetric else 1)
 
     def test_autocorrelation_of_even_gaussian_is_quadrantally_symmetric(self):
         a, _ = autocorrelation(gaussian_psf(4, 1.0))

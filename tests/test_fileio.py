@@ -50,6 +50,15 @@ class TestPgm:
         with pytest.raises(DataError, match="expected 16 samples"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    @pytest.mark.parametrize("header", ["-3 -4 255", "-3 4 255", "3 -4 255", "0 4 255", "3.5 4 255",
+                                        "3 x 255", "+3 4 255", "2 2 0", "2 2 -255", "2 2 2.5e2"])
+    def test_bad_header_is_data_error(self, tmp_path, magic, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(f"{magic}\n{header}\n".encode() + bytes(16))
+        with pytest.raises(DataError, match="bad.pgm: PGM width, height and maxval"):
+            read_pgm(path)
+
 
 class TestRaw:
     def test_lossless_roundtrip(self, tmp_path, rng):

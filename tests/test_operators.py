@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.signal import convolve2d, correlate2d
+from scipy.signal import convolve2d
 
 from tvdeblur import (GradientField, Psf, UnsupportedError, apply_blur,
-                      apply_correlation, crop, diagonal_motion_psf, extend, gaussian_psf,
+                      apply_correlation, crop, extend, gaussian_psf,
                       gradient)
 from tvdeblur import dense
 from tvdeblur.operators import (DIRECT_MAX_TAPS, _sliding_sum, adjoint_gradient, apply_stencil,
-                                autocorrelation, stencil_pads, transpose_adjoint_gradient)
+                                stencil_pads, transpose_adjoint_gradient)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -185,18 +185,6 @@ class TestSlidingSum:
         x *= 10.0 ** rng.uniform(-3, 3, x.shape)
         assert (_sliding_sum(x, weights).tobytes()
                 == convolve2d(x, weights, mode="valid").tobytes())
-
-    @pytest.mark.parametrize("psf", [
-        gaussian_psf(5, 1.2), gaussian_psf(6, 1.5), gaussian_psf(16, 5.0),
-        Psf(np.random.default_rng(4).uniform(0.1, 1.0, (1, 7)), (0, 3)),
-        Psf(np.random.default_rng(5).uniform(0.1, 1.0, (3, 5)), (1, 2)),
-        NONSYM, diagonal_motion_psf(7)],
-        ids=["odd", "even", "even16", "1x7", "3x5", "nonsym3x2", "motion7"])
-    def test_autocorrelation_keeps_correlate2d_bytes(self, psf):
-        weights, center = autocorrelation(psf)
-        expected = correlate2d(psf.weights, psf.weights, mode="full")
-        assert weights.tobytes() == expected.tobytes()
-        assert center == (psf.rows - 1, psf.cols - 1)
 
 
 class TestGradient:

@@ -9,13 +9,14 @@ from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryE
                       UnsupportedError, apply_blur, builtin_truth, gaussian_psf, simulate, solve,
                       solve_enlarged)
 from tvdeblur import dense
-from tvdeblur.operators import (LAPLACIAN_CENTER, LAPLACIAN_STENCIL, apply_stencil,
-                                autocorrelation)
-from tvdeblur.transforms import (SystemPlanner, _antireflective, _fft, _solve_zero,
+from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
+from tvdeblur.operators import apply_stencil
+from tvdeblur.transforms import (EIG_FLOOR, SystemPlanner, _antireflective, _fft, _solve_zero,
                                  _squared_norm, fidelity_target, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
+BOX = Psf(np.array([[0.5, 0.5]]), (0, 0))
 
 
 RECTANGULAR_KERNELS = {"delta": Psf.delta(), "g2": gaussian_psf(2, 0.7),
@@ -82,6 +83,22 @@ class TestPlanSystem:
             plan = SystemPlanner(psf, (8, 8), "periodic").plan(0.0)
         assert plan.clamp_count > 0
         assert any("clamped" in rec.message for rec in caplog.records)
+
+    def test_box_clamps_its_nyquist_column(self):
+        # the 1x2 box's symbol 0.5 + 0.5 exp(-i theta_c) vanishes at
+        # theta_c = pi, the real FFT's last column for an even width
+        plan = SystemPlanner(BOX, (6, 8), "periodic").plan(0.0)
+        assert plan.clamp_count == 6
+        assert np.count_nonzero(plan.eigenvalues == EIG_FLOOR) == 6
+        assert np.all(plan.eigenvalues[:, -1] == EIG_FLOOR)
+
+    @pytest.mark.parametrize("bc", ["periodic", "reflective", "antireflective"])
+    @pytest.mark.parametrize("ratio", [0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("psf", [BOX, Psf.delta(), gaussian_psf(2, 0.7), gaussian_psf(5, 1.0)],
+                             ids=["box", "delta", "g2", "g5"])
+    def test_eigenvalues_never_fall_below_the_floor(self, bc, ratio, psf):
+        plan = SystemPlanner(psf, (7, 8), bc).plan(ratio)
+        assert plan.eigenvalues.min() >= EIG_FLOOR
 
 
 class TestSolveSystem:
