@@ -213,24 +213,16 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(result, args.out)
     failed = sum(1 for r in result.rows if r.failed)
     print(f"wrote {args.out} ({len(result.rows)} rows, {failed} failed)")
-    to_render = []
-    if args.save_restorations:
-        for mode in exp.modes:
-            try:
-                to_render.append((args.save_restorations, "best", result.best(mode)))
-            except KeyError:
-                continue
-    if args.save_cells:
-        to_render.extend((args.save_cells, "cell", row)
-                         for row in result.rows if not row.failed)
-    for dirname, kind, row in to_render:
-        outdir = Path(dirname)
-        mode_tag = row.mode.replace(":", "_")
-        name = (f"best_{mode_tag}.pgm" if kind == "best"
-                else f"cell_{mode_tag}_alpha{row.alpha:g}.pgm")
-        fileio.write_image(outdir / name, row.restored)
-        print(f"  {kind}[{row.mode}] alpha={row.alpha:g} "
-              f"snr={row.snr_db:.2f} dB -> {outdir / name}")
+    for row in result.rows:
+        tag = row.mode.replace(":", "_")
+        for dirname, kind, suffix in ((row.is_best and args.save_restorations, "best", ""),
+                                      (not row.failed and args.save_cells, "cell",
+                                       f"_alpha{row.alpha:g}")):
+            if dirname:
+                path = Path(dirname) / f"{kind}_{tag}{suffix}.pgm"
+                fileio.write_image(path, row.restored)
+                print(f"  {kind}[{row.mode}] alpha={row.alpha:g} "
+                      f"snr={row.snr_db:.2f} dB -> {path}")
     return EXIT_OK
 
 

@@ -57,7 +57,8 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read P2 or P5, any maxval up to 65535, mapped linearly onto [0, 1]."""
+    """Read P2 or P5, any maxval up to 65535, mapped linearly onto [0, 1];
+    a sample that is not an integer in ``[0, maxval]`` is a ``DataError``."""
     data = Path(path).read_bytes()
     if data[:2] not in (b"P2", b"P5"):
         raise DataError(f"{path}: not a PGM file (magic {data[:2]!r})")
@@ -93,9 +94,16 @@ def read_pgm(path) -> np.ndarray:
         count = min(rows * cols, max(len(data) - pos, 0) // dtype.itemsize)
         raw = np.frombuffer(memoryview(data)[pos:], dtype=dtype, count=count)
     else:
-        raw = np.array(data[pos:].split()[:rows * cols], dtype=float)
+        samples = data[pos:].split()[:rows * cols]
+        bad = next((t for t in samples if not t.isdigit()), None)
+        if bad is not None:
+            raise DataError(f"{path}: P2 sample {bad.decode(errors='replace')!r} "
+                            "is not a non-negative integer")
+        raw = np.array(samples, dtype=float)
     if raw.size != rows * cols:
         raise DataError(f"{path}: expected {rows * cols} samples, got {raw.size}")
+    if raw.max() > maxval:
+        raise DataError(f"{path}: sample {raw.max():g} exceeds maxval {maxval}")
     return raw.reshape(rows, cols).astype(float) / maxval
 
 

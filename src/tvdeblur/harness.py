@@ -277,23 +277,18 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     else:
         outcomes = [_run_cell(task) for task in tasks]
     ref = exp.reference_alpha
-    rows = []
-    for (mode, alpha), (snr_db, seconds, iters, message, restored) in zip(cells, outcomes):
-        failed = message != ""
-        rows.append(SweepRow(mode=mode, alpha=alpha, snr_db=snr_db,
-                             seconds=float(seconds), iterations=iters,
-                             is_best=False, is_reference=bool(
-                                 ref is not None and np.isclose(alpha, ref, rtol=1e-12, atol=0.0)),
-                             failed=failed, message=message, restored=restored))
-    rows.sort(key=lambda r: (r.mode, r.alpha))
+    results = sorted(zip(cells, outcomes), key=lambda item: item[0])
     # exactly one best mark per mode among successful cells (first on ties)
-    marked = []
-    for mode in sorted(set(r.mode for r in rows)):
-        group = [r for r in rows if r.mode == mode and not r.failed]
-        if group:
-            marked.append(max(group, key=lambda r: (r.snr_db, -r.alpha)))
-    best_keys = {(r.mode, r.alpha) for r in marked}
-    rows = [replace(r, is_best=(r.mode, r.alpha) in best_keys) for r in rows]
+    best = {}
+    for (mode, alpha), (snr_db, _, _, message, _) in results:
+        if not message and (mode not in best or (snr_db, -alpha) > best[mode]):
+            best[mode] = (snr_db, -alpha)
+    rows = [SweepRow(mode=mode, alpha=alpha, snr_db=snr_db, seconds=float(seconds),
+                     iterations=iters, is_best=bool(not message and best[mode][1] == -alpha),
+                     is_reference=bool(
+                         ref is not None and np.isclose(alpha, ref, rtol=1e-12, atol=0.0)),
+                     failed=message != "", message=message, restored=restored)
+            for (mode, alpha), (snr_db, seconds, iters, message, restored) in results]
     return SweepResult(tuple(rows))
 
 

@@ -18,9 +18,11 @@ operator otherwise. Every kernel goes through :func:`apply_stencil`, or
 :func:`stencil_convolver` where one kernel is applied to one image shape
 many times; both convolve stencils of at most ``DIRECT_MAX_TAPS`` taps (5x5)
 directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
-``convolve2d`` and so keeps its bytes, and wider ones by a real FFT over the
-padded image, so a wide kernel costs a few transforms rather than k^2
-multiply-adds per pixel. The package takes only ``scipy.fft`` from SciPy.
+``convolve2d`` and so keeps its bytes, and wider ones by
+:func:`fft_convolver`, a real FFT with the stencil's spectrum cached, so a
+wide kernel costs a few transforms rather than k^2 multiply-adds per pixel.
+The zero model's CG products come from :func:`fft_convolver` for every
+kernel. The package takes only ``scipy.fft`` from SciPy.
 The system stencil (the kernel's autocorrelation plus ``ratio`` times the
 five-point Laplacian) is never built here: the transform plans sample its
 symbol from the kernel alone. :func:`differences` is the unvalidated,
@@ -116,45 +118,51 @@ DIRECT_MAX_TAPS = 25
 def apply_stencil(u: np.ndarray, weights: np.ndarray, center, bc: str) -> np.ndarray:
     """out[i,j] = sum_ab w[a,b] * u_ext[i - (a - cr), j - (b - cc)].
 
-    Core primitive behind blur and correlation; ``weights`` need not be a
-    valid Psf (e.g. zero-mass stencils such as the Laplacian).
-    The extension caps bound the admissible ghost depth, so composite
-    stencils wider than the image are fine as long as their half-extent is.
+    Core primitive behind blur and correlation, on a plain weight array.
     It is :func:`stencil_convolver` built and applied once.
     """
     return stencil_convolver(weights, center, bc, u.shape)(u)
 
 
 def stencil_convolver(weights: np.ndarray, center, bc: str, shape):
-    """:func:`apply_stencil` for one stencil and image shape, as ``u -> out``.
-
-    ``u`` is padded by the boundary rule and the stencil is applied with a
-    "valid" convolution. Stencils of at most ``DIRECT_MAX_TAPS`` taps use
-    the direct sliding sum, with the bytes of ``scipy.signal.convolve2d``;
-    wider ones use a real 2-D FFT of each axis length ``L >= P``, where
-    ``P`` is the padded length and ``k`` the stencil length along that
-    axis. The circular product equals the linear convolution plus copies
-    shifted by ``L``; a linear output index runs up to ``P + k - 2``, so a
-    copy lands at most at ``P + k - 2 - L <= k - 2``, inside the first
-    ``k - 1`` samples that the "valid" crop drops. The FFT result differs
-    from direct convolution only by rounding. The stencil's spectrum is
-    computed here, once, so a solve that applies the same stencil every
-    iteration pays one forward and one inverse transform per call. Both
-    routes are silent on IEEE overflow and invalid values: a non-finite
-    iterate is the solver's to report, as ``ConvergenceError``.
-    """
+    """:func:`apply_stencil` for one stencil and image shape, as ``u -> out``:
+    the direct sliding sum over ``u`` padded by the boundary rule, with the
+    bytes of ``scipy.signal.convolve2d``, up to ``DIRECT_MAX_TAPS`` taps, and
+    :func:`fft_convolver` above. Both routes are silent on IEEE overflow and
+    invalid values: a non-finite iterate is the solver's to report, as
+    ``ConvergenceError``."""
+    if weights.size > DIRECT_MAX_TAPS:
+        # as a decorator, errstate costs a third of a with-block per call
+        return np.errstate(over="ignore", invalid="ignore")(
+            fft_convolver(weights, center, bc, shape))
     pads = stencil_pads(weights, center)
-    if weights.size <= DIRECT_MAX_TAPS:
-        return lambda u: _sliding_sum(extend(u, pads, bc), weights)
-    padded = tuple(n + p0 + p1 for n, (p0, p1) in zip(shape, pads))
-    fft_shape = tuple(_fft.next_fast_len(n, True) for n in padded)
-    spectrum = _fft.rfft2(weights, fft_shape)
-    kr, kc = weights.shape
+    return lambda u: _sliding_sum(extend(u, pads, bc), weights)
+
+
+def fft_convolver(weights: np.ndarray, center, bc: str, shape):
+    """:func:`apply_stencil` for one stencil and image shape by a real 2-D
+    FFT, as ``u -> out``; the stencil's spectrum is computed once, here.
+
+    Each axis takes a transform length ``L >= n + k - 1``, for image length
+    ``n`` and stencil length ``k``. Under ``zero`` the transform's own zero
+    padding supplies the ghosts, no linear output index reaches ``L``, and
+    the window starts at the stencil's center. Otherwise ``u`` is padded by
+    the rule to ``P = n + k - 1`` samples and the window starts at ``k - 1``:
+    the circular copies of the linear convolution, shifted by ``L``, land at
+    most at ``P + k - 2 - L <= k - 2``, in the samples the "valid" window
+    drops. The result differs from direct convolution only by rounding. The
+    product leaves NumPy's IEEE warnings on, so the zero model's CG, which
+    makes two per step, pays no ``errstate`` for them.
+    """
+    grid = tuple(_fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, weights.shape))
+    spectrum = _fft.rfft2(weights, grid)
+    pads, zero, (R, C) = stencil_pads(weights, center), bc == "zero", shape
+    r0, c0 = center if zero else (weights.shape[0] - 1, weights.shape[1] - 1)
 
     def convolve(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = _fft.irfft2(_fft.rfft2(extend(u, pads, bc), fft_shape) * spectrum, fft_shape)
-        return full[kr - 1:padded[0], kc - 1:padded[1]]
+        product = _fft.rfft2(u if zero else extend(u, pads, bc), grid)
+        product *= spectrum
+        return _fft.irfft2(product, grid)[r0:r0 + R, c0:c0 + C]
 
     return convolve
 

@@ -23,9 +23,12 @@ where the composite operator is, per boundary model, diagonalized by:
   its composite stencil fits the reflective ghost depth (the
   Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
   21, 1999), else the ``periodic`` (FFT) plan (T. F. Chan's optimal
-  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is two real-FFT
-  products, built once per planner, on a grid ``L = (R + kr - 1) x (C + kc - 1)``
-  or larger, where neither H nor H' wraps around, plus ``ratio * D'D u``.
+  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u``
+  plus ``ratio * D'D u``: H is the kernel's product from
+  :func:`~tvdeblur.operators.fft_convolver`, H' the flipped kernel's, both
+  built once per planner, each a real-FFT pair on a grid of at least
+  ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
+  model's ghosts.
   The loop takes its norms and dot products as NumPy sums, never through
   BLAS, whose threads would spin against sweep workers. CG stops when the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
@@ -53,12 +56,12 @@ center sample, the fidelity comes from the solution's own coefficients by
 Parseval: the kernel's symbol times the coefficients, minus the transform
 of ``f`` (:func:`fidelity_target`, taken once per solve), summed in the
 transform domain, so the update makes one forward and one inverse
-transform. Otherwise ``H u`` is the plan's ``blur``: one real-FFT pair on
-the CG grid for zero, and for antireflective and even-extent reflective
-kernels a stencil convolver built once per planner; the first iterate's
-fidelity comes the same way. :func:`solve_system` of every model but zero,
-the update and the CG preconditioner share one analyze, divide and
-synthesize step.
+transform. Otherwise ``H u`` is the plan's ``blur``, built once per planner:
+the kernel's FFT product for zero, and for antireflective and even-extent
+reflective kernels a stencil convolver; the first iterate's fidelity comes
+the same way; this module makes no convolution of its own.
+:func:`solve_system` of every model but zero, the update and the CG
+preconditioner share one analyze, divide and synthesize step.
 
 Plans are deterministic and immutable. Every eigenvalue is non-negative by
 construction; those below 1e-14 are raised to it (never silently: the count
@@ -77,7 +80,8 @@ from scipy import fft as _fft
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import differences, stencil_convolver, transpose_adjoint_gradient
+from .operators import (differences, fft_convolver, stencil_convolver,
+                        transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
 
@@ -202,7 +206,12 @@ class SystemPlanner:
             fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
-            self._blur, self._normal = _zero_products(psf, self.shape)
+            # H u, and H' applied after it: the flipped kernel's product,
+            # the exact transpose under the zero model
+            flipped = psf.flipped()
+            self._blur = blur = fft_convolver(psf.weights, psf.center, bc, self.shape)
+            transpose = fft_convolver(flipped.weights, flipped.center, bc, self.shape)
+            self._normal = lambda u: transpose(blur(u))
         else:
             # the transform's grid: theta = 2 pi k / n for the real FFT, whose
             # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
@@ -283,29 +292,6 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
             f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")
     return x, steps, residual
-
-
-def _zero_products(psf: Psf, shape):
-    """u -> H u and u -> H'H u under the zero model, by real-FFT products
-    with the kernel's spectrum and its conjugate on a grid where neither
-    linear convolution wraps around."""
-    (cr, cc), (R, C) = psf.center, shape
-    grid = tuple(_fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, psf.weights.shape))
-    spectrum = _fft.rfft2(psf.weights, grid)
-    transposed = spectrum.conj()
-
-    def blur(u):
-        return _fft.irfft2(_fft.rfft2(u, grid) * spectrum, grid)[cr:cr + R, cc:cc + C]
-
-    def normal(u):
-        # H u sits at [cr:cr+R, cc:cc+C] of the full convolution; zeros
-        # around it are exactly the ghosts the zero model's H' reads, and the
-        # conjugate spectrum correlates them back onto [0:R, 0:C]
-        blurred = np.zeros(grid)
-        blurred[cr:cr + R, cc:cc + C] = blur(u)
-        return _fft.irfft2(_fft.rfft2(blurred) * transposed, grid)[:R, :C]
-
-    return blur, normal
 
 
 def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -423,7 +409,7 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
     the fidelity is the squared norm of the symbol times the solution's
     coefficients minus the target, by Parseval, so the update makes one
     forward and one inverse transform. Otherwise ``H u`` is the plan's
-    ``blur``: an FFT pair on the CG grid for zero, a stencil apply for the
+    ``blur``: the kernel's FFT product for zero, a stencil apply for the
     rest. ``start`` is where the zero model's CG starts (zeros when
     ``None``); the other models ignore it.
     """
@@ -436,7 +422,7 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
         u, iterations, residual = _solve_zero(plan, rhs, start)
         cg = (iterations, residual)
     else:
-        u, cg = solve_system(plan, rhs), None
+        u, cg = _transform_solve(plan, rhs)[0], None
     misfit = plan.blur(u) - target
     misfit *= misfit
     return u, float(np.sum(misfit)), cg

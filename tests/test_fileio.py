@@ -50,6 +50,26 @@ class TestPgm:
         with pytest.raises(DataError, match="expected 16 samples"):
             read_pgm(path)
 
+    def test_ascii_samples_outside_the_integers_are_data_error(self, tmp_path):
+        path = tmp_path / "signed.pgm"
+        path.write_text("P2\n2 2\n255\n0 -7 3.5 999\n")
+        with pytest.raises(DataError, match="signed.pgm: P2 sample '-7'"):
+            read_pgm(path)
+
+    def test_non_numeric_ascii_sample_is_data_error(self, tmp_path):
+        path = tmp_path / "letter.pgm"
+        path.write_text("P2\n2 1\n255\n0 x\n")
+        with pytest.raises(DataError, match="letter.pgm: P2 sample 'x'"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("magic, payload", [("P5", bytes([0, 7, 3, 255])), ("P2", b"0 7 3 255")],
+                             ids=["P5", "P2"])
+    def test_sample_above_maxval_is_data_error(self, tmp_path, magic, payload):
+        path = tmp_path / "bright.pgm"
+        path.write_bytes(f"{magic}\n2 2\n200\n".encode() + payload)
+        with pytest.raises(DataError, match="bright.pgm: sample 255 exceeds maxval 200"):
+            read_pgm(path)
+
     @pytest.mark.parametrize("magic", ["P2", "P5"])
     @pytest.mark.parametrize("header", ["-3 -4 255", "-3 4 255", "3 -4 255", "0 4 255", "3.5 4 255",
                                         "3 x 255", "+3 4 255", "2 2 0", "2 2 -255", "2 2 2.5e2"])

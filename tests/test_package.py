@@ -80,3 +80,22 @@ def test_imports_kept_for_the_benchmark_are_patched_and_unused(monkeypatch, modu
     for name in kept:
         assert (module, name) in patched, f"{name} is not patched on {module.__name__}"
         assert name not in loaded, f"{module.__name__} uses {name}"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(tvdeblur.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    # no linter runs on the package; a deletion must not leave its imports behind
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            assert name in loaded, f"{path.name}:{node.lineno} imports {name} and never uses it"

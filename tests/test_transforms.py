@@ -6,8 +6,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      UnsupportedError, apply_blur, builtin_truth, gaussian_psf, simulate, solve,
-                      solve_enlarged)
+                      UnsupportedError, apply_blur, builtin_truth, diagonal_motion_psf,
+                      gaussian_psf, simulate, solve, solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.operators import apply_stencil
@@ -304,14 +304,16 @@ class TestZeroPreconditionedCG:
         b = rng.standard_normal((20, 13))
         assert relative_residual(zero_system(psf, 0.3), solve_system(plan, b), b) <= 1e-12
 
-    def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch):
+    @staticmethod
+    def check_solve_above_the_oracle_cap(monkeypatch, psf, preconditioner):
         from tvdeblur import solver
-        psf, n = gaussian_psf(5, 1.0), 96
-        truth = builtin_truth("cartoon", n + 8, n + 8)
+        n = 96
+        truth = builtin_truth("cartoon", n + 2 * (psf.rows - 1), n + 2 * (psf.cols - 1))
         observed, _ = simulate(truth, psf, 1e-4, seed=2)
         residuals = []
 
         def checked(plan, rhs, *args):
+            assert plan.preconditioner.bc == preconditioner
             u, fit, cg = solve_and_blur(plan, rhs, *args)
             residuals.append(relative_residual(zero_system(psf, plan.ratio), u, rhs))
             return u, fit, cg
@@ -321,6 +323,18 @@ class TestZeroPreconditionedCG:
                                 SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4))
         assert len(residuals) == trace.total_inner_iterations > 0
         assert max(residuals) <= 1e-12
+
+    def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch):
+        self.check_solve_above_the_oracle_cap(monkeypatch, gaussian_psf(5, 1.0), "reflective")
+
+    # an even kernel (half-sample centre) under the DCT preconditioner, and a
+    # nonsymmetric one under the FFT preconditioner
+    @pytest.mark.parametrize("psf,preconditioner", [
+        (gaussian_psf(6, 1.5), "reflective"), (diagonal_motion_psf(7), "periodic")],
+        ids=["gaussian-6-even", "diagonal-motion-7"])
+    def test_other_kernels_above_the_oracle_cap_meet_the_tolerance(self, monkeypatch, psf,
+                                                                   preconditioner):
+        self.check_solve_above_the_oracle_cap(monkeypatch, psf, preconditioner)
 
     def test_huge_alpha_stays_under_the_cap(self):
         from tvdeblur.transforms import CG_MAXITER
