@@ -163,10 +163,10 @@ def cmd_deblur(args) -> int:
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
     for path in (args.out, trace_path):
         _require_directory(path)
-    observed = fileio.read_image(args.input)
     psf = parse_psf_spec(args.psf)
-    parse_mode(args.mode)  # validate early for a usage-grade message
+    parse_mode(args.mode)
     params = _solve_params(args, args.alpha)
+    observed = fileio.read_image(args.input)
     restored, trace = restore(observed, psf, args.mode, params)
     fileio.write_image(args.out, restored)
     payload = {

@@ -1,8 +1,8 @@
 """Image and kernel file formats.
 
-* PGM (P2 ascii / P5 binary, 8- or 16-bit) mapped linearly to [0, 1];
-  written images are clamped to [0, 1] before quantization. 16-bit binary
-  samples are big-endian per the netpbm convention.
+* PGM (P2 ascii / P5 binary, any maxval up to 65535) read linearly onto
+  [0, 1]; images are written as 16-bit P5, clamped to [0, 1] before
+  quantization. Binary samples are big-endian per the netpbm convention.
 * Raw float64 (".f64"): little-endian row-major dump with a JSON sidecar
   carrying the shape; lossless round-trip, no clamping.
 * Kernel text files: whitespace-separated rows of reals, ``#`` comments,
@@ -44,16 +44,13 @@ def atomic_write_text(path, text: str) -> None:
 
 # --- PGM ---
 
-def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
-    """Write a P5 image; intensities are clamped to [0, 1] and quantized."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a 16-bit P5 image; intensities are clamped to [0, 1] and quantized."""
     image = as_image(image)
-    if maxval not in (255, 65535):
-        raise DataError(f"maxval must be 255 or 65535, got {maxval}")
-    quant = np.rint(np.clip(image, 0.0, 1.0) * maxval)
+    quant = np.rint(np.clip(image, 0.0, 1.0) * 65535)
     rows, cols = image.shape
-    header = f"P5\n{cols} {rows}\n{maxval}\n".encode()
-    dtype = ">u2" if maxval == 65535 else "u1"
-    _atomic_write_bytes(path, header + quant.astype(dtype).tobytes())
+    header = f"P5\n{cols} {rows}\n65535\n".encode()
+    _atomic_write_bytes(path, header + quant.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -94,7 +91,10 @@ def read_pgm(path) -> np.ndarray:
         count = min(rows * cols, max(len(data) - pos, 0) // dtype.itemsize)
         raw = np.frombuffer(memoryview(data)[pos:], dtype=dtype, count=count)
     else:
-        samples = data[pos:].split()[:rows * cols]
+        # every token is a sample: unlike a P5 stream, a P2 file holds one image
+        samples = data[pos:].split()
+        if len(samples) != rows * cols:
+            raise DataError(f"{path}: expected {rows * cols} samples, got {len(samples)}")
         bad = next((t for t in samples if not t.isdigit()), None)
         if bad is not None:
             raise DataError(f"{path}: P2 sample {bad.decode(errors='replace')!r} "
@@ -157,26 +157,22 @@ def read_image(path) -> np.ndarray:
 
 # --- kernel text files ---
 
-def write_psf_file(path, psf: Psf) -> None:
-    lines = [f"# center {psf.center[0]} {psf.center[1]}"]
-    for row in psf.weights:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def read_psf_file(path) -> Psf:
     center = None
     rows = []
-    for line in Path(path).read_text().splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            fields = stripped[1:].split()
-            if len(fields) == 3 and fields[0] == "center":
-                center = (int(fields[1]), int(fields[2]))
-            continue
-        rows.append([float(v) for v in stripped.split()])
+    try:
+        for line in Path(path).read_text().splitlines():
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                fields = stripped[1:].split()
+                if len(fields) == 3 and fields[0] == "center":
+                    center = (int(fields[1]), int(fields[2]))
+                continue
+            rows.append([float(v) for v in stripped.split()])
+    except ValueError as exc:  # a weight or center index that is no number, or no text
+        raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no kernel rows found")
     widths = {len(r) for r in rows}

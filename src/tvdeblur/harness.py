@@ -50,13 +50,13 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
     return Psf(g, (c, c))
 
 
-def diagonal_motion_psf(length: int = 7, slant: float = 0.7, ramp: float = 0.35) -> Psf:
-    """Nonsymmetric motion-like kernel: a slanted streak with growing weight."""
+def diagonal_motion_psf(length: int = 7, slant: float = 0.7) -> Psf:
+    """Nonsymmetric motion-like kernel: a slanted streak, row k weighing 1 + 0.35 k."""
     if length < 2:
         raise DataError(f"length must be >= 2, got {length}")
     w = np.zeros((length, length))
     for k in range(length):
-        w[k, min(length - 1, int(round(k * slant)))] = 1.0 + ramp * k
+        w[k, min(length - 1, int(round(k * slant)))] = 1.0 + 0.35 * k
     w /= w.sum()
     return Psf(w, (length // 2, length // 2))
 
@@ -170,7 +170,11 @@ def parse_mode(mode: str):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One sweep specification over (mode, alpha) cells."""
+    """One sweep specification over (mode, alpha) cells.
+
+    ``params`` supplies the beta ladder and the stopping rule; each cell's
+    alpha replaces ``params.alpha``, so any positive placeholder will do.
+    """
 
     truth: np.ndarray
     psf: Psf
@@ -247,7 +251,7 @@ def _run_cell(args):
         restored, trace = restore(observed, psf, mode, cell_params)
         seconds = clock() - t0
         return (snr(restored, truth_fov), seconds, trace.total_inner_iterations, "", restored)
-    except (TvDeblurError, np.linalg.LinAlgError) as exc:
+    except TvDeblurError as exc:
         # a failed cell is recorded, the sweep continues; programming errors raise
         return (math.nan, clock() - t0, 0, f"{type(exc).__name__}: {exc}", None)
 
@@ -292,19 +296,11 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     return SweepResult(tuple(rows))
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def sweep_csv_text(result: SweepResult) -> str:
     lines = [CSV_HEADER]
     for r in result.rows:
         lines.append(",".join([
-            r.mode, _fmt(r.alpha), _fmt(r.snr_db), _fmt(r.seconds),
+            r.mode, repr(float(r.alpha)), repr(float(r.snr_db)), repr(float(r.seconds)),
             str(r.iterations), str(int(r.is_best)), str(int(r.is_reference)),
         ]))
     return "\n".join(lines) + "\n"

@@ -59,8 +59,6 @@ def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
         raise UnsupportedError(f"reflective padding {pads} exceeds image dims {u.shape}")
     if extension == "antireflective" and (max(pt, pb) >= rows or max(pl, pr) >= cols):
         raise UnsupportedError(f"antireflective padding {pads} must stay below image dims {u.shape}")
-    if max(pt, pb, pl, pr) == 0:
-        return u.copy()
     return np.pad(u, ((pt, pb), (pl, pr)), **_PAD_KW[extension])
 
 

@@ -32,9 +32,9 @@ def standard_kernels():
     ]
 
 
-def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS, seed: int = 0):
-    """Max-abs deviations keyed by (operator, bc), over the standard kernels."""
-    rng = np.random.default_rng(seed)
+def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
+    """Max-abs deviations keyed by (operator, bc), standard kernels on seed-0 images."""
+    rng = np.random.default_rng(0)
     u = rng.standard_normal((n, n))
     z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
     devs = {}

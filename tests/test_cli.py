@@ -6,8 +6,8 @@ import pytest
 
 from tvdeblur import builtin_truth
 from tvdeblur.cli import main
-from tvdeblur.fileio import read_image, write_image, write_psf_file
-from tvdeblur.harness import CSV_HEADER, diagonal_motion_psf
+from tvdeblur.fileio import read_image, write_image
+from tvdeblur.harness import CSV_HEADER
 
 
 @pytest.fixture
@@ -123,7 +123,8 @@ class TestDeblur:
 
     def test_nonsymmetric_with_trig_mode_suggests_enlarge(self, tmp_path, truth_file, capsys):
         psf_path = tmp_path / "motion.txt"
-        write_psf_file(psf_path, diagonal_motion_psf(5, 0.5))
+        psf_path.write_text("# center 2 2\n0.2 0 0 0 0\n0.2 0 0 0 0\n0 0.2 0 0 0\n"
+                            "0 0 0.2 0 0\n0 0 0.2 0 0\n")
         obs = tmp_path / "obs.f64"
         run(["simulate", "--truth", truth_file, "--psf", psf_path,
              "--sigma2", "0", "--out", obs])
@@ -181,6 +182,13 @@ class TestDeblur:
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "mirror",
                     "--alpha", "10", "--out", tmp_path / "r.f64"])
         assert code == 2
+
+    def test_bad_mode_is_reported_before_the_input_is_read(self, tmp_path, capsys):
+        code = run(["deblur", "--in", tmp_path / "missing.pgm",
+                    "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "mirror",
+                    "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 2
+        assert "'mirror'" in capsys.readouterr().err
 
     def test_singular_kernel_is_numerical_failure(self, tmp_path, observed_file):
         psf_path = tmp_path / "tiny.txt"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tvdeblur import DataError, Psf, gaussian_psf
+from tvdeblur import DataError, gaussian_psf
 from tvdeblur.fileio import (read_image, read_pgm, read_psf_file, read_raw,
-                             write_image, write_pgm, write_psf_file, write_raw)
+                             write_image, write_pgm, write_raw)
 
 
 class TestPgm:
@@ -15,12 +15,15 @@ class TestPgm:
         assert back.shape == img.shape
         assert np.abs(back - img).max() < 1e-12
 
-    def test_8bit_roundtrip(self, tmp_path):
-        img = np.linspace(0, 1, 24).reshape(4, 6)
+    def test_reads_8bit_p5(self, tmp_path):
         path = tmp_path / "a.pgm"
-        write_pgm(path, img, maxval=255)
-        back = read_pgm(path)
-        assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 51, 255, 102, 204, 1]))
+        assert np.array_equal(read_pgm(path) * 255, [[0, 51, 255], [102, 204, 1]])
+
+    def test_writes_16bit_p5(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        write_pgm(path, np.array([[0.0, 1.0], [0.5, 2.0]]))
+        assert path.read_bytes() == b"P5\n2 2\n65535\n\x00\x00\xff\xff\x80\x00\xff\xff"
 
     def test_values_clamped_on_write(self, tmp_path):
         img = np.array([[-0.5, 0.5], [1.5, 1.0]])
@@ -55,6 +58,18 @@ class TestPgm:
         path.write_text("P2\n2 2\n255\n0 -7 3.5 999\n")
         with pytest.raises(DataError, match="signed.pgm: P2 sample '-7'"):
             read_pgm(path)
+
+    def test_extra_ascii_samples_are_data_error(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_text("P2\n2 1\n255\n1 2 3 4 x\n")
+        with pytest.raises(DataError, match="long.pgm: expected 2 samples, got 5"):
+            read_pgm(path)
+
+    def test_bytes_after_a_binary_payload_are_allowed(self, tmp_path):
+        # a P5 stream may hold several images; the first is read
+        path = tmp_path / "stream.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n" + bytes([1, 2, 3, 4]))
+        assert np.array_equal(read_pgm(path) * 255, [[1, 2]])
 
     def test_non_numeric_ascii_sample_is_data_error(self, tmp_path):
         path = tmp_path / "letter.pgm"
@@ -104,12 +119,11 @@ class TestRaw:
 
 
 class TestPsfFiles:
-    def test_roundtrip_with_center(self, tmp_path):
-        psf = Psf(np.array([[0.5, 0.25], [0.125, 0.125]]), (1, 0))
+    def test_reads_declared_center(self, tmp_path):
         path = tmp_path / "k.txt"
-        write_psf_file(path, psf)
+        path.write_text("# center 1 0\n0.5 0.25\n# a comment\n\n0.125 0.125\n")
         back = read_psf_file(path)
-        assert np.array_equal(back.weights, psf.weights)
+        assert np.array_equal(back.weights, [[0.5, 0.25], [0.125, 0.125]])
         assert back.center == (1, 0)
 
     def test_default_center_is_middle(self, tmp_path):
@@ -127,4 +141,12 @@ class TestPsfFiles:
         path = tmp_path / "k.txt"
         path.write_text("1 2\n3\n")
         with pytest.raises(DataError):
+            read_psf_file(path)
+
+    @pytest.mark.parametrize("text, bad", [("1 2\n3 x\n", "'x'"), ("# center 1 q\n1 2\n3 4\n", "'q'")],
+                             ids=["weight", "center"])
+    def test_malformed_number_is_data_error_naming_the_file(self, tmp_path, text, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"bad.txt: .*{bad}"):
             read_psf_file(path)

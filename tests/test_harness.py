@@ -11,7 +11,7 @@ from tvdeblur import (DataError, Experiment, Psf, ShapeError, SolveParams,
                       apply_blur, builtin_truth, diagonal_motion_psf,
                       gaussian_psf, parse_mode, restore, simulate, snr, sweep,
                       sweep_csv_text)
-from tvdeblur.harness import CSV_HEADER
+from tvdeblur.harness import CSV_HEADER, SweepResult, SweepRow
 
 _TICKS = itertools.count()
 
@@ -273,3 +273,10 @@ class TestSweep:
         raw = snr(observed, fov.crop(small_experiment.truth))
         best = max(r.snr_db for r in result.rows if not r.failed)
         assert raw < best
+
+    def test_csv_writes_non_finite_scores_as_python_spells_them(self):
+        rows = tuple(SweepRow(mode="periodic", alpha=a, snr_db=s, seconds=0.0, iterations=3,
+                              is_best=False, is_reference=False)
+                     for a, s in ((1.0, math.nan), (2.0, math.inf), (3.0, -math.inf), (4.0, 12.5)))
+        body = sweep_csv_text(SweepResult(rows)).splitlines()[1:]
+        assert [line.split(",")[2] for line in body] == ["nan", "inf", "-inf", "12.5"]

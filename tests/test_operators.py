@@ -22,6 +22,12 @@ class TestExtendCrop:
         f = rng.standard_normal((5, 7))
         assert np.array_equal(extend(f, ((0, 0), (0, 0)), "periodic"), f)
 
+    @pytest.mark.parametrize("ext", BCS)
+    def test_pad_zero_returns_a_fresh_copy(self, rng, ext):
+        f = rng.standard_normal((5, 7))
+        out = extend(f, ((0, 0), (0, 0)), ext)
+        assert np.array_equal(out, f) and not np.shares_memory(out, f)
+
     def test_constant_reflective_stays_constant(self):
         f = np.full((4, 4), 0.6)
         assert np.allclose(extend(f, ((3, 3), (2, 2)), "reflective"), 0.6)
