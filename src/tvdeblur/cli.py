@@ -128,8 +128,8 @@ def build_parser() -> _Parser:
 def cmd_simulate(args) -> int:
     fileio._image_format(args.out)  # reject the output suffix before any work
     _require_directory(args.out)  # the metadata goes next to it
-    truth = fileio.read_image(args.truth)
     psf = parse_psf_spec(args.psf)
+    truth = fileio.read_image(args.truth)
     observed, fov = simulate(truth, psf, args.sigma2, args.seed)
     fileio.write_image(args.out, observed)
     meta = {
@@ -194,15 +194,17 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     _require_directory(args.out)
-    truth = fileio.read_image(args.truth)
     psf = parse_psf_spec(args.psf)
     modes = tuple(m.strip() for m in args.modes.split(","))
+    for mode in modes:
+        parse_mode(mode)
     alphas = _parse_floats(args.alphas) if args.alphas else tuple(np.logspace(1, 7, 12))
     if args.reference_alpha:
         if args.sigma2 <= 0:
             raise _UsageError("--reference-alpha needs sigma2 > 0")
         alphas = alphas + (0.05 / args.sigma2,)
     params = _solve_params(args, alphas[0])
+    truth = fileio.read_image(args.truth)
     exp = Experiment(truth=truth, psf=psf, sigma2=args.sigma2, modes=modes,
                      alphas=alphas, params=params, seed=args.seed)
     for dirname in (args.save_restorations, args.save_cells):

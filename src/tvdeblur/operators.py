@@ -180,7 +180,8 @@ def apply_correlation(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
 
     Equals the transpose of :func:`apply_blur` for zero and periodic models;
     for reflective/antireflective it is the reblurred companion used in the
-    restoration system.
+    restoration system. The solver takes ``H'f`` from it through
+    :meth:`~tvdeblur.transforms.SystemPlanner.prepare`.
     """
     return apply_blur(u, psf.flipped(), bc)
 

@@ -49,12 +49,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import (adjoint_gradient, apply_correlation, crop, differences, extend,
-                        transpose_adjoint_gradient)
-from .transforms import SpectralPlan, SystemPlanner, _l2, fidelity_target, solve_and_blur
+from .operators import adjoint_gradient, crop, differences, extend, transpose_adjoint_gradient
+from .transforms import SystemPlanner, _l2, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .energy import energy  # noqa: F401
-from .operators import gradient  # noqa: F401
+from .operators import apply_correlation, gradient  # noqa: F401
 from .transforms import solve_system  # noqa: F401
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
@@ -127,22 +126,6 @@ def _shrink_and_objective(u, fit, bc, alpha, beta):
     return z1, z2, report, t1 - t0, time.perf_counter() - t1
 
 
-def u_step(plan: SpectralPlan, corr_f: np.ndarray, z, target: np.ndarray, start=None):
-    """Solve (H'H + ratio D'D) u = H'f + ratio D'z in the plan's basis.
-
-    ``corr_f`` is the correlated data H'f under the plan's boundary model;
-    ``ratio`` (beta / alpha) and the model are read from the plan. ``z`` is
-    a GradientField or a plain pair ``(z1, z2)``. ``target`` is f as
-    :func:`~tvdeblur.transforms.fidelity_target` prepares it, and ``start``
-    the zero model's CG start. Returns ``u``, its fidelity
-    ``||H u - f||^2`` and the zero model's CG numerics (see
-    :func:`~tvdeblur.transforms.solve_and_blur`).
-    """
-    # Reflective uses the exact transpose pairing (see module docstring).
-    divergence = transpose_adjoint_gradient if plan.bc == "reflective" else adjoint_gradient
-    return solve_and_blur(plan, corr_f + plan.ratio * divergence(z, plan.bc), target, start)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """One inner iteration: the objective at (u^k, z^k), then the step taken.
@@ -192,9 +175,10 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     f = as_image(f, "observed image")
     alpha = params.alpha
     planner = SystemPlanner(psf, f.shape, bc)
-    corr_f = apply_correlation(f, psf, bc)
+    corr_f, target, fit = planner.prepare(f)  # later fits come with each image update
+    # Reflective uses the exact transpose pairing (see module docstring).
+    divergence = transpose_adjoint_gradient if bc == "reflective" else adjoint_gradient
     u = f.copy()
-    target, fit = fidelity_target(planner, f)  # later fits come with each image update
     records = []
     violations = []
     start = time.perf_counter()
@@ -211,7 +195,8 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             t0 = time.perf_counter()
-            u_new, fit, cg = u_step(plan, corr_f, (z1, z2), target, u)
+            u_new, fit, cg = solve_and_blur(
+                plan, corr_f + plan.ratio * divergence((z1, z2), bc), target, u)
             update_s = time.perf_counter() - t0
             if not np.isfinite(u_new).all():
                 raise ConvergenceError(

@@ -54,7 +54,7 @@ its fidelity ``||H u - f||^2``, which the objective needs. For periodic
 plans, and reflective ones whose kernel is odd and symmetric about its
 center sample, the fidelity comes from the solution's own coefficients by
 Parseval: the kernel's symbol times the coefficients, minus the transform
-of ``f`` (:func:`fidelity_target`, taken once per solve), summed in the
+of ``f`` (:meth:`SystemPlanner.prepare`, taken once per solve), summed in the
 transform domain, so the update makes one forward and one inverse
 transform. Otherwise ``H u`` is the plan's ``blur``, built once per planner:
 the kernel's FFT product for zero, and for antireflective and even-extent
@@ -80,10 +80,10 @@ from scipy import fft as _fft
 from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, check_boundary_model
-from .operators import (differences, fft_convolver, stencil_convolver,
+from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
                         transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
-from .operators import apply_blur, apply_correlation, apply_stencil, gradient  # noqa: F401
+from .operators import apply_blur, apply_stencil, gradient  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -187,7 +187,7 @@ class SystemPlanner:
         self.shape = (int(shape[0]), int(shape[1]))
         if min(self.shape) < 2:
             raise ShapeError(f"image dims must be at least 2x2, got {self.shape}")
-        self.bc = bc
+        self.bc, self._psf = bc, psf
         if bc in ("reflective", "antireflective") and not psf.quadrantally_symmetric:
             raise SymmetryError(
                 f"{bc} restoration requires a quadrantally symmetric kernel; "
@@ -255,6 +255,18 @@ class SystemPlanner:
         return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
                             blur=self._blur)
+
+    def prepare(self, f: np.ndarray):
+        """The data every solve with these plans shares: ``H'f`` (from
+        :func:`~tvdeblur.operators.apply_correlation`), ``f`` as
+        :func:`solve_and_blur` compares ``H u`` with it (in the transform
+        basis when the plans carry a blur symbol), and the fidelity
+        ``||H f - f||^2`` of ``f`` itself, taken the same way."""
+        corr_f = apply_correlation(f, self._psf, self.bc)
+        if self._blur_symbol is None:
+            return corr_f, f, float(np.sum((self._blur(f) - f) ** 2))
+        target = _analyze(self.bc, f)
+        return corr_f, target, _squared_norm(self, self._blur_symbol * target - target)
 
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
@@ -390,19 +402,9 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
     return _transform_solve(plan, rhs)[0]
 
 
-def fidelity_target(planner: SystemPlanner, f: np.ndarray):
-    """``f`` as :func:`solve_and_blur` compares ``H u`` with it, for every plan
-    of the planner (in their transform basis when they carry a blur symbol),
-    and the fidelity ``||H f - f||^2`` of ``f`` itself, taken the same way."""
-    if planner._blur_symbol is None:
-        return f, float(np.sum((planner._blur(f) - f) ** 2))
-    target = _analyze(planner.bc, f)
-    return target, _squared_norm(planner, planner._blur_symbol * target - target)
-
-
 def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, start=None):
     """``solve_system(plan, rhs)``, the fidelity ``||H u - f||^2`` of its
-    solution for the ``target`` that :func:`fidelity_target` made of ``f``,
+    solution for the ``target`` that :meth:`SystemPlanner.prepare` made of ``f``,
     and the zero model's CG ``(iterations, relative residual)``, else ``None``.
 
     With a blur symbol (periodic, reflective with an odd centered kernel)

@@ -59,6 +59,13 @@ class TestSimulate:
                     "gaussian:hsize=3", "--sigma2", "0", "--out", tmp_path / "o.f64"])
         assert code == 1
 
+    def test_bad_psf_spec_is_reported_before_the_truth_is_read(self, tmp_path, capsys):
+        code = run(["simulate", "--truth", tmp_path / "missing.pgm",
+                    "--psf", "gaussian:hsize=0,delta=1", "--sigma2", "0",
+                    "--out", tmp_path / "o.f64"])
+        assert code == 1
+        assert "missing.pgm" not in capsys.readouterr().err
+
     def test_nan_noise_variance_is_data_error(self, tmp_path, truth_file):
         out = tmp_path / "obs.f64"
         assert run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta=1",
@@ -279,6 +286,20 @@ class TestSweep:
                     "--no-timing", "--jobs", jobs, "--out", out]) == 1
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    # each rejected argument is named, not the truth file that is never read
+    @pytest.mark.parametrize("extra, code, message", [
+        (["--modes", "mirror"], 2, "'mirror'"),
+        (["--modes", "periodic", "--beta-ladder", "4,2"], 2, "strictly increasing"),
+        (["--modes", "periodic", "--sigma2", "-1", "--reference-alpha"], 1,
+         "--reference-alpha needs sigma2 > 0")], ids=["mode", "beta-ladder", "reference-alpha"])
+    def test_bad_arguments_are_reported_before_the_truth_is_read(self, tmp_path, capsys,
+                                                                 extra, code, message):
+        assert run(["sweep", "--truth", tmp_path / "missing.pgm",
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--out", tmp_path / "s.csv"] + extra) == code
+        err = capsys.readouterr().err
+        assert message in err and "missing.pgm" not in err
 
     def test_reference_alpha_row(self, tmp_path, truth_file):
         out = tmp_path / "ref.csv"

@@ -7,10 +7,11 @@ from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, S
                       SymmetryError, apply_blur, apply_correlation, builtin_truth, energy,
                       extend, gaussian_psf, gradient, shrink, simulate, snr, solve,
                       solve_enlarged)
-from tvdeblur import dense
+from tvdeblur import dense, solver
 from tvdeblur.grid import DEFAULT_BETA_LADDER
-from tvdeblur.solver import _soft_threshold, u_step
-from tvdeblur.transforms import SystemPlanner, fidelity_target
+from tvdeblur.operators import adjoint_gradient, transpose_adjoint_gradient
+from tvdeblur.solver import _soft_threshold
+from tvdeblur.transforms import SystemPlanner, solve_and_blur
 
 
 class TestShrink:
@@ -84,6 +85,12 @@ class TestShrink:
             assert got.tobytes() == ref.tobytes()
 
 
+def _update_rhs(plan, f, psf, z):
+    """H'f + ratio D'z, with the divergence :func:`solve` pairs with the model."""
+    divergence = transpose_adjoint_gradient if plan.bc == "reflective" else adjoint_gradient
+    return apply_correlation(f, psf, plan.bc) + plan.ratio * divergence(z, plan.bc)
+
+
 class TestUStep:
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective"])
     def test_exact_gradient_of_data_is_fixed_point(self, rng, bc):
@@ -91,23 +98,32 @@ class TestUStep:
         f = rng.standard_normal((10, 10))
         z = gradient(f, bc)
         planner = SystemPlanner(Psf.delta(), f.shape, bc)
-        u, fit, _ = u_step(planner.plan(8.0 / 2.0), apply_correlation(f, Psf.delta(), bc), z,
-                           fidelity_target(planner, f)[0])
+        plan = planner.plan(8.0 / 2.0)
+        u, fit, _ = solve_and_blur(plan, _update_rhs(plan, f, Psf.delta(), z),
+                                   planner.prepare(f)[1])
         assert np.abs(u - f).max() < 1e-10
         # ||H u - f||^2 with H u = u: every pixel within 1e-10 of f
         assert fit < f.size * 1e-20
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
-    def test_matches_dense_solve(self, rng, bc):
+    def test_matches_dense_solve(self, monkeypatch, rng, bc):
+        # one rung of one iteration from u = f: z = shrink(grad f), then the
+        # update with the divergence solve pairs with the model
         n, alpha, beta = 10, 2.0, 6.0
         psf = gaussian_psf(3, 1.0)
         f = rng.standard_normal((n, n))
-        z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        planner = SystemPlanner(psf, (n, n), bc)
-        u, fit, _ = u_step(planner.plan(beta / alpha), apply_correlation(f, psf, bc), z,
-                           fidelity_target(planner, f)[0])
+        step, fits = solver.solve_and_blur, []
+
+        def recorded(*args):
+            out = step(*args)
+            fits.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "solve_and_blur", recorded)
+        u, _ = solve(f, psf, bc, SolveParams(alpha=alpha, beta_ladder=(beta,), inner_max=1))
         expected_fit = np.sum((apply_blur(u, psf, bc) - f) ** 2)
-        assert abs(fit - expected_fit) <= 1e-12 * expected_fit
+        assert abs(fits[0] - expected_fit) <= 1e-12 * expected_fit
+        z = shrink(gradient(f, bc), beta)
         system = dense.build_system(psf, n, bc, beta / alpha)
         corr = dense.build_correlation(psf, n, bc)
         if bc == "reflective":
@@ -125,9 +141,9 @@ class TestUStep:
         f = rng.standard_normal((12, 12))
         z = GradientField(rng.standard_normal((12, 12)), rng.standard_normal((12, 12)))
         planner = SystemPlanner(Psf.delta(), f.shape, "periodic")
-        u, _, _ = u_step(planner.plan(128.0 / 1e12),
-                         apply_correlation(f, Psf.delta(), "periodic"), z,
-                         fidelity_target(planner, f)[0])
+        plan = planner.plan(128.0 / 1e12)
+        u, _, _ = solve_and_blur(plan, _update_rhs(plan, f, Psf.delta(), z),
+                                 planner.prepare(f)[1])
         assert np.abs(u - f).max() < 1e-4
 
 
@@ -262,7 +278,6 @@ class TestFusedLoop:
 
     @pytest.mark.parametrize("kernel, mode, shape", CASES)
     def test_trace_energies_match_energy_at_each_iterate(self, monkeypatch, kernel, mode, shape):
-        from tvdeblur import solver
         psf = self.KERNELS[kernel]
         truth = (builtin_truth("cartoon", 30, 27) if shape is None else
                  builtin_truth("cartoon", shape[0] + 2 * (psf.rows - 1),

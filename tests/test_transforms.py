@@ -6,13 +6,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      UnsupportedError, apply_blur, builtin_truth, diagonal_motion_psf,
-                      gaussian_psf, simulate, solve, solve_enlarged)
+                      UnsupportedError, apply_blur, apply_correlation, builtin_truth,
+                      diagonal_motion_psf, gaussian_psf, simulate, solve, solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.operators import apply_stencil
 from tvdeblur.transforms import (EIG_FLOOR, SystemPlanner, _antireflective, _fft, _solve_zero,
-                                 _squared_norm, fidelity_target, solve_and_blur, solve_system)
+                                 _squared_norm, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -360,7 +360,7 @@ class TestSolveAndBlur:
         rhs, f = rng.standard_normal((2, 14, 11))
         planner = SystemPlanner(psf, rhs.shape, bc)
         plan = planner.plan(0.7)
-        u, fit, cg = solve_and_blur(plan, rhs, fidelity_target(planner, f)[0])
+        u, fit, cg = solve_and_blur(plan, rhs, planner.prepare(f)[1])
         assert u.tobytes() == solve_system(plan, rhs).tobytes()
         expected = np.sum((apply_blur(u, psf, bc) - f) ** 2)
         assert abs(fit - expected) <= 1e-12 * expected
@@ -370,9 +370,17 @@ class TestSolveAndBlur:
     def test_fidelity_of_the_data_itself(self, rng, kernel, bc):
         psf = self.KERNELS[kernel]
         f = rng.standard_normal((14, 11))
-        _, fit = fidelity_target(SystemPlanner(psf, f.shape, bc), f)
+        _, fit = SystemPlanner(psf, f.shape, bc).prepare(f)[1:]
         expected = np.sum((apply_blur(f, psf, bc) - f) ** 2)
         assert abs(fit - expected) <= 1e-12 * expected
+
+    # a 36-tap kernel takes apply_correlation's FFT convolver
+    @pytest.mark.parametrize("kernel, bc", CASES + [("6x6", bc) for bc in BCS])
+    def test_prepared_correlation_is_apply_correlation(self, rng, kernel, bc):
+        psf = {**self.KERNELS, "6x6": gaussian_psf(6, 1.5)}[kernel]
+        f = rng.standard_normal((14, 11))
+        corr_f = SystemPlanner(psf, f.shape, bc).prepare(f)[0]
+        assert corr_f.tobytes() == apply_correlation(f, psf, bc).tobytes()
 
     @pytest.mark.parametrize("kernel, symbol", [("3x3", True), ("7x7", True), ("4x4", False)])
     def test_reflective_blur_is_a_dct_symbol_only_for_odd_kernels(self, kernel, symbol):
@@ -386,7 +394,7 @@ class TestSolveAndBlur:
         planner = SystemPlanner(psf, rhs.shape, "reflective")
         plan = planner.plan(0.7)
         assert plan.blur_symbol is None
-        u, fit, _ = solve_and_blur(plan, rhs, fidelity_target(planner, f)[0])
+        u, fit, _ = solve_and_blur(plan, rhs, planner.prepare(f)[1])
         expected = np.sum((apply_blur(u, psf, "reflective") - f) ** 2)
         assert abs(fit - expected) <= 1e-12 * expected
 
