@@ -25,10 +25,12 @@ The zero model's CG products come from :func:`fft_convolver` for every
 kernel. The package takes only ``scipy.fft`` from SciPy.
 The system stencil (the kernel's autocorrelation plus ``ratio`` times the
 five-point Laplacian) is never built here: the transform plans sample its
-symbol from the kernel alone. :func:`differences` is the unvalidated,
-plain-array form of :func:`gradient`, and both divergences accept a plain
-pair ``(z1, z2)``, for the solver's inner loop. All functions are pure and
-safe for concurrent use.
+symbol from the kernel alone. :func:`differences` and :func:`divergence` are
+the unvalidated, plain-array forms of :func:`gradient` and of both
+divergences, for the solver's inner loop; they write into buffers the
+caller gives, and the validated functions call them on fresh arrays. All
+functions are safe for concurrent use, and only these two write into an
+array they did not make.
 """
 
 from __future__ import annotations
@@ -198,15 +200,19 @@ def gradient(u: np.ndarray, bc: str) -> GradientField:
     return GradientField(*differences(u, bc))
 
 
-def differences(u: np.ndarray, bc: str):
-    """The components ``(z1, z2)`` of :func:`gradient` as plain arrays.
+def differences(u: np.ndarray, bc: str, out=None):
+    """The components ``(z1, z2)`` of :func:`gradient` as plain arrays,
+    written into the pair ``out`` of C-contiguous arrays when given, else
+    into fresh arrays.
 
     No validation: for loops that already hold a checked image.
     """
-    z1 = np.empty_like(u)
-    z2 = np.empty_like(u)
-    z1[:, :-1] = u[:, 1:] - u[:, :-1]
-    z2[:-1, :] = u[1:, :] - u[:-1, :]
+    z1, z2 = (np.empty(u.shape), np.empty(u.shape)) if out is None else out
+    # the row differences as one pass over the flattened image: the one
+    # that spans two rows lands in the last column, which the rule sets
+    flat = u.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=z1.reshape(-1)[:-1])
+    np.subtract(u[1:, :], u[:-1, :], out=z2[:-1, :])
     if bc == "zero":
         z1[:, -1] = -u[:, -1]
         z2[-1, :] = -u[-1, :]
@@ -233,24 +239,7 @@ def adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
     :class:`GradientField` or a plain pair ``(z1, z2)``.
     """
     check_boundary_model(bc)
-    z1, z2 = z
-    o1 = np.empty_like(z1)
-    o2 = np.empty_like(z2)
-    o1[:, 1:] = z1[:, :-1] - z1[:, 1:]
-    o2[1:, :] = z2[:-1, :] - z2[1:, :]
-    if bc == "zero":
-        o1[:, 0] = -z1[:, 0]
-        o2[0, :] = -z2[0, :]
-    elif bc == "periodic":
-        o1[:, 0] = z1[:, -1] - z1[:, 0]
-        o2[0, :] = z2[-1, :] - z2[0, :]
-    elif bc == "reflective":
-        o1[:, 0] = 0.0
-        o2[0, :] = 0.0
-    else:  # antireflective: ghost z(-1) = 2 z(0) - z(1)
-        o1[:, 0] = z1[:, 0] - z1[:, 1]
-        o2[0, :] = z2[0, :] - z2[1, :]
-    return o1 + o2
+    return divergence(*z, bc, transpose=False)
 
 
 def transpose_adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
@@ -262,14 +251,38 @@ def transpose_adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
     ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``.
     """
     check_boundary_model(bc)
-    z1, z2 = z
-    o1 = np.empty_like(z1)
-    o2 = np.empty_like(z2)
-    o1[:, 1:] = z1[:, :-1] - z1[:, 1:]
-    o2[1:, :] = z2[:-1, :] - z2[1:, :]
-    o1[:, 0] = -z1[:, 0]
-    o2[0, :] = -z2[0, :]
-    if bc == "periodic":
+    return divergence(*z, bc, transpose=True)
+
+
+def divergence(z1: np.ndarray, z2: np.ndarray, bc: str, transpose: bool, out=None):
+    """:func:`transpose_adjoint_gradient` (``transpose``) or
+    :func:`adjoint_gradient` of the plain pair ``(z1, z2)``.
+
+    The two components' terms go into the pair ``out`` of C-contiguous
+    arrays when given, else into fresh arrays, and their sum into
+    ``out[0]``, which is returned. The inputs are only read. No validation:
+    for loops that already hold a checked field.
+    """
+    o1, o2 = (np.empty(z1.shape), np.empty(z2.shape)) if out is None else out
+    # as in differences: the flattened pass's difference that spans two
+    # rows lands in the first column, which every pairing sets
+    flat = z1.reshape(-1)
+    np.subtract(flat[:-1], flat[1:], out=o1.reshape(-1)[1:])
+    np.subtract(z2[:-1, :], z2[1:, :], out=o2[1:, :])
+    if transpose or bc == "zero":
+        o1[:, 0] = -z1[:, 0]
+        o2[0, :] = -z2[0, :]
+    if not transpose:
+        if bc == "periodic":
+            o1[:, 0] = z1[:, -1] - z1[:, 0]
+            o2[0, :] = z2[-1, :] - z2[0, :]
+        elif bc == "reflective":
+            o1[:, 0] = 0.0
+            o2[0, :] = 0.0
+        elif bc == "antireflective":  # ghost z(-1) = 2 z(0) - z(1)
+            o1[:, 0] = z1[:, 0] - z1[:, 1]
+            o2[0, :] = z2[0, :] - z2[1, :]
+    elif bc == "periodic":
         o1[:, 0] += z1[:, -1]
         o2[0, :] += z2[-1, :]
     elif bc == "reflective":
@@ -280,4 +293,5 @@ def transpose_adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
         o1[:, -1] += 2.0 * z1[:, -1]
         o2[-2, :] -= z2[-1, :]
         o2[-1, :] += 2.0 * z2[-1, :]
-    return o1 + o2
+    o1 += o2
+    return o1

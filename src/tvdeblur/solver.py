@@ -21,17 +21,26 @@ rows), as can even-extent kernels under the reflective model, whose
 half-sample center offset leaves the transform solve a boundary-row
 approximation of the literal normal equations.
 
-The inner loop works on plain arrays and computes each quantity once. An
-iteration takes the gradient of ``u`` once; the shrinkage returns ``z`` and
-the shrunk magnitudes ``max(|grad u| - 1/beta, 0)``, whose sum is the TV
-term; the coupling is taken from ``z - grad u`` as :func:`energy` takes it;
-and the fidelity term is the ``||H u - f||^2`` that the image update
-returned with ``u`` (see :func:`~tvdeblur.transforms.solve_and_blur`), so
-the objective costs no transform of its own. The zero model's CG starts
-from the current iterate. The trace's energies equal
-:func:`energy`'s to rounding, and the restoration does not depend on them.
-Each trace record carries the seconds of the shrinkage, the objective and
-the image update.
+The inner loop works on plain arrays and computes each quantity once, in
+one workspace per solve: five image-shaped buffers, written in place. They
+hold the gradient pair (which the shrinkage overwrites with ``z``),
+``|grad u|``, the shrunk magnitudes and the right-hand side. An iteration
+takes the gradient of ``u`` once. The shrunk magnitudes
+``max(|grad u| - 1/beta, 0)`` sum to the TV term. The coupling is
+``0.5 beta sum min(|grad u|, 1/beta)^2``, since ``|z - grad u|`` is the
+threshold where the shrinkage is active and ``|grad u|`` where it is not.
+That reorders :func:`energy`'s sum over ``z - grad u``: the two agree to
+rounding, and the loop's stays exact where ``beta |grad u|`` is so large
+that ``z - grad u`` cancels. The fidelity term is the ``||H u - f||^2``
+that the image update returned with ``u`` (see
+:func:`~tvdeblur.transforms.solve_and_blur`), so the objective costs no
+transform of its own. The right-hand side is the divergence of ``z``, times
+the ratio, plus ``H'f``. The step norm and ``||u||^2`` are one pass each,
+and finiteness is read from the step norm: only when that is not finite
+does the loop check the iterate itself. The zero model's CG starts from the
+current iterate. The trace's energies equal :func:`energy`'s to rounding,
+and the restoration does not depend on them. Each trace record carries the
+seconds of the shrinkage, the objective and the image update.
 
 :func:`solve` validates the observed image; its planner checks the boundary
 model and the kernel's symmetry before any work starts. Nonsymmetric
@@ -42,6 +51,7 @@ and crops the interior back out with :func:`crop`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,11 +59,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import adjoint_gradient, crop, differences, extend, transpose_adjoint_gradient
-from .transforms import SystemPlanner, _l2, solve_and_blur
+from .operators import crop, differences, divergence, extend
+from .transforms import SystemPlanner, _sum_of_squares, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .energy import energy  # noqa: F401
-from .operators import apply_correlation, gradient  # noqa: F401
+from .operators import adjoint_gradient, apply_correlation, gradient  # noqa: F401
+from .operators import transpose_adjoint_gradient  # noqa: F401
 from .transforms import solve_system  # noqa: F401
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
@@ -75,55 +86,62 @@ def shrink(g: GradientField, beta: float) -> GradientField:
     return GradientField(z1, z2)
 
 
-def _soft_threshold(g1: np.ndarray, g2: np.ndarray, beta: float):
+def _soft_threshold(g1: np.ndarray, g2: np.ndarray, beta: float, out=None):
     """:func:`shrink` on plain arrays: ``z1``, ``z2`` and ``max(|g| - 1/beta, 0)``.
 
-    One pass over two buffers: ``|g|`` is the root of the sum of squares,
-    and the divisor is floored at ``ZERO_MAGNITUDE``, where the shrunk
-    magnitude is already 0. Where a square overflows (``|g|`` above about
-    1e154), or the threshold is so small that squares underflowing to 0
-    would matter, ``|g|`` comes from ``np.hypot`` instead.
+    ``out`` holds five arrays of the gradient's shape, fresh ones when
+    ``None``: ``z1`` and ``z2`` (which may be ``g1`` and ``g2`` themselves),
+    ``|g|``, the shrunk magnitude and the scale ``|z| / |g|``; ``|g|`` is
+    left in its buffer for the caller. ``|g|`` is the root of the sum of
+    squares, and the divisor is floored at ``ZERO_MAGNITUDE``, where the
+    shrunk magnitude is already 0. Where a square overflows (``|g|`` above
+    about 1e154), or the threshold is so small that squares underflowing to
+    0 would matter, ``|g|`` comes from ``np.hypot`` instead.
     """
+    z1, z2, mag, shrunk, scale = (np.empty_like(g1) for _ in range(5)) if out is None else out
     with np.errstate(over="ignore", under="ignore"):
-        scale = np.multiply(g1, g1)
-        shrunk = np.multiply(g2, g2)
-        scale += shrunk
-    if np.isfinite(scale.max()) and beta < 1e150:
-        np.sqrt(scale, out=scale)
+        np.multiply(g1, g1, out=mag)
+        np.multiply(g2, g2, out=shrunk)
+        mag += shrunk
+    if np.isfinite(mag.max()) and beta < 1e150:
+        np.sqrt(mag, out=mag)
     else:
-        np.hypot(g1, g2, out=scale)
-    np.subtract(scale, 1.0 / beta, out=shrunk)
+        np.hypot(g1, g2, out=mag)
+    np.subtract(mag, 1.0 / beta, out=shrunk)
     np.maximum(shrunk, 0.0, out=shrunk)
-    np.maximum(scale, ZERO_MAGNITUDE, out=scale)
+    np.maximum(mag, ZERO_MAGNITUDE, out=scale)
     np.divide(shrunk, scale, out=scale)
-    return g1 * scale, g2 * scale, shrunk
+    np.multiply(g1, scale, out=z1)
+    np.multiply(g2, scale, out=z2)
+    return z1, z2, shrunk
 
 
-def _shrink_and_objective(u, fit, bc, alpha, beta):
+def _shrink_and_objective(u, fit, bc, alpha, beta, work):
     """z = shrink(grad u), and the objective at (u, z) from what that step
     computed: ``fit`` is ``||H u - f||^2``, kept from the image update that
     produced u.
 
-    Returns z1, z2, the EnergyReport and the seconds of the two phases. The
-    terms are those of :func:`energy`: the coupling to the bit, fidelity and
-    TV to rounding. The gradient and magnitudes die on return, before the
-    image update allocates its own.
+    ``work`` is the solve's five image-shaped buffers: z lands in the first
+    two, and all five are scratch afterwards. Returns the EnergyReport and
+    the seconds of the two phases. The terms are those of :func:`energy` to
+    rounding. The coupling is ``0.5 beta sum min(|grad u|, 1/beta)^2``:
+    ``|z - grad u|`` is the threshold where the shrinkage is active and
+    ``|grad u|`` where it is not. So ``z - grad u`` is never formed, and the
+    coupling stays exact where ``beta |grad u|`` is so large that it would
+    cancel.
     """
     t0 = time.perf_counter()
-    g1, g2 = differences(u, bc)
-    z1, z2, shrunk = _soft_threshold(g1, g2, beta)
+    g1, g2, mag, shrunk, _ = work
+    differences(u, bc, (g1, g2))
+    _soft_threshold(g1, g2, beta, work)
     t1 = time.perf_counter()
     tv_z = float(np.sum(shrunk))
-    del shrunk
     fidelity = 0.5 * alpha * fit
-    # squares of z - grad u, in the gradient's buffers
-    for d, z in ((g1, z1), (g2, z2)):
-        np.subtract(z, d, out=d)
-        d *= d
-    coupling = 0.5 * beta * float(np.sum(g1) + np.sum(g2))
+    np.minimum(mag, 1.0 / beta, out=mag)
+    coupling = 0.5 * beta * _sum_of_squares(mag)
     report = EnergyReport(fidelity=fidelity, tv_z=tv_z, coupling=coupling,
                           total=fidelity + tv_z + coupling)
-    return z1, z2, report, t1 - t0, time.perf_counter() - t1
+    return report, t1 - t0, time.perf_counter() - t1
 
 
 @dataclass(frozen=True)
@@ -177,7 +195,10 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f, target, fit = planner.prepare(f)  # later fits come with each image update
     # Reflective uses the exact transpose pairing (see module docstring).
-    divergence = transpose_adjoint_gradient if bc == "reflective" else adjoint_gradient
+    transpose = bc == "reflective"
+    # the gradient pair (then z), |g|, the shrunk magnitude, the right-hand side
+    work = np.empty((5,) + f.shape)
+    z1, z2, mag, _, rhs = work
     u = f.copy()
     records = []
     violations = []
@@ -186,8 +207,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
         plan = planner.plan(beta / alpha)
         previous_total = None
         for it in range(params.inner_max):
-            z1, z2, report, shrink_s, objective_s = _shrink_and_objective(
-                u, fit, bc, alpha, beta)
+            report, shrink_s, objective_s = _shrink_and_objective(u, fit, bc, alpha, beta, work)
             if previous_total is not None:
                 rise = report.total - previous_total
                 if rise > MONOTONE_SLACK * max(abs(previous_total), ZERO_MAGNITUDE):
@@ -195,14 +215,18 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             t0 = time.perf_counter()
-            u_new, fit, cg = solve_and_blur(
-                plan, corr_f + plan.ratio * divergence((z1, z2), bc), target, u)
+            divergence(z1, z2, bc, transpose, (rhs, mag))
+            rhs *= plan.ratio
+            rhs += corr_f
+            u_new, fit, cg = solve_and_blur(plan, rhs, target, u)
             update_s = time.perf_counter() - t0
-            if not np.isfinite(u_new).all():
+            step = _sum_of_squares(np.subtract(u_new, u, out=mag))
+            # a finite iterate has a finite step unless its square overflows
+            if not math.isfinite(step) and not np.isfinite(u_new).all():
                 raise ConvergenceError(
                     f"non-finite iterate at beta={beta:g}, inner iteration {it}")
-            norm_u = _l2(u)
-            rel = _l2(u_new - u) / (norm_u if norm_u > 0 else 1.0)
+            norm_u = math.sqrt(_sum_of_squares(u))
+            rel = math.sqrt(step) / (norm_u if norm_u > 0 else 1.0)
             cg_iterations, cg_residual = cg or (None, None)
             records.append(TraceRecord(beta, it, report, rel, time.perf_counter() - start,
                                        cg_iterations, cg_residual,

@@ -26,7 +26,8 @@ where the composite operator is, per boundary model, diagonalized by:
   circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u``
   plus ``ratio * D'D u``: H is the kernel's product from
   :func:`~tvdeblur.operators.fft_convolver`, H' the flipped kernel's, both
-  built once per planner, each a real-FFT pair on a grid of at least
+  built once per planner and kept on its plans as ``blur`` and
+  ``correlate``, each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
   model's ghosts.
   The loop takes its norms and dot products as NumPy sums, never through
@@ -56,10 +57,13 @@ center sample, the fidelity comes from the solution's own coefficients by
 Parseval: the kernel's symbol times the coefficients, minus the transform
 of ``f`` (:meth:`SystemPlanner.prepare`, taken once per solve), summed in the
 transform domain, so the update makes one forward and one inverse
-transform. Otherwise ``H u`` is the plan's ``blur``, built once per planner:
-the kernel's FFT product for zero, and for antireflective and even-extent
-reflective kernels a stencil convolver; the first iterate's fidelity comes
-the same way; this module makes no convolution of its own.
+transform. The zero model's ``H u`` is the product its CG's final residual
+check made, so the update makes no blur of its own. Otherwise ``H u`` is the
+plan's ``blur``, a stencil convolver built once per planner, for
+antireflective and even-extent reflective kernels; the first iterate's
+fidelity comes the same way; this module makes no convolution of its own.
+Every fidelity and squared norm the loop reads is one pass, a
+non-optimized ``einsum`` (:func:`_sum_of_squares`).
 :func:`solve_system` of every model but zero, the update and the CG
 preconditioner share one analyze, divide and synthesize step.
 
@@ -126,6 +130,13 @@ def _l2(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
+def _sum_of_squares(x: np.ndarray) -> float:
+    """The sum of the squares of a 2-D array's entries, in one pass and
+    without a temporary: a non-optimized ``einsum`` loop, not a BLAS dot.
+    Silent on overflow, which gives ``inf``."""
+    return float(np.einsum("ij,ij->", x, x))
+
+
 def _clamp(values):
     """Raise eigenvalues below EIG_FLOOR to it; report the count and the minimum."""
     return (np.maximum(values, EIG_FLOOR), int(np.count_nonzero(values < EIG_FLOOR)),
@@ -169,8 +180,9 @@ class SpectralPlan:
     # kernel), else a callable u -> H u
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
-    # zero: u -> H'H u, and the fast-transform plan that preconditions the CG
-    normal: Callable | None = field(default=None, repr=False)
+    # zero: v -> H'v, the flipped kernel's product, and the fast-transform
+    # plan that preconditions the CG
+    correlate: Callable | None = field(default=None, repr=False)
     preconditioner: SpectralPlan | None = field(default=None, repr=False)
 
 
@@ -195,7 +207,7 @@ class SystemPlanner:
         if psf.mass ** 2 < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
-        self._blur_symbol, self._blur, self._normal = None, None, None
+        self._blur_symbol, self._blur, self._correlate = None, None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
             raise UnsupportedError(
@@ -206,12 +218,11 @@ class SystemPlanner:
             fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
             self._preconditioner = SystemPlanner(
                 psf, self.shape, "reflective" if fits_dct else "periodic")
-            # H u, and H' applied after it: the flipped kernel's product,
-            # the exact transpose under the zero model
+            # H u, and H': the flipped kernel's product, the exact transpose
+            # under the zero model
             flipped = psf.flipped()
-            self._blur = blur = fft_convolver(psf.weights, psf.center, bc, self.shape)
-            transpose = fft_convolver(flipped.weights, flipped.center, bc, self.shape)
-            self._normal = lambda u: transpose(blur(u))
+            self._blur = fft_convolver(psf.weights, psf.center, bc, self.shape)
+            self._correlate = fft_convolver(flipped.weights, flipped.center, bc, self.shape)
         else:
             # the transform's grid: theta = 2 pi k / n for the real FFT, whose
             # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
@@ -245,7 +256,7 @@ class SystemPlanner:
         bc = self.bc
         if bc == "zero":
             return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=None, min_modulus=None,
-                                clamp_count=0, blur=self._blur, normal=self._normal,
+                                clamp_count=0, blur=self._blur, correlate=self._correlate,
                                 preconditioner=self._preconditioner.plan(ratio))
         eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
@@ -264,7 +275,7 @@ class SystemPlanner:
         ``||H f - f||^2`` of ``f`` itself, taken the same way."""
         corr_f = apply_correlation(f, self._psf, self.bc)
         if self._blur_symbol is None:
-            return corr_f, f, float(np.sum((self._blur(f) - f) ** 2))
+            return corr_f, f, _sum_of_squares(self._blur(f) - f)
         target = _analyze(self.bc, f)
         return corr_f, target, _squared_norm(self, self._blur_symbol * target - target)
 
@@ -272,38 +283,42 @@ class SystemPlanner:
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     """Preconditioned CG on the literal normal equations; exact transposes,
     matrix-free. Starts from ``start`` (zeros when ``None``) and returns the
-    solution, the iterations taken and the final relative residual."""
+    solution x, the iterations taken, the final relative residual and
+    ``H x``, the product that residual's matvec made."""
     def matvec(u):
-        return plan.normal(u) + plan.ratio * transpose_adjoint_gradient(
-            differences(u, "zero"), "zero")
+        """``A u``, and the ``H u`` it was made from."""
+        blurred = plan.blur(u)
+        return plan.correlate(blurred) + plan.ratio * transpose_adjoint_gradient(
+            differences(u, "zero"), "zero"), blurred
 
     b_norm = _l2(rhs)
     if b_norm == 0:
         # the solution is zero whatever the start; a tolerance of 0 could
         # not be met from a nonzero one
-        return np.zeros(rhs.shape), 0, 0.0
+        return np.zeros(rhs.shape), 0, 0.0, np.zeros(rhs.shape)
     tol = CG_RTOL * b_norm
     if start is None:
         x, r = np.zeros(rhs.shape), rhs.copy()
     else:
         x = np.array(start, dtype=float)
-        r = rhs - matvec(x)
+        r = rhs - matvec(x)[0]
     steps = 0
     while _l2(r) > tol and steps < CG_MAXITER:
         z = _transform_solve(plan.preconditioner, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
-        q = matvec(p)
+        q = matvec(p)[0]
         alpha = rho / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
         rho_prev, steps = rho, steps + 1
-    residual = _l2(rhs - matvec(x)) / b_norm
+    product, blurred = matvec(x)
+    residual = _l2(rhs - product) / b_norm
     if _l2(r) > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
             f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")
-    return x, steps, residual
+    return x, steps, residual, blurred
 
 
 def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -376,20 +391,19 @@ def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
 
 def _squared_norm(owner, coefficients: np.ndarray) -> float:
     """``||x||^2`` of the image x with these coefficients in the periodic or
-    reflective basis of ``owner`` (a plan or planner), by Parseval; squares them in place.
+    reflective basis of ``owner`` (a plan or planner), by Parseval.
 
     The orthonormal DCT needs no weights. A real-FFT half-spectrum row holds
     column 0, the columns 1 .. C/2 whose conjugates it leaves out, and for
     even C the Nyquist column, its own conjugate: the inner columns count
-    twice, and the sum is divided by R*C.
+    twice, and the sum is divided by R*C. Each sum is one pass.
     """
     if owner.bc == "reflective":
-        coefficients *= coefficients
-        return float(np.sum(coefficients))
+        return _sum_of_squares(coefficients)
     (R, C), parts = owner.shape, coefficients.view(float)  # re, im interleaved
-    parts *= parts
-    own = np.sum(parts[:, :2]) + (np.sum(parts[:, -2:]) if C % 2 == 0 else 0.0)
-    return float((2.0 * np.sum(parts) - own) / (R * C))
+    own = _sum_of_squares(parts[:, :2]) + (
+        _sum_of_squares(parts[:, -2:]) if C % 2 == 0 else 0.0)
+    return (2.0 * _sum_of_squares(parts) - own) / (R * C)
 
 
 def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
@@ -410,10 +424,10 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
     With a blur symbol (periodic, reflective with an odd centered kernel)
     the fidelity is the squared norm of the symbol times the solution's
     coefficients minus the target, by Parseval, so the update makes one
-    forward and one inverse transform. Otherwise ``H u`` is the plan's
-    ``blur``: the kernel's FFT product for zero, a stencil apply for the
-    rest. ``start`` is where the zero model's CG starts (zeros when
-    ``None``); the other models ignore it.
+    forward and one inverse transform. For zero, ``H u`` is the product the
+    CG's final residual check made; otherwise it is the plan's ``blur``, a
+    stencil apply. ``start`` is where the zero model's CG starts (zeros when
+    ``None``); the other models ignore it. ``rhs`` is only read.
     """
     if plan.blur_symbol is not None:
         u, coefficients = _transform_solve(plan, rhs)
@@ -421,10 +435,10 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
         coefficients -= target
         return u, _squared_norm(plan, coefficients), None
     if plan.bc == "zero":
-        u, iterations, residual = _solve_zero(plan, rhs, start)
+        u, iterations, residual, blurred = _solve_zero(plan, rhs, start)
         cg = (iterations, residual)
     else:
         u, cg = _transform_solve(plan, rhs)[0], None
-    misfit = plan.blur(u) - target
-    misfit *= misfit
-    return u, float(np.sum(misfit)), cg
+        blurred = plan.blur(u)
+    blurred -= target
+    return u, _sum_of_squares(blurred), cg

@@ -11,7 +11,8 @@ from tvdeblur import (GradientField, Psf, UnsupportedError, apply_blur,
                       gradient)
 from tvdeblur import dense
 from tvdeblur.operators import (DIRECT_MAX_TAPS, _sliding_sum, adjoint_gradient, apply_stencil,
-                                stencil_pads, transpose_adjoint_gradient)
+                                differences, divergence, stencil_pads,
+                                transpose_adjoint_gradient)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -262,6 +263,72 @@ class TestTransposeAdjointGradient:
         expected = (dense.build_grad(n, 1, bc).matrix.T @ z.z1.ravel()
                     + dense.build_grad(n, 2, bc).matrix.T @ z.z2.ravel()).reshape(n, n)
         assert np.abs(transpose_adjoint_gradient(z, bc) - expected).max() < 1e-14
+
+
+class TestPlainForms:
+    """differences and divergence write into the buffers the solver's loop gives them."""
+
+    # lengths of 8 and above take NumPy's vectorized loops over the strided
+    # closing column and row
+    SHAPES = [(2, 3), (8, 8), (9, 17)]
+    # the ghost rules as np.pad modes
+    PAD = {"zero": dict(mode="constant"), "periodic": dict(mode="wrap"),
+           "reflective": dict(mode="symmetric"),
+           "antireflective": dict(mode="reflect", reflect_type="odd")}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bc", BCS)
+    def test_gradient_into_buffers(self, rng, bc, shape):
+        u = rng.standard_normal(shape)
+        kept = u.copy()
+        buffers = np.full((2,) + shape, np.nan)
+        z1, z2 = differences(u, bc, tuple(buffers))
+        assert np.shares_memory(z1, buffers[0]) and np.shares_memory(z2, buffers[1])
+        expected = gradient(u, bc)
+        assert z1.tobytes() == expected.z1.tobytes() and z2.tobytes() == expected.z2.tobytes()
+        assert u.tobytes() == kept.tobytes()
+        # forward differences of u with one ghost sample past the last
+        for got, axis in ((z1, 1), (z2, 0)):
+            ghost = ((0, 0), (0, 1)) if axis else ((0, 1), (0, 0))
+            reference = np.diff(np.pad(u, ghost, **self.PAD[bc]), axis=axis)
+            assert np.abs(got - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("transpose", [False, True], ids=["adjoint", "transpose"])
+    def test_divergence_into_buffers(self, rng, bc, shape, transpose):
+        z1, z2 = rng.standard_normal((2,) + shape)
+        buffers = np.full((2,) + shape, np.nan)
+        out = divergence(z1, z2, bc, transpose, tuple(buffers))
+        assert np.shares_memory(out, buffers[0])
+        public = transpose_adjoint_gradient if transpose else adjoint_gradient
+        assert out.tobytes() == public((z1, z2), bc).tobytes()
+
+    @pytest.mark.parametrize("bc", BCS)
+    def test_any_memory_layout_gives_the_same_bytes(self, rng, bc):
+        # the row differences run over the flattened image
+        u, z1, z2 = rng.standard_normal((3, 9, 8))
+
+        def strided(x):
+            return np.repeat(np.repeat(x, 2, 0), 2, 1)[::2, ::2]
+
+        for layout in (np.asfortranarray, strided):
+            g = gradient(layout(u), bc)
+            expected = gradient(u, bc)
+            assert g.z1.tobytes() == expected.z1.tobytes()
+            assert g.z2.tobytes() == expected.z2.tobytes()
+            for public in (adjoint_gradient, transpose_adjoint_gradient):
+                got = public((layout(z1), layout(z2)), bc)
+                assert got.tobytes() == public((z1, z2), bc).tobytes()
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("public", [adjoint_gradient, transpose_adjoint_gradient],
+                             ids=["adjoint", "transpose"])
+    def test_divergences_leave_their_inputs_untouched(self, rng, bc, public):
+        z1, z2 = rng.standard_normal((2, 9, 8))
+        kept = z1.tobytes(), z2.tobytes()
+        public((z1, z2), bc)
+        assert (z1.tobytes(), z2.tobytes()) == kept
 
 
 @given(rows=st.integers(4, 10), cols=st.integers(4, 10),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, SolveParams,
                       SymmetryError, apply_blur, apply_correlation, builtin_truth, energy,
-                      extend, gaussian_psf, gradient, shrink, simulate, snr, solve,
+                      extend, gaussian_psf, gradient, restore, shrink, simulate, snr, solve,
                       solve_enlarged)
 from tvdeblur import dense, solver
 from tvdeblur.grid import DEFAULT_BETA_LADDER
@@ -72,6 +72,15 @@ class TestShrink:
         for got, ref in ((z1, g1 * ref_scale), (z2, g2 * ref_scale), (shrunk, ref_shrunk)):
             assert not got[tiny].any()
             assert np.all(np.abs(got - ref)[~tiny] <= 1e-15 * np.abs(ref)[~tiny])
+
+    def test_input_is_left_untouched(self, rng):
+        g1, g2 = rng.standard_normal((2, 6, 7))
+        g = GradientField(g1, g2)
+        shrink(g, 4.0)
+        assert g.z1.tobytes() == g1.tobytes() and g.z2.tobytes() == g2.tobytes()
+        kept = g1.tobytes(), g2.tobytes()
+        _soft_threshold(g1, g2, 4.0)
+        assert (g1.tobytes(), g2.tobytes()) == kept
 
     def test_ordinary_magnitudes_take_no_hypot(self, rng, monkeypatch):
         g1, g2 = rng.standard_normal((2, 6, 6))
@@ -209,6 +218,28 @@ class TestSolve:
         with pytest.raises(ConvergenceError, match=r"beta=2\b.*iteration 0"):
             solve(observed, psf, "periodic", SolveParams(alpha=1e3))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=str)
+    def test_non_finite_iterate_raises_whatever_its_kind(self, small_instance, monkeypatch,
+                                                         value):
+        _, psf, observed, _ = small_instance
+        monkeypatch.setattr(solver, "solve_and_blur",
+                            lambda plan, rhs, *_: (np.full(rhs.shape, value), 0.0, None))
+        with pytest.raises(ConvergenceError) as caught:
+            solve(observed, psf, "periodic", SolveParams(alpha=1e3, beta_ladder=(4.0,)))
+        assert str(caught.value) == "non-finite iterate at beta=4, inner iteration 0"
+
+    def test_finite_iterate_whose_squared_step_overflows_does_not_raise(self, small_instance,
+                                                                        monkeypatch):
+        # finiteness is read from the step norm, and only an infinite norm
+        # sends the loop to check the iterate itself
+        _, psf, observed, _ = small_instance
+        far = np.full(observed.shape, 1e200)
+        monkeypatch.setattr(solver, "solve_and_blur", lambda plan, rhs, *_: (far, 0.0, None))
+        u, trace = solve(observed, psf, "periodic",
+                         SolveParams(alpha=1e3, beta_ladder=(4.0,), inner_max=1))
+        assert u is far
+        assert [r.rel_change for r in trace.records] == [np.inf]
+
     def test_nonsymmetric_kernel_needs_enlargement(self, small_instance):
         _, _, observed, _ = small_instance
         nonsym = Psf(np.array([[0.6, 0.2], [0.1, 0.1]]), (0, 0))
@@ -259,6 +290,78 @@ class TestSolve:
             solve(observed, psf, "zero", SolveParams(alpha=1e3))
 
 
+class TestObservedImageUntouched:
+    PSFS = {"3x3": gaussian_psf(3, 0.8), "4x4": gaussian_psf(4, 1.0)}
+    # every model; prepare() hands the caller's own f to the loop as its
+    # target for antireflective, even-extent reflective and zero
+    CASES = [pytest.param(mode, kernel, id=f"{mode}-{kernel}")
+             for mode in ("zero", "periodic", "reflective", "antireflective",
+                          "enlarge:periodic:3", "enlarge:reflective:3",
+                          "enlarge:antireflective:3", "enlarge:zero:3")
+             for kernel in ("3x3", "4x4")]
+    PARAMS = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=3)
+
+    @staticmethod
+    def observed(psf):
+        return simulate(builtin_truth("cartoon", 22 + 2 * (psf.rows - 1),
+                                      21 + 2 * (psf.cols - 1)), psf, 1e-4, seed=5)[0]
+
+    @pytest.mark.parametrize("mode, kernel", CASES)
+    def test_restore_and_solve_leave_the_observed_image_untouched(self, mode, kernel):
+        psf = self.PSFS[kernel]
+        f = self.observed(psf)
+        kept = f.tobytes()
+        restore(f, psf, mode, self.PARAMS)
+        assert f.tobytes() == kept
+        if mode.startswith("enlarge:"):
+            _, extension, pad = mode.split(":")
+            solve_enlarged(f, psf, extension, int(pad), self.PARAMS)
+        else:
+            solve(f, psf, mode, self.PARAMS)
+        assert f.tobytes() == kept
+
+
+class TestLoopCoupling:
+    """The loop's coupling, ``0.5 beta sum min(|grad u|, 1/beta)^2``, at the first iterate."""
+
+    BETA = 128.0
+
+    @staticmethod
+    def columns(magnitude):
+        # 4x4, columns alternating +-magnitude/2: under the periodic model
+        # every horizontal difference is +-magnitude, every vertical one 0
+        return np.tile([0.5, -0.5, 0.5, -0.5], (4, 1)) * magnitude
+
+    def first_energy(self, monkeypatch, f):
+        # the update hands back its start, so the rung stops after one record
+        monkeypatch.setattr(solver, "solve_and_blur",
+                            lambda plan, rhs, target, start: (start, 0.0, None))
+        _, trace = solve(f, Psf.delta(), "periodic",
+                         SolveParams(alpha=1.0, beta_ladder=(self.BETA,), inner_max=1))
+        return trace.records[0].energy
+
+    @pytest.mark.parametrize("magnitude", [1e100, 1e200], ids=str)
+    def test_exact_far_past_the_threshold(self, monkeypatch, magnitude):
+        # z - grad u cancels to 0 here, while |z - grad u| is 1/beta at every pixel
+        report = self.first_energy(monkeypatch, self.columns(magnitude))
+        assert report.coupling == 0.5 * self.BETA * 16 / self.BETA ** 2 == 0.0625
+
+    @pytest.mark.parametrize("magnitude", [0.0, 1 / BETA, "ordinary"], ids=str)
+    def test_matches_energy(self, monkeypatch, rng, magnitude):
+        # "ordinary": magnitudes either side of the threshold 1/beta
+        f = (0.01 * rng.standard_normal((4, 4)) if magnitude == "ordinary"
+             else self.columns(magnitude))
+        report = self.first_energy(monkeypatch, f)
+        expected = energy(f, shrink(gradient(f, "periodic"), self.BETA), f, Psf.delta(),
+                          "periodic", 1.0, self.BETA)
+        assert abs(report.coupling - expected.coupling) <= 1e-12 * expected.coupling
+        assert abs(report.total - expected.total) <= 1e-12 * expected.total
+        if magnitude == 1 / self.BETA:
+            assert report.coupling == 0.0625
+        if magnitude == 0.0:
+            assert report.total == 0.0
+
+
 class TestFusedLoop:
     """The loop's own objective against energy() at every iterate."""
 
@@ -305,7 +408,8 @@ class TestFusedLoop:
             beta = record.beta
             expected = energy(u, shrink(gradient(u, bc), beta), f, psf, bc,
                               self.PARAMS.alpha, beta)
-            assert record.energy.coupling == expected.coupling
+            # the loop takes the coupling as 0.5 beta sum min(|grad u|, 1/beta)^2
+            assert abs(record.energy.coupling - expected.coupling) <= 1e-12 * expected.coupling
             assert abs(record.energy.total - expected.total) <= 1e-12 * abs(expected.total)
 
     @pytest.mark.parametrize("bc", ["periodic", "zero"])

@@ -277,17 +277,20 @@ class TestZeroPreconditionedCG:
         assert plan.preconditioner.bc == preconditioner
         b = rng.standard_normal((n, n))
         expected = dense.build_system(psf, n, "zero", ratio).solve(b)
-        u, iterations, residual = _solve_zero(plan, b)
+        u, iterations, residual, blurred = _solve_zero(plan, b)
         assert np.abs(u - expected).max() < 1e-8
         assert 1 <= iterations and residual <= 1e-12
+        assert blurred.tobytes() == plan.blur(u).tobytes()
 
     def test_plans_share_the_planners_fft_products(self, rng):
         psf = gaussian_psf(5, 1.0)
         planner = SystemPlanner(psf, (14, 12), "zero")
         a, b = planner.plan(0.3), planner.plan(3.0)
-        assert a.eigenvalues is None and a.blur is b.blur and a.normal is b.normal
+        assert a.eigenvalues is None and a.blur is b.blur and a.correlate is b.correlate
         u = rng.standard_normal((14, 12))
-        assert np.abs(a.normal(u) - zero_system(psf, 0.0)(u)).max() < 1e-12
+        assert np.abs(a.blur(u) - apply_blur(u, psf, "zero")).max() < 1e-12
+        assert np.abs(a.correlate(u) - apply_correlation(u, psf, "zero")).max() < 1e-12
+        assert np.abs(a.correlate(a.blur(u)) - zero_system(psf, 0.0)(u)).max() < 1e-12
 
     def test_kernel_too_deep_for_the_dct_falls_back_to_the_fft(self, rng):
         psf = gaussian_psf(9, 2.0)
@@ -432,6 +435,35 @@ class TestSolveAndBlur:
         assert len(per_update) >= 4
         assert all(counts == pair for counts in per_update)
 
+    def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch):
+        # each matvec is two real-FFT products, H and then H'; the CG makes
+        # one at its start, one per step and one for its final residual,
+        # whose H x is the fidelity's. The DCT preconditioner takes no rfft2.
+        from tvdeblur import solver
+        counted = {"rfft2": 0}
+        rfft2 = _fft.rfft2
+
+        def counting(*args, **kwargs):
+            counted["rfft2"] += 1
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(_fft, "rfft2", counting)
+        step, per_update = solver.solve_and_blur, []
+
+        def recorded(*args):
+            counted["rfft2"] = 0
+            out = step(*args)
+            per_update.append((counted["rfft2"], out[2][0]))
+            return out
+
+        monkeypatch.setattr(solver, "solve_and_blur", recorded)
+        psf = gaussian_psf(5, 1.0)
+        observed, _ = simulate(builtin_truth("cartoon", 26, 25), psf, 1e-4, seed=6)
+        solve(observed, psf, "zero", SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0),
+                                                 inner_max=3))
+        assert len(per_update) >= 4
+        assert all(ffts == 2 * steps + 4 for ffts, steps in per_update)
+
     @pytest.mark.parametrize("shape", [(17, 18), (18, 17), (2, 2), (5, 3)])
     def test_half_spectrum_parseval_weights(self, rng, shape):
         plan = SystemPlanner(Psf.delta(), shape, "periodic").plan(0.0)
@@ -449,15 +481,15 @@ class TestZeroWarmStart:
     def test_zero_rhs_returns_zeros_in_no_steps(self, rng, start):
         plan = self.plan()
         x0 = None if start == "cold" else rng.standard_normal(plan.shape)
-        u, steps, residual = _solve_zero(plan, np.zeros(plan.shape), x0)
-        assert u.tobytes() == np.zeros(plan.shape).tobytes()
+        u, steps, residual, blurred = _solve_zero(plan, np.zeros(plan.shape), x0)
+        assert u.tobytes() == blurred.tobytes() == np.zeros(plan.shape).tobytes()
         assert (steps, residual) == (0, 0.0)
 
     def test_start_that_meets_the_tolerance_takes_no_steps(self, rng):
         plan = self.plan()
         b = rng.standard_normal(plan.shape)
-        solution, cold_steps, cold_residual = _solve_zero(plan, b)
-        u, steps, residual = _solve_zero(plan, b, solution)
+        solution, cold_steps, cold_residual, _ = _solve_zero(plan, b)
+        u, steps, residual, _ = _solve_zero(plan, b, solution)
         assert cold_steps >= 1 and steps == 0 and u.tobytes() == solution.tobytes()
         # the true residual of the start, as the cold solve logged it for the same u
         assert residual == cold_residual <= 1e-12
@@ -467,8 +499,8 @@ class TestZeroWarmStart:
     def test_warm_start_meets_the_tolerance_in_fewer_steps(self, rng):
         plan = self.plan()
         b = rng.standard_normal(plan.shape)
-        cold, cold_steps, _ = _solve_zero(plan, b)
-        _, warm_steps, warm_residual = _solve_zero(
+        cold, cold_steps, _, _ = _solve_zero(plan, b)
+        _, warm_steps, warm_residual, _ = _solve_zero(
             plan, b, cold + 1e-6 * rng.standard_normal(plan.shape))
         assert 1 <= warm_steps < cold_steps and warm_residual <= 1e-12
 
