@@ -124,11 +124,8 @@ def _shrink_and_objective(u, fit, bc, alpha, beta, work):
     ``work`` is the solve's five image-shaped buffers: z lands in the first
     two, and all five are scratch afterwards. Returns the EnergyReport and
     the seconds of the two phases. The terms are those of :func:`energy` to
-    rounding. The coupling is ``0.5 beta sum min(|grad u|, 1/beta)^2``:
-    ``|z - grad u|`` is the threshold where the shrinkage is active and
-    ``|grad u|`` where it is not. So ``z - grad u`` is never formed, and the
-    coupling stays exact where ``beta |grad u|`` is so large that it would
-    cancel.
+    rounding; the coupling is ``0.5 beta sum min(|grad u|, 1/beta)^2`` (see
+    the module docstring).
     """
     t0 = time.perf_counter()
     g1, g2, mag, shrunk, _ = work
