@@ -25,12 +25,13 @@ The zero model's CG products come from :func:`fft_convolver` for every
 kernel. The package takes only ``scipy.fft`` from SciPy.
 The system stencil (the kernel's autocorrelation plus ``ratio`` times the
 five-point Laplacian) is never built here: the transform plans sample its
-symbol from the kernel alone. :func:`differences` and :func:`divergence` are
-the unvalidated, plain-array forms of :func:`gradient` and of both
-divergences, for the solver's inner loop; they write into buffers the
-caller gives, and the validated functions call them on fresh arrays. All
-functions are safe for concurrent use, and only these two write into an
-array they did not make.
+symbol from the kernel alone. :func:`differences` is the unvalidated,
+plain-array form of :func:`gradient`, and both divergences accept a plain
+pair ``(z1, z2)``, for the solver's inner loop. These three write into
+buffers the caller gives when it gives them, else into fresh arrays; the
+two divergences share one implementation. All functions are safe for
+concurrent use, and only these three write into an array they did not
+make.
 """
 
 from __future__ import annotations
@@ -202,16 +203,12 @@ def gradient(u: np.ndarray, bc: str) -> GradientField:
 
 def differences(u: np.ndarray, bc: str, out=None):
     """The components ``(z1, z2)`` of :func:`gradient` as plain arrays,
-    written into the pair ``out`` of C-contiguous arrays when given, else
-    into fresh arrays.
+    written into the pair ``out`` when given, else into fresh arrays.
 
     No validation: for loops that already hold a checked image.
     """
-    z1, z2 = (np.empty(u.shape), np.empty(u.shape)) if out is None else out
-    # the row differences as one pass over the flattened image: the one
-    # that spans two rows lands in the last column, which the rule sets
-    flat = u.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], out=z1.reshape(-1)[:-1])
+    z1, z2 = (np.empty_like(u), np.empty_like(u)) if out is None else out
+    np.subtract(u[:, 1:], u[:, :-1], out=z1[:, :-1])
     np.subtract(u[1:, :], u[:-1, :], out=z2[:-1, :])
     if bc == "zero":
         z1[:, -1] = -u[:, -1]
@@ -228,7 +225,7 @@ def differences(u: np.ndarray, bc: str, out=None):
     return z1, z2
 
 
-def adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
+def adjoint_gradient(z: GradientField, bc: str, out=None) -> np.ndarray:
     """Discrete analogue of the negative divergence (reblurred closure).
 
     Applies the flipped difference stencil under the same boundary rule,
@@ -236,59 +233,60 @@ def adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
     ``adjoint_gradient(gradient(u))`` is the positive-semidefinite
     boundary-closed Laplacian for the periodic model, where this operator
     equals the exact transpose of :func:`gradient`. ``z`` is a
-    :class:`GradientField` or a plain pair ``(z1, z2)``.
+    :class:`GradientField` or a plain pair ``(z1, z2)``; ``out`` is as in
+    :func:`_divergence`.
     """
     check_boundary_model(bc)
-    return divergence(*z, bc, transpose=False)
+    return _divergence(*z, bc, False, out)
 
 
-def transpose_adjoint_gradient(z: GradientField, bc: str) -> np.ndarray:
+def transpose_adjoint_gradient(z: GradientField, bc: str, out=None) -> np.ndarray:
     """Exact algebraic transpose of :func:`gradient` for every boundary model.
 
     Satisfies <grad(u), z> == <u, transpose_adjoint_gradient(z)> identically.
     This is the pairing the reflective-model restoration system uses, making
     its image update the exact partial minimizer of the discrete objective.
-    ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``.
+    ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``; ``out``
+    is as in :func:`_divergence`.
     """
     check_boundary_model(bc)
-    return divergence(*z, bc, transpose=True)
+    return _divergence(*z, bc, True, out)
 
 
-def divergence(z1: np.ndarray, z2: np.ndarray, bc: str, transpose: bool, out=None):
+def _divergence(z1, z2, bc: str, transpose: bool, out):
     """:func:`transpose_adjoint_gradient` (``transpose``) or
     :func:`adjoint_gradient` of the plain pair ``(z1, z2)``.
 
-    The two components' terms go into the pair ``out`` of C-contiguous
-    arrays when given, else into fresh arrays, and their sum into
-    ``out[0]``, which is returned. The inputs are only read. No validation:
-    for loops that already hold a checked field.
+    The two components' terms go into the pair of arrays ``out`` when given,
+    else into fresh arrays, and their sum into the first, which is returned.
+    The inputs are only read. Both pairings take the same backward
+    differences inside; each closes its first and last samples by one rule
+    below (the zero and periodic models' rules are the same for both).
     """
-    o1, o2 = (np.empty(z1.shape), np.empty(z2.shape)) if out is None else out
-    # as in differences: the flattened pass's difference that spans two
-    # rows lands in the first column, which every pairing sets
-    flat = z1.reshape(-1)
-    np.subtract(flat[:-1], flat[1:], out=o1.reshape(-1)[1:])
+    o1, o2 = (np.empty_like(z1), np.empty_like(z2)) if out is None else out
+    np.subtract(z1[:, :-1], z1[:, 1:], out=o1[:, 1:])
     np.subtract(z2[:-1, :], z2[1:, :], out=o2[1:, :])
-    if transpose or bc == "zero":
+    rule = (bc, transpose)
+    if bc == "zero":
         o1[:, 0] = -z1[:, 0]
         o2[0, :] = -z2[0, :]
-    if not transpose:
-        if bc == "periodic":
-            o1[:, 0] = z1[:, -1] - z1[:, 0]
-            o2[0, :] = z2[-1, :] - z2[0, :]
-        elif bc == "reflective":
-            o1[:, 0] = 0.0
-            o2[0, :] = 0.0
-        elif bc == "antireflective":  # ghost z(-1) = 2 z(0) - z(1)
-            o1[:, 0] = z1[:, 0] - z1[:, 1]
-            o2[0, :] = z2[0, :] - z2[1, :]
     elif bc == "periodic":
-        o1[:, 0] += z1[:, -1]
-        o2[0, :] += z2[-1, :]
-    elif bc == "reflective":
+        o1[:, 0] = z1[:, -1] - z1[:, 0]
+        o2[0, :] = z2[-1, :] - z2[0, :]
+    elif rule == ("reflective", False):
+        o1[:, 0] = 0.0
+        o2[0, :] = 0.0
+    elif rule == ("reflective", True):
+        o1[:, 0] = -z1[:, 0]
+        o2[0, :] = -z2[0, :]
         o1[:, -1] += z1[:, -1]
         o2[-1, :] += z2[-1, :]
-    elif bc == "antireflective":
+    elif rule == ("antireflective", False):  # ghost z(-1) = 2 z(0) - z(1)
+        o1[:, 0] = z1[:, 0] - z1[:, 1]
+        o2[0, :] = z2[0, :] - z2[1, :]
+    else:  # the antireflective transpose
+        o1[:, 0] = -z1[:, 0]
+        o2[0, :] = -z2[0, :]
         o1[:, -2] -= z1[:, -1]
         o1[:, -1] += 2.0 * z1[:, -1]
         o2[-2, :] -= z2[-1, :]

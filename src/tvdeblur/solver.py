@@ -59,12 +59,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError, PreconditionError
 from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
-from .operators import crop, differences, divergence, extend
+from .operators import adjoint_gradient, crop, differences, extend, transpose_adjoint_gradient
 from .transforms import SystemPlanner, _sum_of_squares, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .energy import energy  # noqa: F401
-from .operators import adjoint_gradient, apply_correlation, gradient  # noqa: F401
-from .operators import transpose_adjoint_gradient  # noqa: F401
+from .operators import apply_correlation, gradient  # noqa: F401
 from .transforms import solve_system  # noqa: F401
 
 #: Magnitudes below this count as exactly zero in the shrinkage.
@@ -192,7 +191,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     planner = SystemPlanner(psf, f.shape, bc)
     corr_f, target, fit = planner.prepare(f)  # later fits come with each image update
     # Reflective uses the exact transpose pairing (see module docstring).
-    transpose = bc == "reflective"
+    divergence = transpose_adjoint_gradient if bc == "reflective" else adjoint_gradient
     # the gradient pair (then z), |g|, the shrunk magnitude, the right-hand side
     work = np.empty((5,) + f.shape)
     z1, z2, mag, _, rhs = work
@@ -212,7 +211,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                         (beta, it, rise / max(abs(previous_total), ZERO_MAGNITUDE)))
             previous_total = report.total
             t0 = time.perf_counter()
-            divergence(z1, z2, bc, transpose, (rhs, mag))
+            divergence((z1, z2), bc, (rhs, mag))
             rhs *= plan.ratio
             rhs += corr_f
             u_new, fit, cg = solve_and_blur(plan, rhs, target, u)

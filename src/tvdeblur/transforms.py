@@ -284,12 +284,12 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     """Preconditioned CG on the literal normal equations; exact transposes,
     matrix-free. Starts from ``start`` (zeros when ``None``) and returns the
     solution x, the iterations taken, the final relative residual and
-    ``H x``, the product that residual's matvec made."""
+    ``H x``, the product that residual's check made."""
+    def regularizer(u):
+        return plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
+
     def matvec(u):
-        """``A u``, and the ``H u`` it was made from."""
-        blurred = plan.blur(u)
-        return plan.correlate(blurred) + plan.ratio * transpose_adjoint_gradient(
-            differences(u, "zero"), "zero"), blurred
+        return plan.correlate(plan.blur(u)) + regularizer(u)
 
     b_norm = _l2(rhs)
     if b_norm == 0:
@@ -301,19 +301,20 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
         x, r = np.zeros(rhs.shape), rhs.copy()
     else:
         x = np.array(start, dtype=float)
-        r = rhs - matvec(x)[0]
+        r = rhs - matvec(x)
     steps = 0
     while _l2(r) > tol and steps < CG_MAXITER:
         z = _transform_solve(plan.preconditioner, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
-        q = matvec(p)[0]
+        q = matvec(p)
         alpha = rho / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
         rho_prev, steps = rho, steps + 1
-    product, blurred = matvec(x)
-    residual = _l2(rhs - product) / b_norm
+    # matvec(x), keeping its H x for the caller
+    blurred = plan.blur(x)
+    residual = _l2(rhs - (plan.correlate(blurred) + regularizer(x))) / b_norm
     if _l2(r) > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
