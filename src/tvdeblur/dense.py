@@ -1,16 +1,18 @@
-"""Explicit dense operators on small square grids: the ground-truth oracle.
+"""Explicit dense operators on small grids: the ground-truth oracle.
 
 Every matrix here is assembled from first principles by resolving extended
 indices through the boundary rule, one row at a time, independently of the
-padded-convolution fast paths. The builders are deliberately plain (python
-loops over kernel offsets) and capped at ``n <= 64``; they exist to pin down
-the fast implementations, not to be fast themselves.
+padded-convolution fast paths. One builder, :func:`build_stencil_matrix`,
+assembles every operator on an ``R x C`` grid with 2 to 64 samples per side;
+it is deliberately plain (python loops over kernel offsets) and exists to
+pin down the fast implementations, not to be fast itself.
 
-Images are flattened row-major: pixel ``(i, j)`` maps to ``i * n + j``.
+Images are flattened row-major: pixel ``(i, j)`` maps to ``i * C + j``.
 
-The module imports nothing from ``operators`` or ``transforms``, the fast
-paths it checks: its Laplacian literal and its kernel autocorrelation (a
-plain loop over pairs of kernel taps) are its own.
+The module imports nothing from ``operators``, ``transforms`` or
+``solver``, the fast paths it checks: its difference and Laplacian
+stencils and its kernel autocorrelation (a plain loop over pairs of kernel
+taps) are its own.
 """
 
 from __future__ import annotations
@@ -56,130 +58,99 @@ def resolve_index(i: int, n: int, bc: str):
     raise DataError(f"unknown boundary model {bc!r}")
 
 
-def _check_cap(n: int):
-    if n < 2:
-        raise ShapeError(f"oracle grids need n >= 2, got {n}")
-    if n > ORACLE_CAP:
-        raise PreconditionError(f"dense oracle capped at n <= {ORACLE_CAP}, got {n}")
-
-
 @dataclass(frozen=True)
 class DenseOperator:
-    """An explicit n^2 x n^2 matrix with a tag naming what it discretizes."""
+    """An explicit (R*C) x (R*C) matrix on an ``R x C`` grid, with a tag
+    naming what it discretizes."""
 
-    n: int
+    shape: tuple
     matrix: np.ndarray
     tag: str
 
     def __post_init__(self):
-        if self.matrix.shape != (self.n * self.n, self.n * self.n):
-            raise ShapeError(f"matrix shape {self.matrix.shape} does not match n={self.n}")
+        size = self.shape[0] * self.shape[1]
+        if self.matrix.shape != (size, size):
+            raise ShapeError(f"matrix shape {self.matrix.shape} does not match grid {self.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise DataError("dense operator contains non-finite entries")
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(u, dtype=float).ravel()).reshape(self.n, self.n)
+        return (self.matrix @ np.asarray(u, dtype=float).ravel()).reshape(self.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, np.asarray(b, dtype=float).ravel()).reshape(self.n, self.n)
+        return np.linalg.solve(self.matrix, np.asarray(b, dtype=float).ravel()).reshape(self.shape)
 
 
-def build_stencil_matrix(weights: np.ndarray, center, n: int, bc: str, tag: str = "stencil") -> DenseOperator:
-    """Dense operator for out[i,j] = sum_ab w[a,b] u_ext[i-(a-cr), j-(b-cc)]."""
+def build_stencil_matrix(weights: np.ndarray, center, shape, bc: str,
+                         tag: str = "stencil") -> DenseOperator:
+    """Dense operator for out[i,j] = sum_ab w[a,b] u_ext[i-(a-cr), j-(b-cc)]
+    on the ``shape = (R, C)`` grid."""
     check_boundary_model(bc)
-    _check_cap(n)
+    rows, cols = shape
     weights = np.asarray(weights, dtype=float)
-    pr, pc = weights.shape
     cr, cc = center
-    # Ghost depth must respect the extension caps (one mirror application).
-    depth = max(pr - 1 - cr, cr, pc - 1 - cc, cc)
-    if bc == "reflective" and depth > n:
-        raise UnsupportedError(f"stencil ghost depth {depth} exceeds reflective cap {n}")
-    if bc == "antireflective" and depth >= n:
-        raise UnsupportedError(f"stencil ghost depth {depth} exceeds antireflective cap {n - 1}")
-    # Per-axis resolution tables for every offset the kernel can produce.
-    row_maps = {}
-    col_maps = {}
-    for a in range(pr):
-        d = a - cr
-        row_maps[d] = [resolve_index(i - d, n, bc) for i in range(n)]
-    for b in range(pc):
-        d = b - cc
-        col_maps[d] = [resolve_index(j - d, n, bc) for j in range(n)]
-    M = np.zeros((n * n, n * n))
-    for a in range(pr):
-        rmap = row_maps[a - cr]
-        for b in range(pc):
-            w = weights[a, b]
-            if w == 0.0:
-                continue
-            cmap = col_maps[b - cc]
-            for i in range(n):
-                for j in range(n):
-                    row = i * n + j
-                    for ii, wi in rmap[i]:
-                        for jj, wj in cmap[j]:
-                            M[row, ii * n + jj] += w * wi * wj
-    return DenseOperator(n, M, tag)
+    maps = []
+    for n, taps, c in ((rows, weights.shape[0], cr), (cols, weights.shape[1], cc)):
+        if n < 2:
+            raise ShapeError(f"oracle grids need at least 2 samples per side, got {shape}")
+        if n > ORACLE_CAP:
+            raise PreconditionError(f"dense oracle capped at {ORACLE_CAP} per side, got {shape}")
+        # Ghost depth must respect the extension caps (one mirror application).
+        depth = max(taps - 1 - c, c)
+        if bc == "reflective" and depth > n:
+            raise UnsupportedError(f"stencil ghost depth {depth} exceeds reflective cap {n}")
+        if bc == "antireflective" and depth >= n:
+            raise UnsupportedError(
+                f"stencil ghost depth {depth} exceeds antireflective cap {n - 1}")
+        # Resolution table per axis: for each tap, each sample's extended source.
+        maps.append([[resolve_index(i - (a - c), n, bc) for i in range(n)] for a in range(taps)])
+    row_maps, col_maps = maps
+    M = np.zeros((rows * cols, rows * cols))
+    for (a, b), w in np.ndenumerate(weights):
+        if w == 0.0:
+            continue
+        for i in range(rows):
+            for j in range(cols):
+                for ii, wi in row_maps[a][i]:
+                    for jj, wj in col_maps[b][j]:
+                        M[i * cols + j, ii * cols + jj] += w * wi * wj
+    return DenseOperator((rows, cols), M, tag)
 
 
-def build_blur(psf: Psf, n: int, bc: str) -> DenseOperator:
+def build_blur(psf: Psf, shape, bc: str) -> DenseOperator:
     """Blur matrix H: column j is the blurred j-th unit impulse."""
-    if psf.rows > n or psf.cols > n:
-        raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {n}x{n}")
-    return build_stencil_matrix(psf.weights, psf.center, n, bc, tag="blur")
+    if psf.rows > shape[0] or psf.cols > shape[1]:
+        raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {shape}")
+    return build_stencil_matrix(psf.weights, psf.center, shape, bc, tag="blur")
 
 
-def build_correlation(psf: Psf, n: int, bc: str) -> DenseOperator:
+def build_correlation(psf: Psf, shape, bc: str) -> DenseOperator:
     """Correlation matrix H': the doubly-flipped kernel under the same rule."""
-    if psf.rows > n or psf.cols > n:
-        raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {n}x{n}")
+    if psf.rows > shape[0] or psf.cols > shape[1]:
+        raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {shape}")
     flipped = psf.flipped()
-    return build_stencil_matrix(flipped.weights, flipped.center, n, bc, tag="correlation")
+    return build_stencil_matrix(flipped.weights, flipped.center, shape, bc, tag="correlation")
 
 
-def _grad_1d(n: int, bc: str) -> np.ndarray:
-    """Forward difference d[i] = u_ext[i+1] - u[i] as an n x n matrix."""
-    D = np.zeros((n, n))
-    for i in range(n):
-        D[i, i] -= 1.0
-        for j, w in resolve_index(i + 1, n, bc):
-            D[i, j] += w
-    return D
-
-
-def _adjgrad_1d(n: int, bc: str) -> np.ndarray:
-    """Flipped difference d[i] = z_ext[i-1] - z[i] under the same rule."""
-    D = np.zeros((n, n))
-    for i in range(n):
-        D[i, i] -= 1.0
-        for j, w in resolve_index(i - 1, n, bc):
-            D[i, j] += w
-    return D
-
-
-def build_grad(n: int, direction: int, bc: str) -> DenseOperator:
-    """Forward-difference matrix; direction 1 is horizontal, 2 vertical."""
-    check_boundary_model(bc)
-    _check_cap(n)
+def _difference(stencil, center, shape, direction: int, bc: str, tag: str) -> DenseOperator:
+    """The 1x2 ``stencil`` along rows (direction 1) or its column (direction 2)."""
     if direction not in (1, 2):
         raise DataError(f"direction must be 1 or 2, got {direction}")
-    d = _grad_1d(n, bc)
-    eye = np.eye(n)
-    M = np.kron(eye, d) if direction == 1 else np.kron(d, eye)
-    return DenseOperator(n, M, tag=f"grad{direction}")
+    if direction == 2:
+        stencil, center = stencil.T, center[::-1]
+    return build_stencil_matrix(stencil, center, shape, bc, tag=f"{tag}{direction}")
 
 
-def build_adjgrad(n: int, direction: int, bc: str) -> DenseOperator:
-    """Reblurred adjoint-difference matrix (flipped stencil, same closure)."""
-    check_boundary_model(bc)
-    _check_cap(n)
-    if direction not in (1, 2):
-        raise DataError(f"direction must be 1 or 2, got {direction}")
-    d = _adjgrad_1d(n, bc)
-    eye = np.eye(n)
-    M = np.kron(eye, d) if direction == 1 else np.kron(d, eye)
-    return DenseOperator(n, M, tag=f"adjgrad{direction}")
+def build_grad(shape, direction: int, bc: str) -> DenseOperator:
+    """Forward difference d = u_ext[+1] - u: the stencil [[1, -1]] centred on
+    its -1; direction 1 is horizontal, 2 vertical."""
+    return _difference(np.array([[1.0, -1.0]]), (0, 1), shape, direction, bc, "grad")
+
+
+def build_adjgrad(shape, direction: int, bc: str) -> DenseOperator:
+    """Reblurred adjoint difference d = z_ext[-1] - z: the forward stencil
+    reversed, under the same closure."""
+    return _difference(np.array([[-1.0, 1.0]]), (0, 0), shape, direction, bc, "adjgrad")
 
 
 def autocorrelation(psf: Psf):
@@ -198,7 +169,7 @@ def autocorrelation(psf: Psf):
     return a, (p - 1, q - 1)
 
 
-def build_system(psf: Psf, n: int, bc: str, ratio: float) -> DenseOperator:
+def build_system(psf: Psf, shape, bc: str, ratio: float) -> DenseOperator:
     """The matrix the restoration step must invert: H'H + ratio * D'D.
 
     The Laplacian part D'D is the boundary-closed five-point stencil, which
@@ -211,24 +182,19 @@ def build_system(psf: Psf, n: int, bc: str, ratio: float) -> DenseOperator:
     whenever the kernel is quadrantally symmetric.
     """
     check_boundary_model(bc)
-    _check_cap(n)
     if ratio < 0:
         raise DataError(f"ratio must be non-negative, got {ratio}")
     if bc in ("zero", "periodic"):
-        H = build_blur(psf, n, bc).matrix
-        Hp = build_correlation(psf, n, bc).matrix
-        M = Hp @ H
+        M = build_correlation(psf, shape, bc).matrix @ build_blur(psf, shape, bc).matrix
         for direction in (1, 2):
-            D = build_grad(n, direction, bc).matrix
-            Dp = build_adjgrad(n, direction, bc).matrix
+            D = build_grad(shape, direction, bc).matrix
+            Dp = build_adjgrad(shape, direction, bc).matrix
             M = M + ratio * (Dp @ D)
-        return DenseOperator(n, M, tag="system")
-    if bc == "reflective":
-        H = build_blur(psf, n, bc).matrix
-        Hp = build_correlation(psf, n, bc).matrix
-        lap = build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, n, bc).matrix
-        return DenseOperator(n, Hp @ H + ratio * lap, tag="system")
-    a, ac = autocorrelation(psf)
-    lap = build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, n, bc).matrix
-    return DenseOperator(n, build_stencil_matrix(a, ac, n, bc).matrix + ratio * lap,
-                         tag="system")
+    else:
+        lap = build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER, shape, bc).matrix
+        if bc == "reflective":
+            blur = build_correlation(psf, shape, bc).matrix @ build_blur(psf, shape, bc).matrix
+        else:
+            blur = build_stencil_matrix(*autocorrelation(psf), shape, bc).matrix
+        M = blur + ratio * lap
+    return DenseOperator(tuple(shape), M, tag="system")

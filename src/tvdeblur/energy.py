@@ -26,7 +26,17 @@ from .operators import apply_blur, gradient
 
 def energy(u: np.ndarray, z: GradientField, f: np.ndarray, psf: Psf, bc: str,
            alpha: float, beta: float) -> EnergyReport:
-    """Evaluate the objective at ``(u, z)`` for data ``f``; deterministic."""
+    """Evaluate the objective at ``(u, z)`` for data ``f``; deterministic.
+
+    The coupling is taken from ``z - grad u`` as given, so it is exact for
+    that ``z``. The solver's trace takes it instead from ``min(|g|, 1/beta)``,
+    the coupling of the exact shrinkage of ``g = grad u``. The two part
+    where the computed shrinkage rounds back to ``g``:
+    for columns alternating ``+-5e99`` (``|g| = 1e100``) and ``beta = 128``,
+    :func:`~tvdeblur.solver.shrink` returns a ``z`` bit-equal to ``g``, whose
+    coupling here is 0.0, while the trace reports the exact shrinkage's
+    0.0625.
+    """
     u = as_image(u, "u")
     f = as_image(f, "f")
     check_boundary_model(bc)

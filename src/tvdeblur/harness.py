@@ -236,7 +236,7 @@ def restore(observed: np.ndarray, psf: Psf, mode: str, params: SolveParams):
     kind = parse_mode(mode)
     if kind[0] == "bc":
         return solve(observed, psf, kind[1], params)
-    return solve_enlarged(observed, psf, kind[1], kind[2], params)
+    return solve_enlarged(observed, psf, kind[1], params, kind[2])
 
 
 def _no_clock() -> float:

@@ -4,7 +4,9 @@ Used by the ``oracle-check`` CLI command and the acceptance tests. Each
 entry compares one operator under one boundary model, reporting the largest
 max-abs deviation over a set of standard kernels (delta, two Gaussians, and
 a nonsymmetric 3x2 kernel where the model admits it; each where its support
-fits the grid) applied to a fixed pseudorandom image.
+fits the grid) applied to a fixed pseudorandom image. Both divergences are
+checked: ``adjgrad`` is the reblurred pairing, ``transpose`` the exact
+transpose of the gradient that the reflective solve uses.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 from . import dense
 from .grid import BOUNDARY_MODELS, GradientField, Psf
 from .harness import gaussian_psf
-from .operators import adjoint_gradient, apply_blur, apply_correlation, gradient
+from .operators import (adjoint_gradient, apply_blur, apply_correlation, gradient,
+                        transpose_adjoint_gradient)
 from .transforms import SystemPlanner, solve_system
 
 TOLERANCE = 1e-8
@@ -34,9 +37,10 @@ def standard_kernels():
 
 def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
     """Max-abs deviations keyed by (operator, bc), standard kernels on seed-0 images."""
+    shape = (n, n)
     rng = np.random.default_rng(0)
-    u = rng.standard_normal((n, n))
-    z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    u = rng.standard_normal(shape)
+    z = GradientField(rng.standard_normal(shape), rng.standard_normal(shape))
     devs = {}
 
     def note(op, bc, value):
@@ -44,26 +48,28 @@ def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
         devs[key] = max(devs.get(key, 0.0), float(value))
 
     for bc in bcs:
-        d1 = dense.build_grad(n, 1, bc)
-        d2 = dense.build_grad(n, 2, bc)
+        d1 = dense.build_grad(shape, 1, bc)
+        d2 = dense.build_grad(shape, 2, bc)
         g = gradient(u, bc)
         note("grad1", bc, np.abs(d1.apply(u) - g.z1).max())
         note("grad2", bc, np.abs(d2.apply(u) - g.z2).max())
-        a1 = dense.build_adjgrad(n, 1, bc)
-        a2 = dense.build_adjgrad(n, 2, bc)
+        transposed = (d1.matrix.T @ z.z1.ravel() + d2.matrix.T @ z.z2.ravel()).reshape(shape)
+        note("transpose", bc, np.abs(transposed - transpose_adjoint_gradient(z, bc)).max())
+        a1 = dense.build_adjgrad(shape, 1, bc)
+        a2 = dense.build_adjgrad(shape, 2, bc)
         note("adjgrad", bc,
              np.abs(a1.apply(z.z1) + a2.apply(z.z2) - adjoint_gradient(z, bc)).max())
         for name, psf, models in standard_kernels():
             if bc not in models or psf.rows > n or psf.cols > n:
                 continue
-            H = dense.build_blur(psf, n, bc)
+            H = dense.build_blur(psf, shape, bc)
             note("blur", bc, np.abs(H.apply(u) - apply_blur(u, psf, bc)).max())
-            Hc = dense.build_correlation(psf, n, bc)
+            Hc = dense.build_correlation(psf, shape, bc)
             note("correlation", bc,
                  np.abs(Hc.apply(u) - apply_correlation(u, psf, bc)).max())
-            system = dense.build_system(psf, n, bc, ratio)
+            system = dense.build_system(psf, shape, bc, ratio)
             rhs = system.apply(u)
-            plan = SystemPlanner(psf, (n, n), bc).plan(ratio)
+            plan = SystemPlanner(psf, shape, bc).plan(ratio)
             note("solve", bc, np.abs(solve_system(plan, rhs) - u).max())
     return devs
 

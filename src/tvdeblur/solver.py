@@ -234,8 +234,7 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
     return u, SolveTrace(tuple(records), tuple(violations), status)
 
 
-def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, pad=None,
-                   params: SolveParams = None):
+def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, params: SolveParams, pad=None):
     """Extend the data, solve with periodic boundaries, crop the interior.
 
     Supports nonsymmetric kernels: the enlarged domain is always handled by
@@ -253,8 +252,6 @@ def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, pad=None,
     """
     f = as_image(f, "observed image")
     check_boundary_model(extension)
-    if params is None:
-        raise DataError("params is required")
     pad = max(psf.rows, psf.cols) if pad is None else int(pad)
     need = -(-max(psf.rows, psf.cols) // 2)
     if pad != 0 and pad < need:

@@ -30,8 +30,9 @@ where the composite operator is, per boundary model, diagonalized by:
   ``correlate``, each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
   model's ghosts.
-  The loop takes its norms and dot products as NumPy sums, never through
-  BLAS, whose threads would spin against sweep workers. CG stops when the
+  The loop takes its norms by :func:`_sum_of_squares` and its dot
+  products as NumPy sums, never through BLAS, whose threads would spin
+  against sweep workers. CG stops when the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
   right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
   iterations.
@@ -75,6 +76,7 @@ is recorded on the plan and logged).
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -122,12 +124,6 @@ def _symbol(weights, center, theta_r, theta_c) -> np.ndarray:
     t = np.arange(weights.shape[1]) - center[1]
     rows = np.einsum("is,st->it", np.exp(-1j * np.outer(theta_r, s)), weights)
     return np.einsum("it,tj->ij", rows, np.exp(-1j * np.outer(t, theta_c)))
-
-
-def _l2(x: np.ndarray) -> float:
-    # Not np.linalg.norm: that is a BLAS dot, which OpenBLAS threads above
-    # 10^4 elements, and its spinning threads compete with sweep workers.
-    return float(np.sqrt(np.sum(x * x)))
 
 
 def _sum_of_squares(x: np.ndarray) -> float:
@@ -291,7 +287,7 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     def matvec(u):
         return plan.correlate(plan.blur(u)) + regularizer(u)
 
-    b_norm = _l2(rhs)
+    b_norm = math.sqrt(_sum_of_squares(rhs))
     if b_norm == 0:
         # the solution is zero whatever the start; a tolerance of 0 could
         # not be met from a nonzero one
@@ -303,7 +299,7 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
         x = np.array(start, dtype=float)
         r = rhs - matvec(x)
     steps = 0
-    while _l2(r) > tol and steps < CG_MAXITER:
+    while math.sqrt(_sum_of_squares(r)) > tol and steps < CG_MAXITER:
         z = _transform_solve(plan.preconditioner, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
@@ -314,8 +310,9 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
         rho_prev, steps = rho, steps + 1
     # matvec(x), keeping its H x for the caller
     blurred = plan.blur(x)
-    residual = _l2(rhs - (plan.correlate(blurred) + regularizer(x))) / b_norm
-    if _l2(r) > tol:
+    residual = math.sqrt(_sum_of_squares(
+        rhs - (plan.correlate(blurred) + regularizer(x)))) / b_norm
+    if math.sqrt(_sum_of_squares(r)) > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
             f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")

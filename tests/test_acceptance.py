@@ -101,7 +101,7 @@ def test_criterion_4_reflective_equivalence():
     params = SolveParams(alpha=50.0)
     direct, _ = solve(observed, psf, "reflective", params)
     pad = observed.shape[0] // 2  # mirror-doubled domain, twice the image
-    doubled, _ = solve_enlarged(observed, psf, "reflective", pad, params)
+    doubled, _ = solve_enlarged(observed, psf, "reflective", params, pad)
     diff = float(np.abs(direct - doubled).max())
     elapsed = time.perf_counter() - start
     assert diff <= 1e-6

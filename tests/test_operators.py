@@ -84,13 +84,13 @@ class TestApplyBlur:
     def test_matches_dense_oracle_symmetric(self, rng, bc, n):
         psf = gaussian_psf(5, 1.0)
         u = rng.standard_normal((n, n))
-        H = dense.build_blur(psf, n, bc)
+        H = dense.build_blur(psf, (n, n), bc)
         assert np.abs(apply_blur(u, psf, bc) - H.apply(u)).max() < 1e-12
 
     @pytest.mark.parametrize("bc", ["zero", "periodic"])
     def test_matches_dense_oracle_nonsymmetric(self, rng, bc):
         u = rng.standard_normal((9, 9))
-        H = dense.build_blur(NONSYM, 9, bc)
+        H = dense.build_blur(NONSYM, (9, 9), bc)
         assert np.abs(apply_blur(u, NONSYM, bc) - H.apply(u)).max() < 1e-12
 
     def test_support_too_large(self, rng):
@@ -107,7 +107,7 @@ class TestApplyCorrelation:
 
     def test_periodic_matches_dense_transpose(self, rng):
         u = rng.standard_normal((8, 8))
-        H = dense.build_blur(NONSYM, 8, "periodic")
+        H = dense.build_blur(NONSYM, (8, 8), "periodic")
         expected = (H.matrix.T @ u.ravel()).reshape(8, 8)
         assert np.abs(apply_correlation(u, NONSYM, "periodic") - expected).max() < 1e-12
 
@@ -120,7 +120,7 @@ class TestApplyCorrelation:
     def test_matches_dense_oracle(self, rng, bc):
         psf = gaussian_psf(3, 0.9) if bc in ("reflective", "antireflective") else NONSYM
         u = rng.standard_normal((8, 8))
-        Hc = dense.build_correlation(psf, 8, bc)
+        Hc = dense.build_correlation(psf, (8, 8), bc)
         assert np.abs(apply_correlation(u, psf, bc) - Hc.apply(u)).max() < 1e-12
 
 
@@ -137,8 +137,8 @@ class TestStencilRoutes:
         psf = self.WIDE[kernel]
         assert psf.weights.size > DIRECT_MAX_TAPS
         u = rng.standard_normal((n, n))
-        H = dense.build_blur(psf, n, bc)
-        Hc = dense.build_correlation(psf, n, bc)
+        H = dense.build_blur(psf, (n, n), bc)
+        Hc = dense.build_correlation(psf, (n, n), bc)
         assert np.abs(apply_blur(u, psf, bc) - H.apply(u)).max() <= 1e-12
         assert np.abs(apply_correlation(u, psf, bc) - Hc.apply(u)).max() <= 1e-12
 
@@ -147,7 +147,7 @@ class TestStencilRoutes:
         weights, center = dense.autocorrelation(gaussian_psf(7, 1.5))
         assert weights.shape == (13, 13)
         u = rng.standard_normal((8, 8))
-        S = dense.build_stencil_matrix(weights, center, 8, bc)
+        S = dense.build_stencil_matrix(weights, center, (8, 8), bc)
         assert np.abs(apply_stencil(u, weights, center, bc) - S.apply(u)).max() <= 1e-12
 
     @pytest.mark.parametrize("bc", BCS)
@@ -210,8 +210,8 @@ class TestGradient:
         n = 8
         u = rng.standard_normal((n, n))
         g = gradient(u, bc)
-        assert np.abs(dense.build_grad(n, 1, bc).apply(u) - g.z1).max() < 1e-14
-        assert np.abs(dense.build_grad(n, 2, bc).apply(u) - g.z2).max() < 1e-14
+        assert np.abs(dense.build_grad((n, n), 1, bc).apply(u) - g.z1).max() < 1e-14
+        assert np.abs(dense.build_grad((n, n), 2, bc).apply(u) - g.z2).max() < 1e-14
 
 
 class TestAdjointGradient:
@@ -219,7 +219,7 @@ class TestAdjointGradient:
         n = 8
         u = rng.standard_normal((n, n))
         lap = dense.build_stencil_matrix(
-            dense.LAPLACIAN_STENCIL, dense.LAPLACIAN_CENTER, n, "periodic")
+            dense.LAPLACIAN_STENCIL, dense.LAPLACIAN_CENTER, (n, n), "periodic")
         out = adjoint_gradient(gradient(u, "periodic"), "periodic")
         assert np.abs(out - lap.apply(u)).max() < 1e-12
 
@@ -240,8 +240,8 @@ class TestAdjointGradient:
     def test_matches_dense_oracle(self, rng, bc):
         n = 8
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        expected = (dense.build_adjgrad(n, 1, bc).apply(z.z1)
-                    + dense.build_adjgrad(n, 2, bc).apply(z.z2))
+        expected = (dense.build_adjgrad((n, n), 1, bc).apply(z.z1)
+                    + dense.build_adjgrad((n, n), 2, bc).apply(z.z2))
         assert np.abs(adjoint_gradient(z, bc) - expected).max() < 1e-14
 
 
@@ -259,8 +259,8 @@ class TestTransposeAdjointGradient:
     def test_matches_dense_transpose(self, rng, bc):
         n = 8
         z = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
-        expected = (dense.build_grad(n, 1, bc).matrix.T @ z.z1.ravel()
-                    + dense.build_grad(n, 2, bc).matrix.T @ z.z2.ravel()).reshape(n, n)
+        expected = (dense.build_grad((n, n), 1, bc).matrix.T @ z.z1.ravel()
+                    + dense.build_grad((n, n), 2, bc).matrix.T @ z.z2.ravel()).reshape(n, n)
         assert np.abs(transpose_adjoint_gradient(z, bc) - expected).max() < 1e-14
 
 

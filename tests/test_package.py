@@ -46,6 +46,21 @@ def test_importing_the_package_leaves_the_dense_oracle_unloaded():
     assert _loaded_after("import tvdeblur", ["tvdeblur.dense"]) == "[]"
 
 
+def test_the_dense_oracle_imports_no_fast_path():
+    # the oracle is the reference the fast paths are checked against, so it
+    # must share no code with them
+    tree = ast.parse((Path(tvdeblur.__file__).parent / "dense.py").read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(alias.name for alias in node.names)
+    assert "grid" in parts
+    assert parts.isdisjoint({"operators", "transforms", "solver"})
+
+
 @pytest.mark.parametrize("statement", ["import tvdeblur", "import tvdeblur.cli"])
 def test_importing_the_package_leaves_scipy_signal_unloaded(statement):
     # scipy.signal (with scipy.stats) was most of the package's start-up time

@@ -133,14 +133,14 @@ class TestUStep:
         expected_fit = np.sum((apply_blur(u, psf, bc) - f) ** 2)
         assert abs(fits[0] - expected_fit) <= 1e-12 * expected_fit
         z = shrink(gradient(f, bc), beta)
-        system = dense.build_system(psf, n, bc, beta / alpha)
-        corr = dense.build_correlation(psf, n, bc)
+        system = dense.build_system(psf, (n, n), bc, beta / alpha)
+        corr = dense.build_correlation(psf, (n, n), bc)
         if bc == "reflective":
-            d1 = dense.build_grad(n, 1, bc).matrix.T
-            d2 = dense.build_grad(n, 2, bc).matrix.T
+            d1 = dense.build_grad((n, n), 1, bc).matrix.T
+            d2 = dense.build_grad((n, n), 2, bc).matrix.T
         else:
-            d1 = dense.build_adjgrad(n, 1, bc).matrix
-            d2 = dense.build_adjgrad(n, 2, bc).matrix
+            d1 = dense.build_adjgrad((n, n), 1, bc).matrix
+            d2 = dense.build_adjgrad((n, n), 2, bc).matrix
         rhs = corr.apply(f) + (beta / alpha) * (
             (d1 @ z.z1.ravel() + d2 @ z.z2.ravel()).reshape(n, n))
         expected = system.solve(rhs)
@@ -315,7 +315,7 @@ class TestObservedImageUntouched:
         assert f.tobytes() == kept
         if mode.startswith("enlarge:"):
             _, extension, pad = mode.split(":")
-            solve_enlarged(f, psf, extension, int(pad), self.PARAMS)
+            solve_enlarged(f, psf, extension, self.PARAMS, int(pad))
         else:
             solve(f, psf, mode, self.PARAMS)
         assert f.tobytes() == kept
@@ -398,7 +398,7 @@ class TestFusedLoop:
         monkeypatch.setattr(solver, "solve_and_blur", recorded)
         if mode == "enlarge:reflective":
             pads = ((4, 4), (4, 4))
-            _, trace = solve_enlarged(observed, psf, "reflective", 4, self.PARAMS)
+            _, trace = solve_enlarged(observed, psf, "reflective", self.PARAMS, 4)
             f, bc = extend(observed, pads, "reflective"), "periodic"
         else:
             _, trace = solve(observed, psf, mode, self.PARAMS)
@@ -429,29 +429,29 @@ class TestSolveEnlarged:
         _, psf, observed, _ = small_instance
         params = SolveParams(alpha=1e3)
         direct, _ = solve(observed, psf, "periodic", params)
-        enlarged, _ = solve_enlarged(observed, psf, "periodic", 0, params)
+        enlarged, _ = solve_enlarged(observed, psf, "periodic", params, 0)
         assert direct.tobytes() == enlarged.tobytes()
 
     def test_nonsymmetric_kernel_runs(self, rng):
         truth = builtin_truth("ramp-disk", 36, 30)
         nonsym = Psf(np.array([[0.5, 0.2], [0.2, 0.1]]), (0, 0))
         observed, _ = simulate(truth, nonsym, 1e-6, seed=1)
-        u, trace = solve_enlarged(observed, nonsym, "reflective", 4,
-                                  SolveParams(alpha=100.0))
+        u, trace = solve_enlarged(observed, nonsym, "reflective",
+                                  SolveParams(alpha=100.0), 4)
         assert u.shape == observed.shape and np.all(np.isfinite(u))
 
     def test_default_pad_is_kernel_extent(self, small_instance):
         _, psf, observed, _ = small_instance
         params = SolveParams(alpha=1e3)
-        defaulted, _ = solve_enlarged(observed, psf, "reflective", params=params)
-        explicit, _ = solve_enlarged(observed, psf, "reflective",
-                                     max(psf.rows, psf.cols), params)
+        defaulted, _ = solve_enlarged(observed, psf, "reflective", params)
+        explicit, _ = solve_enlarged(observed, psf, "reflective", params,
+                                     max(psf.rows, psf.cols))
         assert defaulted.tobytes() == explicit.tobytes()
 
     def test_pad_below_kernel_support_rejected(self, small_instance):
         _, psf, observed, _ = small_instance
         with pytest.raises(PreconditionError):
-            solve_enlarged(observed, psf, "reflective", 1, SolveParams(alpha=1.0))
+            solve_enlarged(observed, psf, "reflective", SolveParams(alpha=1.0), 1)
 
     def test_mirror_doubled_domain_matches_reflective_solve(self):
         # low-contrast scene: the shrinkage stays inactive, where the
@@ -463,6 +463,6 @@ class TestSolveEnlarged:
         observed, _ = simulate(scene, psf, 1e-8, seed=3)
         params = SolveParams(alpha=50.0)
         direct, _ = solve(observed, psf, "reflective", params)
-        doubled, _ = solve_enlarged(observed, psf, "reflective",
-                                    observed.shape[0] // 2, params)
+        doubled, _ = solve_enlarged(observed, psf, "reflective", params,
+                                    observed.shape[0] // 2)
         assert np.abs(direct - doubled).max() < 1e-10

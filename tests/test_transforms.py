@@ -10,7 +10,6 @@ from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryE
                       diagonal_motion_psf, gaussian_psf, simulate, solve, solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
-from tvdeblur.operators import apply_stencil
 from tvdeblur.transforms import (EIG_FLOOR, SystemPlanner, _antireflective, _fft, _solve_zero,
                                  _squared_norm, solve_and_blur, solve_system)
 
@@ -31,6 +30,17 @@ def _planner_accepts(psf, shape, bc):
     return True
 
 
+def stencil_system(psf, shape, bc, ratio):
+    """The autocorrelation stencil plus ratio times the Laplacian, from the
+    dense oracle: the system H'H + ratio D'D that the periodic transform
+    solves, the reflective one for a quadrantally symmetric kernel, and the
+    antireflective one by construction."""
+    matrix = (dense.build_stencil_matrix(*autocorrelation(psf), shape, bc).matrix
+              + ratio * dense.build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER,
+                                                   shape, bc).matrix)
+    return dense.DenseOperator(shape, matrix, "system")
+
+
 class TestPlanSystem:
     @pytest.mark.parametrize("bc", ["periodic", "reflective", "antireflective"])
     def test_delta_ratio_zero_has_unit_eigenvalues(self, bc):
@@ -46,7 +56,7 @@ class TestPlanSystem:
         n, ratio = 16, 4.0
         psf = gaussian_psf(5, 1.0)
         b = rng.standard_normal((n, n))
-        expected = dense.build_system(psf, n, "reflective", ratio).solve(b)
+        expected = dense.build_system(psf, (n, n), "reflective", ratio).solve(b)
         got = solve_system(SystemPlanner(psf, (n, n), "reflective").plan(ratio), b)
         assert np.abs(got - expected).max() < 1e-8
 
@@ -112,7 +122,7 @@ class TestSolveSystem:
         if name == "nonsym" and bc in ("reflective", "antireflective"):
             pytest.skip("trig models require quadrantal symmetry")
         n, ratio = 8, 2.0
-        system = dense.build_system(psf, n, bc, ratio)
+        system = dense.build_system(psf, (n, n), bc, ratio)
         x = rng.standard_normal((n, n))
         got = solve_system(SystemPlanner(psf, (n, n), bc).plan(ratio), system.apply(x))
         assert np.abs(got - x).max() < 1e-8
@@ -120,7 +130,7 @@ class TestSolveSystem:
     def test_periodic_recovers_random_solution(self, rng):
         n = 16
         psf = gaussian_psf(5, 1.0)
-        system = dense.build_system(psf, n, "periodic", 1.5)
+        system = dense.build_system(psf, (n, n), "periodic", 1.5)
         x = rng.standard_normal((n, n))
         got = solve_system(SystemPlanner(psf, (n, n), "periodic").plan(1.5), system.apply(x))
         assert np.abs(got - x).max() < 1e-9 * max(1.0, np.abs(x).max())
@@ -151,12 +161,9 @@ class TestSolveSystem:
         plan = SystemPlanner(psf, shape, bc).plan(ratio)
         x = rng.standard_normal(shape)
         if bc == "zero":
-            b = zero_system(psf, ratio)(x)
+            b = dense.build_system(psf, shape, "zero", ratio).apply(x)
         else:
-            # H'H is the autocorrelation stencil for periodic and for reflective
-            # with a quadrantally symmetric kernel, and antireflective solves it
-            b = (apply_stencil(x, *autocorrelation(psf), bc)
-                 + ratio * apply_stencil(x, LAPLACIAN_STENCIL, LAPLACIAN_CENTER, bc))
+            b = stencil_system(psf, shape, bc, ratio).apply(x)
         got = solve_system(plan, b)
         assert np.abs(got - x).max() < 1e-9
 
@@ -173,7 +180,7 @@ def test_antireflective_transform_inverts_the_dense_system(n, k, sigma, ratio, s
     psf = gaussian_psf(k, sigma)
     assume(_planner_accepts(psf, (n, n), "antireflective"))
     x = np.random.default_rng(seed).standard_normal((n, n))
-    b = dense.build_system(psf, n, "antireflective", ratio).apply(x)
+    b = dense.build_system(psf, (n, n), "antireflective", ratio).apply(x)
     got = solve_system(SystemPlanner(psf, (n, n), "antireflective").plan(ratio), b)
     assert np.abs(got - x).max() < 1e-8
 
@@ -216,9 +223,7 @@ class TestAntireflectiveTransform:
         plan = SystemPlanner(psf, shape, "antireflective").plan(ratio)
         c = rng.standard_normal(shape)
         u = _antireflective(c, inverse=True)
-        system_u = (apply_stencil(u, *autocorrelation(psf), "antireflective")
-                    + ratio * apply_stencil(u, LAPLACIAN_STENCIL, LAPLACIAN_CENTER,
-                                            "antireflective"))
+        system_u = stencil_system(psf, shape, "antireflective", ratio).apply(u)
         assert plan.eigenvalues.shape == shape
         assert np.abs(_antireflective(system_u) - plan.eigenvalues * c).max() < 1e-12
 
@@ -276,7 +281,7 @@ class TestZeroPreconditionedCG:
         plan = SystemPlanner(psf, (n, n), "zero").plan(ratio)
         assert plan.preconditioner.bc == preconditioner
         b = rng.standard_normal((n, n))
-        expected = dense.build_system(psf, n, "zero", ratio).solve(b)
+        expected = dense.build_system(psf, (n, n), "zero", ratio).solve(b)
         u, iterations, residual, blurred = _solve_zero(plan, b)
         assert np.abs(u - expected).max() < 1e-8
         assert 1 <= iterations and residual <= 1e-12
@@ -299,13 +304,15 @@ class TestZeroPreconditionedCG:
         plan = SystemPlanner(psf, (20, 4), "zero").plan(0.5)
         assert plan.preconditioner.bc == "periodic"
         b = rng.standard_normal((20, 4))
-        assert relative_residual(zero_system(psf, 0.5), solve_system(plan, b), b) <= 1e-12
+        system = dense.build_system(psf, (20, 4), "zero", 0.5)
+        assert relative_residual(system.apply, solve_system(plan, b), b) <= 1e-12
 
     def test_non_square_image_meets_the_tolerance(self, rng):
         psf = random_psf((5, 4), (1, 2), 11)
         plan = SystemPlanner(psf, (20, 13), "zero").plan(0.3)
         b = rng.standard_normal((20, 13))
-        assert relative_residual(zero_system(psf, 0.3), solve_system(plan, b), b) <= 1e-12
+        system = dense.build_system(psf, (20, 13), "zero", 0.3)
+        assert relative_residual(system.apply, solve_system(plan, b), b) <= 1e-12
 
     @staticmethod
     def check_solve_above_the_oracle_cap(monkeypatch, psf, preconditioner):
@@ -427,7 +434,7 @@ class TestSolveAndBlur:
         observed, _ = simulate(builtin_truth("cartoon", 26, 25), psf, 1e-4, seed=6)
         params = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=3)
         if mode.startswith("enlarge:"):
-            solve_enlarged(observed, psf, mode.split(":")[1], 3, params)
+            solve_enlarged(observed, psf, mode.split(":")[1], params, 3)
             pair = {"rfft2": 1, "irfft2": 1}
         else:
             solve(observed, psf, mode, params)
