@@ -181,7 +181,8 @@ def cmd_deblur(args) -> int:
              "coupling": r.energy.coupling, "total": r.energy.total,
              "rel_change": r.rel_change, "seconds": r.seconds,
              "shrink_s": r.shrink_s, "objective_s": r.objective_s, "update_s": r.update_s,
-             "cg_iterations": r.cg_iterations, "cg_residual": r.cg_residual}
+             "cg_iterations": r.cg_iterations, "cg_start_residual": r.cg_start_residual,
+             "cg_residual": r.cg_residual}
             for r in trace.records
         ],
     }

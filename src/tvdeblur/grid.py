@@ -45,6 +45,14 @@ def as_image(values, name: str = "image") -> np.ndarray:
     return arr
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: integral floats such as ``1.0`` pass, ``2.7`` raises."""
+    if not (isinstance(value, (int, np.integer))
+            or (isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -70,11 +78,11 @@ class Psf:
             raise DataError("psf weights contain non-finite values")
         if w.sum() <= 0.0:
             raise DataError("psf weights must have positive total mass")
-        cr, cc = self.center
+        cr, cc = (_integer(c, "psf center entry") for c in self.center)
         if not (0 <= cr < w.shape[0] and 0 <= cc < w.shape[1]):
             raise DataError(f"psf center {self.center} outside kernel extent {w.shape}")
         object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "center", (int(cr), int(cc)))
+        object.__setattr__(self, "center", (cr, cc))
 
     @property
     def rows(self) -> int:
@@ -174,12 +182,13 @@ class SolveParams:
             raise DataError(f"beta ladder must be strictly increasing, got {ladder}")
         if not (0.0 < self.inner_tol < 1.0):
             raise DataError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
-        if self.inner_max < 1:
+        inner_max = _integer(self.inner_max, "inner_max")
+        if inner_max < 1:
             raise DataError(f"inner_max must be >= 1, got {self.inner_max}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta_ladder", ladder)
         object.__setattr__(self, "inner_tol", float(self.inner_tol))
-        object.__setattr__(self, "inner_max", int(self.inner_max))
+        object.__setattr__(self, "inner_max", inner_max)
 
 
 @dataclass(frozen=True)

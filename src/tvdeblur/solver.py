@@ -12,10 +12,14 @@ periodic use the (identical) flipped-stencil closure, the reflective model
 uses the exact transpose of the gradient — this makes its update the exact
 partial minimizer of the objective and makes the restoration agree with a
 periodic solve on the mirror-doubled domain — and the antireflective model
-uses the reblurred closure that its sine-transform solve diagonalizes. With
-exact partial minimizers the objective is non-increasing within a rung; the
-trace records any violation instead of silently accepting it. A non-finite
-image update raises ``ConvergenceError`` at once. The antireflective model
+uses the reblurred closure that its sine-transform solve diagonalizes. The
+zero model's update is a descent step rather than an exact partial
+minimizer: its CG starts from the current iterate, lowers the image
+subproblem at every step, and stops at a forcing term (see
+:func:`~tvdeblur.transforms.solve_and_blur`). With exact partial
+minimizers or descent steps the objective is non-increasing within a rung;
+the trace records any violation instead of silently accepting it. A
+non-finite image update raises ``ConvergenceError`` at once. The antireflective model
 can flag at large penalties (a known consequence of reblurring the boundary
 rows), as can even-extent kernels under the reflective model, whose
 half-sample center offset leaves the transform solve a boundary-row
@@ -37,10 +41,12 @@ that the image update returned with ``u`` (see
 transform of its own. The right-hand side is the divergence of ``z``, times
 the ratio, plus ``H'f``. The step norm and ``||u||^2`` are one pass each,
 and finiteness is read from the step norm: only when that is not finite
-does the loop check the iterate itself. The zero model's CG starts from the
-current iterate. The trace's energies equal :func:`energy`'s to rounding,
-and the restoration does not depend on them. Each trace record carries the
-seconds of the shrinkage, the objective and the image update.
+does the loop check the iterate itself. The zero model's fidelity comes
+from the final residual check of its CG, so it is exact for the u the
+update returns, early stop or not. The trace's energies equal
+:func:`energy`'s to rounding, and the restoration does not depend on them.
+Each trace record carries the seconds of the shrinkage, the objective and
+the image update.
 
 :func:`solve` validates the observed image; its planner checks the boundary
 model and the kernel's symmetry before any work starts. Nonsymmetric
@@ -147,10 +153,13 @@ class TraceRecord:
     ``seconds`` is the wall time from the start of the ladder to the end of
     this iteration. ``shrink_s``, ``objective_s`` and ``update_s`` are this
     iteration's own seconds in the shrinkage, the objective evaluation and
-    the image update. ``cg_iterations`` and ``cg_residual`` (the final
+    the image update. ``cg_iterations``, ``cg_start_residual`` (the
+    ||b - A u^k|| / ||b|| of the CG's start) and ``cg_residual`` (the final
     ||b - Au|| / ||b||) are the zero model's CG numerics for the image
-    update, ``None`` for the transform-solved models; the CG starts from
-    u^k, so ``cg_iterations`` counts the steps from there.
+    update, ``None`` for the transform-solved models. The CG starts from
+    u^k, so ``cg_iterations`` counts the steps from there, and it stops once
+    ``cg_residual`` falls to ``max(CG_RTOL, CG_FORCING * cg_start_residual)``
+    (up to the rounding between CG's recurrence and the true residual).
     """
 
     beta: float
@@ -159,6 +168,7 @@ class TraceRecord:
     rel_change: float
     seconds: float
     cg_iterations: int | None
+    cg_start_residual: float | None
     cg_residual: float | None
     shrink_s: float
     objective_s: float
@@ -223,9 +233,8 @@ def solve(f: np.ndarray, psf: Psf, bc: str, params: SolveParams):
                     f"non-finite iterate at beta={beta:g}, inner iteration {it}")
             norm_u = math.sqrt(_sum_of_squares(u))
             rel = math.sqrt(step) / (norm_u if norm_u > 0 else 1.0)
-            cg_iterations, cg_residual = cg or (None, None)
             records.append(TraceRecord(beta, it, report, rel, time.perf_counter() - start,
-                                       cg_iterations, cg_residual,
+                                       *(cg or (None, None, None)),
                                        shrink_s, objective_s, update_s))
             u = u_new
             if rel < params.inner_tol:

@@ -32,10 +32,12 @@ where the composite operator is, per boundary model, diagonalized by:
   model's ghosts.
   The loop takes its norms by :func:`_sum_of_squares` and its dot
   products as NumPy sums, never through BLAS, whose threads would spin
-  against sweep workers. CG stops when the
+  against sweep workers. A cold CG stops when the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
-  right-hand side, and raises ``ConvergenceError`` after ``CG_MAXITER``
-  iterations.
+  right-hand side; a warm-started one also stops at a forcing term, once
+  the residual falls to ``CG_FORCING`` times that of its start (Eisenstat
+  & Walker, SIAM J. Sci. Comput. 17, 1996). Either raises
+  ``ConvergenceError`` after ``CG_MAXITER`` iterations.
 
 Every transform plan samples one symbol, the kernel's
 ``h(theta) = sum_st w[s,t] exp(-i (s theta_r + t theta_c))`` over its
@@ -48,8 +50,11 @@ symbol of the kernel's autocorrelation, the stencil of H'H, and the rest
 that of the five-point Laplacian D'D (Ng, Chan & Tang 1999;
 Serra-Capizzano 2003). Neither stencil is built.
 
-The zero model's CG starts from zeros in :func:`solve_system`; the solver
-loop's update starts it from the current iterate instead.
+The zero model's CG starts from zeros in :func:`solve_system` and stops at
+``CG_RTOL``. The solver loop's update starts it from the current iterate
+and stops it at the forcing term, since the loop needs only a step that
+lowers the image subproblem, which every CG step from there does. That
+start's residual is formed anyway, so the rule costs no matvec.
 
 :func:`solve_and_blur` is the solver loop's image update: the solution and
 its fidelity ``||H u - f||^2``, which the objective needs. For periodic
@@ -98,15 +103,22 @@ EIG_FLOOR = 1e-14
 #: The zero model's CG stops once ||b - Ax|| <= CG_RTOL * ||b||.
 CG_RTOL = 1e-12
 
-#: Iteration cap of the zero model's CG. A 5x5 Gaussian update at
+#: The forcing term of a warm-started CG, the solver loop's image update: it
+#: stops once ||b - Ax|| <= max(CG_RTOL * ||b||, CG_FORCING * ||b - A x0||),
+#: with x0 the start (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
+CG_FORCING = 1e-5
+
+#: Iteration cap of the zero model's CG. A cold 5x5 Gaussian solve at
 #: alpha = 500 takes about 22 iterations, and gaussian_psf(5, 1) stays at
-#: 37-39 at every size up to 192x192 at ratio 2e-6. The count does grow with
-#: the image for ill-conditioned kernels: a cold solve of H'f with the
-#: nonsymmetric diagonal_motion_psf(7) at ratio 2e-6 (alpha = 1e6, first
-#: rung; only the FFT preconditioner applies) took 1,755, 2,610 and 3,515
-#: iterations at 48x48, 96x96 and 192x192, about +900 per doubling of the
-#: side. Extrapolated, such a solve reaches the cap between 512x512 and
-#: 768x768 and raises ConvergenceError there.
+#: 37-39 at every size up to 192x192 at ratio 2e-6; a forced update from the
+#: current iterate takes about 11. The count does grow with the image for
+#: ill-conditioned kernels: a cold solve of H'f with the nonsymmetric
+#: diagonal_motion_psf(7) at ratio 2e-6 (alpha = 1e6, first rung; only the
+#: FFT preconditioner applies) took 1,755, 2,610 and 3,515 iterations at
+#: 48x48, 96x96 and 192x192, about +900 per doubling of the side.
+#: Extrapolated, such a solve reaches the cap between 512x512 and 768x768
+#: and raises ConvergenceError there. The loop's forced updates of that
+#: kernel took at most 1,280, 1,810 and 2,528 at the same sizes.
 CG_MAXITER = 5000
 
 
@@ -278,9 +290,12 @@ class SystemPlanner:
 
 def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     """Preconditioned CG on the literal normal equations; exact transposes,
-    matrix-free. Starts from ``start`` (zeros when ``None``) and returns the
-    solution x, the iterations taken, the final relative residual and
-    ``H x``, the product that residual's check made."""
+    matrix-free. Starts from ``start`` (zeros when ``None``) and stops once
+    the residual falls to ``CG_RTOL * ||b||``, or from a ``start`` to
+    ``CG_FORCING`` times its own residual if that is larger. Returns the
+    solution x, the CG numerics ``(iterations, start residual, final
+    residual)``, both residuals relative to ``||b||``, and ``H x``, the
+    product the final residual's check made."""
     def regularizer(u):
         return plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
 
@@ -291,15 +306,17 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     if b_norm == 0:
         # the solution is zero whatever the start; a tolerance of 0 could
         # not be met from a nonzero one
-        return np.zeros(rhs.shape), 0, 0.0, np.zeros(rhs.shape)
-    tol = CG_RTOL * b_norm
+        return np.zeros(rhs.shape), (0, 0.0, 0.0), np.zeros(rhs.shape)
     if start is None:
         x, r = np.zeros(rhs.shape), rhs.copy()
+        r_norm, tol = b_norm, CG_RTOL * b_norm
     else:
         x = np.array(start, dtype=float)
         r = rhs - matvec(x)
-    steps = 0
-    while math.sqrt(_sum_of_squares(r)) > tol and steps < CG_MAXITER:
+        r_norm = math.sqrt(_sum_of_squares(r))
+        tol = max(CG_RTOL * b_norm, CG_FORCING * r_norm)
+    start_residual, steps = r_norm / b_norm, 0
+    while r_norm > tol and steps < CG_MAXITER:
         z = _transform_solve(plan.preconditioner, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
@@ -307,16 +324,17 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
         alpha = rho / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
+        r_norm = math.sqrt(_sum_of_squares(r))
         rho_prev, steps = rho, steps + 1
     # matvec(x), keeping its H x for the caller
     blurred = plan.blur(x)
     residual = math.sqrt(_sum_of_squares(
         rhs - (plan.correlate(blurred) + regularizer(x)))) / b_norm
-    if math.sqrt(_sum_of_squares(r)) > tol:
+    if r_norm > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
-            f"{residual:.3e}, above its tolerance {CG_RTOL:g} (info={steps})")
-    return x, steps, residual, blurred
+            f"{residual:.3e}, above its tolerance {tol / b_norm:g} (info={steps})")
+    return x, (steps, start_residual, residual), blurred
 
 
 def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -417,7 +435,9 @@ def solve_system(plan: SpectralPlan, rhs: np.ndarray) -> np.ndarray:
 def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, start=None):
     """``solve_system(plan, rhs)``, the fidelity ``||H u - f||^2`` of its
     solution for the ``target`` that :meth:`SystemPlanner.prepare` made of ``f``,
-    and the zero model's CG ``(iterations, relative residual)``, else ``None``.
+    and the zero model's CG ``(iterations, start residual, final residual)``,
+    relative to ``||rhs||``, else ``None``. A zero solve from a ``start``
+    stops at the forcing term, so its u is a descent step, not the solution.
 
     With a blur symbol (periodic, reflective with an odd centered kernel)
     the fidelity is the squared norm of the symbol times the solution's
@@ -433,8 +453,7 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
         coefficients -= target
         return u, _squared_norm(plan, coefficients), None
     if plan.bc == "zero":
-        u, iterations, residual, blurred = _solve_zero(plan, rhs, start)
-        cg = (iterations, residual)
+        u, cg, blurred = _solve_zero(plan, rhs, start)
     else:
         u, cg = _transform_solve(plan, rhs)[0], None
         blurred = plan.blur(u)

@@ -3,10 +3,12 @@ pass line with the measured figure (run with ``pytest -s`` to see them).
 
 The standard instance is the 128x128 cartoon scene blurred by the 9x9
 Gaussian (spread 2) with noise variance 1e-4. Monotonicity (criterion 3)
-is asserted for the boundary models whose image update is an exact partial
-minimizer of the discrete objective (zero/periodic/reflective); the
-antireflective model's reblurred update trades that exactness for fast
-solvability and flags any rise in its trace instead.
+is asserted for the boundary models whose image update lowers the discrete
+objective: periodic and reflective, where it is the exact partial
+minimizer, and zero, where it is a descent step (CG from the current
+iterate, stopped at a forcing term). The antireflective model's reblurred
+update trades that for fast solvability and flags any rise in its trace
+instead.
 """
 
 import math

@@ -45,6 +45,16 @@ class TestPsf:
         with pytest.raises(DataError):
             Psf(np.ones((3, 3)), (3, 0))
 
+    @pytest.mark.parametrize("center", [(1.6, 0.2), (1, 0.5), (np.nan, 0), (np.inf, 0), ("1", 0)],
+                             ids=str)
+    def test_non_integral_center_rejected(self, center):
+        with pytest.raises(DataError, match="psf center entry must be an integer"):
+            Psf(np.ones((3, 3)), center)
+
+    def test_integral_center_of_any_kind_accepted(self):
+        p = Psf(np.ones((3, 3)), (1.0, np.int64(2)))
+        assert p.center == (1, 2) and all(type(c) is int for c in p.center)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             Psf(np.array([[np.inf]]), (0, 0))
@@ -101,6 +111,16 @@ class TestSolveParams:
     def test_inner_max_at_least_one(self):
         with pytest.raises(DataError):
             SolveParams(alpha=1.0, inner_max=0)
+
+    @pytest.mark.parametrize("inner_max", [2.7, 1.5, np.nan, np.inf, "3"], ids=str)
+    def test_non_integral_inner_max_rejected(self, inner_max):
+        with pytest.raises(DataError, match="inner_max must be an integer"):
+            SolveParams(alpha=1.0, inner_max=inner_max)
+
+    @pytest.mark.parametrize("inner_max", [3, 3.0, np.int32(3), np.float64(3.0)], ids=repr)
+    def test_integral_inner_max_accepted(self, inner_max):
+        params = SolveParams(alpha=1.0, inner_max=inner_max)
+        assert params.inner_max == 3 and type(params.inner_max) is int
 
 
 class TestEnergyReport:

@@ -115,7 +115,7 @@ class TestUStep:
         assert fit < f.size * 1e-20
 
     @pytest.mark.parametrize("bc", ["zero", "periodic", "reflective", "antireflective"])
-    def test_matches_dense_solve(self, monkeypatch, rng, bc):
+    def test_matches_dense_solve(self, monkeypatch, rng, forcing_bound, bc):
         # one rung of one iteration from u = f: z = shrink(grad f), then the
         # update with the divergence solve pairs with the model
         n, alpha, beta = 10, 2.0, 6.0
@@ -143,8 +143,13 @@ class TestUStep:
             d2 = dense.build_adjgrad((n, n), 2, bc).matrix
         rhs = corr.apply(f) + (beta / alpha) * (
             (d1 @ z.z1.ravel() + d2 @ z.z2.ravel()).reshape(n, n))
-        expected = system.solve(rhs)
-        assert np.abs(u - expected).max() < 1e-9
+        if bc == "zero":
+            # the update's CG starts from u = f and stops at its forcing bound
+            def residual(x):
+                return np.linalg.norm(rhs - system.apply(x)) / np.linalg.norm(rhs)
+            assert residual(u) <= forcing_bound(residual(f))
+        else:
+            assert np.abs(u - system.solve(rhs)).max() < 1e-9
 
     def test_huge_alpha_returns_data(self, rng):
         f = rng.standard_normal((12, 12))
@@ -272,15 +277,34 @@ class TestSolve:
         u, _ = solve(observed, psf, "zero", SolveParams(alpha=1e3))
         assert u.tobytes() == expected.tobytes()
 
-    def test_zero_model_trace_carries_cg_numerics(self):
+    def test_zero_model_trace_carries_cg_numerics(self, forcing_bound):
         psf = gaussian_psf(5, 1.0)
         observed, _ = simulate(builtin_truth("cartoon", 24, 24), psf, 1e-4, seed=4)
         assert observed.shape == (16, 16)
         _, trace = solve(observed, psf, "zero", SolveParams(alpha=500.0))
         assert all(r.cg_iterations >= 1 for r in trace.records)
-        assert all(0.0 <= r.cg_residual <= 1e-12 for r in trace.records)
+        assert all(0.0 <= r.cg_residual <= forcing_bound(r.cg_start_residual)
+                   for r in trace.records)
         _, trace = solve(observed, psf, "periodic", SolveParams(alpha=500.0))
-        assert {(r.cg_iterations, r.cg_residual) for r in trace.records} == {(None, None)}
+        assert ({(r.cg_iterations, r.cg_start_residual, r.cg_residual) for r in trace.records}
+                == {(None, None, None)})
+
+    def test_zero_updates_without_forcing_meet_the_cold_tolerance(self, small_instance,
+                                                                 monkeypatch):
+        # the forcing term is the only thing that stops a loop update early
+        _, psf, observed, _ = small_instance
+        monkeypatch.setattr("tvdeblur.transforms.CG_FORCING", 0.0)
+        _, trace = solve(observed, psf, "zero", SolveParams(alpha=1e3, inner_max=4))
+        assert all(r.cg_iterations >= 1 and r.cg_residual <= 1e-12 for r in trace.records)
+
+    @pytest.mark.parametrize("alpha", [500.0, 1e6], ids=str)
+    def test_forced_zero_updates_keep_descending(self, alpha):
+        # each update is a CG from u^k on the u-subproblem, so a descent step
+        psf = gaussian_psf(5, 1.0)
+        observed, _ = simulate(builtin_truth("cartoon", 48, 48), psf, 1e-4, seed=3)
+        assert observed.shape == (40, 40)
+        _, trace = solve(observed, psf, "zero", SolveParams(alpha=alpha))
+        assert trace.violations == () and trace.status == "ok"
 
     def test_cg_at_its_cap_is_convergence_error(self, small_instance, monkeypatch):
         _, psf, observed, _ = small_instance

@@ -1,13 +1,15 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tvdeblur import (Psf, ShapeError, SingularPlanError, SolveParams, SymmetryError,
-                      UnsupportedError, apply_blur, apply_correlation, builtin_truth,
-                      diagonal_motion_psf, gaussian_psf, simulate, solve, solve_enlarged)
+from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, SolveParams,
+                      SymmetryError, UnsupportedError, apply_blur, apply_correlation,
+                      builtin_truth, diagonal_motion_psf, gaussian_psf, simulate, solve,
+                      solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.transforms import (EIG_FLOOR, SystemPlanner, _antireflective, _fft, _solve_zero,
@@ -282,9 +284,9 @@ class TestZeroPreconditionedCG:
         assert plan.preconditioner.bc == preconditioner
         b = rng.standard_normal((n, n))
         expected = dense.build_system(psf, (n, n), "zero", ratio).solve(b)
-        u, iterations, residual, blurred = _solve_zero(plan, b)
+        u, (iterations, start_residual, residual), blurred = _solve_zero(plan, b)
         assert np.abs(u - expected).max() < 1e-8
-        assert 1 <= iterations and residual <= 1e-12
+        assert 1 <= iterations and start_residual == 1.0 and residual <= 1e-12
         assert blurred.tobytes() == plan.blur(u).tobytes()
 
     def test_plans_share_the_planners_fft_products(self, rng):
@@ -315,38 +317,45 @@ class TestZeroPreconditionedCG:
         assert relative_residual(system.apply, solve_system(plan, b), b) <= 1e-12
 
     @staticmethod
-    def check_solve_above_the_oracle_cap(monkeypatch, psf, preconditioner):
+    def check_solve_above_the_oracle_cap(monkeypatch, forcing_bound, psf, preconditioner):
+        # a cold solve of each update's right-hand side meets CG_RTOL, and
+        # the loop's warm-started update its forcing bound
         from tvdeblur import solver
         n = 96
         truth = builtin_truth("cartoon", n + 2 * (psf.rows - 1), n + 2 * (psf.cols - 1))
         observed, _ = simulate(truth, psf, 1e-4, seed=2)
-        residuals = []
+        cold, excess = [], []
 
         def checked(plan, rhs, *args):
             assert plan.preconditioner.bc == preconditioner
             u, fit, cg = solve_and_blur(plan, rhs, *args)
-            residuals.append(relative_residual(zero_system(psf, plan.ratio), u, rhs))
+            system = zero_system(psf, plan.ratio)
+            cold.append(relative_residual(system, solve_system(plan, rhs), rhs))
+            excess.append(relative_residual(system, u, rhs) / forcing_bound(cg[1]))
             return u, fit, cg
 
         monkeypatch.setattr(solver, "solve_and_blur", checked)
         _, trace = solver.solve(observed, psf, "zero",
                                 SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4))
-        assert len(residuals) == trace.total_inner_iterations > 0
-        assert max(residuals) <= 1e-12
+        assert len(cold) == len(excess) == trace.total_inner_iterations > 0
+        assert max(cold) <= 1e-12
+        assert max(excess) <= 1.0
 
-    def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch):
-        self.check_solve_above_the_oracle_cap(monkeypatch, gaussian_psf(5, 1.0), "reflective")
+    def test_solve_above_the_oracle_cap_meets_the_tolerance(self, monkeypatch, forcing_bound):
+        self.check_solve_above_the_oracle_cap(monkeypatch, forcing_bound, gaussian_psf(5, 1.0),
+                                              "reflective")
 
     # an even kernel (half-sample centre) under the DCT preconditioner, and a
     # nonsymmetric one under the FFT preconditioner
     @pytest.mark.parametrize("psf,preconditioner", [
         (gaussian_psf(6, 1.5), "reflective"), (diagonal_motion_psf(7), "periodic")],
         ids=["gaussian-6-even", "diagonal-motion-7"])
-    def test_other_kernels_above_the_oracle_cap_meet_the_tolerance(self, monkeypatch, psf,
+    def test_other_kernels_above_the_oracle_cap_meet_the_tolerance(self, monkeypatch,
+                                                                   forcing_bound, psf,
                                                                    preconditioner):
-        self.check_solve_above_the_oracle_cap(monkeypatch, psf, preconditioner)
+        self.check_solve_above_the_oracle_cap(monkeypatch, forcing_bound, psf, preconditioner)
 
-    def test_huge_alpha_stays_under_the_cap(self):
+    def test_huge_alpha_stays_under_the_cap(self, forcing_bound):
         from tvdeblur.transforms import CG_MAXITER
         psf = gaussian_psf(5, 1.0)
         truth = builtin_truth("cartoon", 40, 40)
@@ -354,7 +363,7 @@ class TestZeroPreconditionedCG:
         u, trace = solve(observed, psf, "zero", SolveParams(alpha=1e6))
         assert np.all(np.isfinite(u))
         assert max(r.cg_iterations for r in trace.records) < CG_MAXITER
-        assert max(r.cg_residual for r in trace.records) <= 1e-12
+        assert all(r.cg_residual <= forcing_bound(r.cg_start_residual) for r in trace.records)
 
 
 class TestSolveAndBlur:
@@ -488,28 +497,42 @@ class TestZeroWarmStart:
     def test_zero_rhs_returns_zeros_in_no_steps(self, rng, start):
         plan = self.plan()
         x0 = None if start == "cold" else rng.standard_normal(plan.shape)
-        u, steps, residual, blurred = _solve_zero(plan, np.zeros(plan.shape), x0)
+        u, cg, blurred = _solve_zero(plan, np.zeros(plan.shape), x0)
         assert u.tobytes() == blurred.tobytes() == np.zeros(plan.shape).tobytes()
-        assert (steps, residual) == (0, 0.0)
+        assert cg == (0, 0.0, 0.0)
 
     def test_start_that_meets_the_tolerance_takes_no_steps(self, rng):
         plan = self.plan()
         b = rng.standard_normal(plan.shape)
-        solution, cold_steps, cold_residual, _ = _solve_zero(plan, b)
-        u, steps, residual, _ = _solve_zero(plan, b, solution)
+        solution, (cold_steps, _, cold_residual), _ = _solve_zero(plan, b)
+        u, (steps, start_residual, residual), _ = _solve_zero(plan, b, solution)
         assert cold_steps >= 1 and steps == 0 and u.tobytes() == solution.tobytes()
         # the true residual of the start, as the cold solve logged it for the same u
-        assert residual == cold_residual <= 1e-12
+        assert residual == start_residual == cold_residual <= 1e-12
         assert residual == pytest.approx(
             relative_residual(zero_system(self.PSF, 0.3), solution, b), abs=1e-14)
 
-    def test_warm_start_meets_the_tolerance_in_fewer_steps(self, rng):
+    def test_warm_start_meets_the_tolerance_in_fewer_steps(self, rng, forcing_bound):
         plan = self.plan()
         b = rng.standard_normal(plan.shape)
-        cold, cold_steps, _, _ = _solve_zero(plan, b)
-        _, warm_steps, warm_residual, _ = _solve_zero(
+        cold, (cold_steps, _, _), _ = _solve_zero(plan, b)
+        _, (warm_steps, start_residual, warm_residual), _ = _solve_zero(
             plan, b, cold + 1e-6 * rng.standard_normal(plan.shape))
-        assert 1 <= warm_steps < cold_steps and warm_residual <= 1e-12
+        assert 1 <= warm_steps < cold_steps
+        assert warm_residual <= forcing_bound(start_residual)
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_convergence_error_names_the_tolerance_it_used(self, rng, monkeypatch, start):
+        plan = self.plan()
+        b, x0 = rng.standard_normal((2,) + plan.shape)
+        expected = 1e-12 if start == "cold" else 1e-5 * relative_residual(
+            zero_system(self.PSF, 0.3), x0, b)
+        monkeypatch.setattr("tvdeblur.transforms.CG_MAXITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"above its tolerance (\S+) \(info=1\)$") as caught:
+            _solve_zero(plan, b, None if start == "cold" else x0)
+        printed = float(re.search(r"tolerance (\S+)", str(caught.value)).group(1))
+        assert printed == pytest.approx(expected, rel=1e-5)
 
     def test_solve_system_starts_cold(self, rng):
         plan = self.plan()
