@@ -44,8 +44,7 @@ def parse_psf_spec(spec: str) -> Psf:
                 raise _UsageError(f"bad psf spec item {item!r}")
             key, value = item.split("=", 1)
             fields[key.strip()] = value.strip()
-        extra = set(fields) - {"hsize", "delta"}
-        if extra or set(fields) != {"hsize", "delta"}:
+        if set(fields) != {"hsize", "delta"}:
             raise _UsageError(f"gaussian psf spec needs hsize and delta, got {spec!r}")
         try:
             return gaussian_psf(int(fields["hsize"]), float(fields["delta"]))
@@ -236,10 +235,9 @@ def cmd_oracle_check(args) -> int:
         raise _UsageError("oracle grid needs n >= 2")
     if not (np.isfinite(args.ratio) and args.ratio >= 0):
         raise _UsageError(f"--ratio must be finite and non-negative, got {args.ratio}")
+    if args.bc != "all" and args.bc not in BOUNDARY_MODELS:
+        raise _UsageError(f"unknown boundary model {args.bc!r}")
     bcs = BOUNDARY_MODELS if args.bc == "all" else (args.bc,)
-    for bc in bcs:
-        if bc not in BOUNDARY_MODELS:
-            raise _UsageError(f"unknown boundary model {args.bc!r}")
     devs = oracle_deviations(args.n, ratio=args.ratio, bcs=bcs)
     print(f"{'operator':<12} {'bc':<16} {'max-abs deviation':>18}")
     for (op, bc) in sorted(devs):

@@ -60,12 +60,10 @@ def resolve_index(i: int, n: int, bc: str):
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """An explicit (R*C) x (R*C) matrix on an ``R x C`` grid, with a tag
-    naming what it discretizes."""
+    """An explicit (R*C) x (R*C) matrix on an ``R x C`` grid."""
 
     shape: tuple
     matrix: np.ndarray
-    tag: str
 
     def __post_init__(self):
         size = self.shape[0] * self.shape[1]
@@ -81,8 +79,7 @@ class DenseOperator:
         return np.linalg.solve(self.matrix, np.asarray(b, dtype=float).ravel()).reshape(self.shape)
 
 
-def build_stencil_matrix(weights: np.ndarray, center, shape, bc: str,
-                         tag: str = "stencil") -> DenseOperator:
+def build_stencil_matrix(weights: np.ndarray, center, shape, bc: str) -> DenseOperator:
     """Dense operator for out[i,j] = sum_ab w[a,b] u_ext[i-(a-cr), j-(b-cc)]
     on the ``shape = (R, C)`` grid."""
     check_boundary_model(bc)
@@ -114,43 +111,40 @@ def build_stencil_matrix(weights: np.ndarray, center, shape, bc: str,
                 for ii, wi in row_maps[a][i]:
                     for jj, wj in col_maps[b][j]:
                         M[i * cols + j, ii * cols + jj] += w * wi * wj
-    return DenseOperator((rows, cols), M, tag)
+    return DenseOperator((rows, cols), M)
 
 
 def build_blur(psf: Psf, shape, bc: str) -> DenseOperator:
     """Blur matrix H: column j is the blurred j-th unit impulse."""
     if psf.rows > shape[0] or psf.cols > shape[1]:
         raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {shape}")
-    return build_stencil_matrix(psf.weights, psf.center, shape, bc, tag="blur")
+    return build_stencil_matrix(psf.weights, psf.center, shape, bc)
 
 
 def build_correlation(psf: Psf, shape, bc: str) -> DenseOperator:
     """Correlation matrix H': the doubly-flipped kernel under the same rule."""
-    if psf.rows > shape[0] or psf.cols > shape[1]:
-        raise UnsupportedError(f"psf support {(psf.rows, psf.cols)} exceeds grid {shape}")
-    flipped = psf.flipped()
-    return build_stencil_matrix(flipped.weights, flipped.center, shape, bc, tag="correlation")
+    return build_blur(psf.flipped(), shape, bc)
 
 
-def _difference(stencil, center, shape, direction: int, bc: str, tag: str) -> DenseOperator:
+def _difference(stencil, center, shape, direction: int, bc: str) -> DenseOperator:
     """The 1x2 ``stencil`` along rows (direction 1) or its column (direction 2)."""
     if direction not in (1, 2):
         raise DataError(f"direction must be 1 or 2, got {direction}")
     if direction == 2:
         stencil, center = stencil.T, center[::-1]
-    return build_stencil_matrix(stencil, center, shape, bc, tag=f"{tag}{direction}")
+    return build_stencil_matrix(stencil, center, shape, bc)
 
 
 def build_grad(shape, direction: int, bc: str) -> DenseOperator:
     """Forward difference d = u_ext[+1] - u: the stencil [[1, -1]] centred on
     its -1; direction 1 is horizontal, 2 vertical."""
-    return _difference(np.array([[1.0, -1.0]]), (0, 1), shape, direction, bc, "grad")
+    return _difference(np.array([[1.0, -1.0]]), (0, 1), shape, direction, bc)
 
 
 def build_adjgrad(shape, direction: int, bc: str) -> DenseOperator:
     """Reblurred adjoint difference d = z_ext[-1] - z: the forward stencil
     reversed, under the same closure."""
-    return _difference(np.array([[-1.0, 1.0]]), (0, 0), shape, direction, bc, "adjgrad")
+    return _difference(np.array([[-1.0, 1.0]]), (0, 0), shape, direction, bc)
 
 
 def autocorrelation(psf: Psf):
@@ -197,4 +191,4 @@ def build_system(psf: Psf, shape, bc: str, ratio: float) -> DenseOperator:
         else:
             blur = build_stencil_matrix(*autocorrelation(psf), shape, bc).matrix
         M = blur + ratio * lap
-    return DenseOperator(tuple(shape), M, tag="system")
+    return DenseOperator(tuple(shape), M)

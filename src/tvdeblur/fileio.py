@@ -123,12 +123,17 @@ def write_raw(path, image: np.ndarray) -> None:
 
 
 def read_raw(path) -> np.ndarray:
-    meta = json.loads(_sidecar(path).read_text())
-    if not isinstance(meta, dict) or meta.get("format") != "raw-float64":
-        raise DataError(f"{path}: sidecar does not describe a raw-float64 image")
+    sidecar = _sidecar(path)
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise DataError(f"{sidecar}: {exc}") from None
+    if not (isinstance(meta, dict) and meta.get("format") == "raw-float64"
+            and (meta.get("byteorder", "little"), meta.get("order", "C")) == ("little", "C")):
+        raise DataError(f"{sidecar}: does not describe a little-endian C-order raw-float64 image")
     rows, cols = meta.get("rows"), meta.get("cols")
     if not all(type(n) is int and n >= 0 for n in (rows, cols)):
-        raise DataError(f"{path}: sidecar lacks non-negative integer rows and cols")
+        raise DataError(f"{sidecar}: lacks non-negative integer rows and cols")
     raw = np.fromfile(path, dtype="<f8")
     if raw.size != rows * cols:
         raise DataError(f"{path}: expected {rows * cols} samples, got {raw.size}")

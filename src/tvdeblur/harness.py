@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ShapeError, TvDeblurError
-from .grid import BOUNDARY_MODELS, Psf, SolveParams, as_image
+from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, as_image
 from .operators import _sliding_sum
 from .solver import solve, solve_enlarged
 
@@ -39,10 +39,11 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
     (hsize-1)/2}; even extents center between samples and declare the
     center index ceil(hsize/2) (1-based).
     """
+    hsize = _integer(hsize, "hsize")
     if hsize < 1:
         raise DataError(f"hsize must be >= 1, got {hsize}")
-    if not (delta > 0):
-        raise DataError(f"delta must be positive, got {delta}")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise DataError(f"delta must be positive and finite, got {delta}")
     x = np.arange(hsize) - (hsize - 1) / 2.0
     g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * delta ** 2))
     g /= g.sum()
@@ -52,8 +53,11 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
 
 def diagonal_motion_psf(length: int = 7, slant: float = 0.7) -> Psf:
     """Nonsymmetric motion-like kernel: a slanted streak, row k weighing 1 + 0.35 k."""
+    length = _integer(length, "length")
     if length < 2:
         raise DataError(f"length must be >= 2, got {length}")
+    if not (slant >= 0 and math.isfinite(slant)):
+        raise DataError(f"slant must be non-negative and finite, got {slant}")
     w = np.zeros((length, length))
     for k in range(length):
         w[k, min(length - 1, int(round(k * slant)))] = 1.0 + 0.35 * k
@@ -67,6 +71,7 @@ def builtin_truth(name: str, rows: int, cols: int) -> np.ndarray:
     ``cartoon``: piecewise-constant regions with sharp edges crossing the
     frame. ``ramp-disk``: a smooth intensity ramp plus a Gaussian disk.
     """
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 8 or cols < 8:
         raise ShapeError(f"builtin truths need at least 8x8, got {(rows, cols)}")
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
@@ -101,6 +106,12 @@ class FieldOfView:
                      self.col0:self.col0 + self.cols]
 
 
+def _seed(seed) -> int:
+    if _integer(seed, "seed") < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
     """Blur, cut the extension-independent field of view, add seeded noise.
 
@@ -112,6 +123,7 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
     truth = as_image(truth, "truth")
     if not (sigma2 >= 0 and math.isfinite(sigma2)):
         raise DataError(f"noise variance must be non-negative and finite, got {sigma2}")
+    seed = _seed(seed)
     mr, mc = psf.rows - 1, psf.cols - 1
     out_rows = truth.shape[0] - 2 * mr
     out_cols = truth.shape[1] - 2 * mc
@@ -190,6 +202,7 @@ class Experiment:
         object.__setattr__(self, "truth", truth)
         if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
             raise DataError(f"sigma2 must be non-negative and finite, got {self.sigma2}")
+        object.__setattr__(self, "seed", _seed(self.seed))
         alphas = tuple(dict.fromkeys(float(a) for a in self.alphas))
         if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
             raise DataError(f"alpha grid must be non-empty, positive and finite, got {alphas}")

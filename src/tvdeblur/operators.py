@@ -68,6 +68,8 @@ def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
 def crop(u: np.ndarray, pads) -> np.ndarray:
     """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins."""
     (pt, pb), (pl, pr) = pads
+    if min(pt, pb, pl, pr) < 0:
+        raise PreconditionError(f"negative padding {pads}")
     return u[pt:u.shape[0] - pb, pl:u.shape[1] - pr].copy()
 
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, PreconditionError
-from .grid import EnergyReport, GradientField, Psf, SolveParams, as_image, check_boundary_model
+from .grid import EnergyReport, GradientField, Psf, SolveParams, _integer, as_image
 from .operators import adjoint_gradient, crop, differences, extend, transpose_adjoint_gradient
 from .transforms import SystemPlanner, _sum_of_squares, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
@@ -260,8 +260,7 @@ def solve_enlarged(f: np.ndarray, psf: Psf, extension: str, params: SolveParams,
     = 284 = 4 * 71 a real FFT pair costs more than twice what it costs at 288.
     """
     f = as_image(f, "observed image")
-    check_boundary_model(extension)
-    pad = max(psf.rows, psf.cols) if pad is None else int(pad)
+    pad = max(psf.rows, psf.cols) if pad is None else _integer(pad, "pad")
     need = -(-max(psf.rows, psf.cols) // 2)
     if pad != 0 and pad < need:
         raise PreconditionError(

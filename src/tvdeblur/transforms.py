@@ -17,29 +17,30 @@ where the composite operator is, per boundary model, diagonalized by:
   the rest, and subtracts from the interior the bilinear (Coons) blend of
   the frame and takes a 2-D DST-I; the inverse undoes these in reverse;
 * ``zero``            no fast transform exists; the plan falls back to
-  conjugate gradients on the literal normal equations, preconditioned by a
-  fast-transform plan for the same kernel, shape and ratio: the
-  ``reflective`` (DCT-II) plan when the kernel is quadrantally symmetric and
-  its composite stencil fits the reflective ghost depth (the
-  Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
-  21, 1999), else the ``periodic`` (FFT) plan (T. F. Chan's optimal
-  circulant, SIAM J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u``
-  plus ``ratio * D'D u``: H is the kernel's product from
-  :func:`~tvdeblur.operators.fft_convolver`, H' the flipped kernel's, both
-  built once per planner and kept on its plans as ``blur`` and
-  ``correlate``, each a real-FFT pair on a grid of at least
+  conjugate gradients on the literal normal equations, preconditioned by
+  the system of the plan's ``basis`` model, solved in its transform:
+  ``reflective`` (DCT-II) when the kernel is quadrantally symmetric and its
+  composite stencil fits the reflective ghost depth (the Neumann-boundary
+  preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput. 21, 1999), else
+  ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM J. Sci. Stat.
+  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H is the
+  kernel's product from :func:`~tvdeblur.operators.fft_convolver`, H' the
+  flipped kernel's, both built once per planner and kept on its plans as
+  ``blur`` and ``correlate``, each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
-  model's ghosts.
-  The loop takes its norms by :func:`_sum_of_squares` and its dot
-  products as NumPy sums, never through BLAS, whose threads would spin
-  against sweep workers. A cold CG stops when the
+  model's ghosts. Norms go through :func:`_sum_of_squares` and dot products
+  are NumPy sums, never BLAS, whose threads would spin against sweep
+  workers. A cold CG (:func:`solve_system`, from zeros) stops once the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
-  right-hand side; a warm-started one also stops at a forcing term, once
-  the residual falls to ``CG_FORCING`` times that of its start (Eisenstat
-  & Walker, SIAM J. Sci. Comput. 17, 1996). Either raises
+  right-hand side. The solver loop's update starts from the current iterate
+  and also stops at a forcing term, once the residual falls to
+  ``CG_FORCING`` times that of its start (Eisenstat & Walker, SIAM J. Sci.
+  Comput. 17, 1996): the loop needs only a step that lowers the image
+  subproblem, which every CG step from there does; the start's residual is
+  formed anyway, so the rule costs no matvec. Either raises
   ``ConvergenceError`` after ``CG_MAXITER`` iterations.
 
-Every transform plan samples one symbol, the kernel's
+Every plan samples one symbol, the kernel's
 ``h(theta) = sum_st w[s,t] exp(-i (s theta_r + t theta_c))`` over its
 offsets from the center (:func:`_symbol`), on its transform's grid:
 ``theta = 2 pi k / n`` for the FFT, ``pi k / n`` for the DCT-II and
@@ -49,12 +50,6 @@ offsets from the center (:func:`_symbol`), on its transform's grid:
 symbol of the kernel's autocorrelation, the stencil of H'H, and the rest
 that of the five-point Laplacian D'D (Ng, Chan & Tang 1999;
 Serra-Capizzano 2003). Neither stencil is built.
-
-The zero model's CG starts from zeros in :func:`solve_system` and stops at
-``CG_RTOL``. The solver loop's update starts it from the current iterate
-and stops it at the forcing term, since the loop needs only a step that
-lowers the image subproblem, which every CG step from there does. That
-start's residual is formed anyway, so the rule costs no matvec.
 
 :func:`solve_and_blur` is the solver loop's image update: the solution and
 its fidelity ``||H u - f||^2``, which the objective needs. For periodic
@@ -155,8 +150,9 @@ def _clamp(values):
 class SpectralPlan:
     """Prepared solve for one (kernel, shape, boundary model, ratio) tuple.
 
-    ``eigenvalues`` holds the system eigenvalues in the matching transform
-    basis (``None`` for zero, like ``min_modulus``):
+    ``basis`` is the transform: the model's own, or under ``zero`` that of
+    its CG's preconditioner. ``eigenvalues`` are the system's under the
+    ``basis`` model, in that transform:
 
     * periodic: the real-FFT half-spectrum, ``R x (C // 2 + 1)``, the
       system's symbol at ``theta = 2 pi k / R`` and ``2 pi l / C`` for
@@ -178,20 +174,19 @@ class SpectralPlan:
     """
 
     bc: str
+    basis: str
     shape: tuple[int, int]
     ratio: float
-    eigenvalues: np.ndarray | None
-    min_modulus: float | None
+    eigenvalues: np.ndarray
+    min_modulus: float
     clamp_count: int
     # the blur H of the solution, for the objective: a symbol in the plan's
     # transform basis (periodic, and reflective with an odd centered
     # kernel), else a callable u -> H u
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
-    # zero: v -> H'v, the flipped kernel's product, and the fast-transform
-    # plan that preconditions the CG
+    # zero: v -> H'v, the flipped kernel's product
     correlate: Callable | None = field(default=None, repr=False)
-    preconditioner: SpectralPlan | None = field(default=None, repr=False)
 
 
 class SystemPlanner:
@@ -222,58 +217,52 @@ class SystemPlanner:
                 f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
         # how far H'H, the kernel's autocorrelation, reaches past its center
         depth = max(psf.rows, psf.cols) - 1
+        # under zero, the preconditioner's transform
+        fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
+        self.basis = bc if bc != "zero" else "reflective" if fits_dct else "periodic"
+        # the transform's grid: theta = 2 pi k / n for the real FFT, whose
+        # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
+        # pi k / (n - 1) for the antireflective basis, whose ramps share k = 0
+        (R, C), short = self.shape, int(bc == "antireflective")
+        if self.basis == "periodic":
+            theta_r = 2 * np.pi * np.arange(R) / R
+            theta_c = 2 * np.pi * np.arange(C // 2 + 1) / C
+        elif depth > min(R, C) - short:
+            raise UnsupportedError(f"composite stencil ghost depth {depth} exceeds the "
+                                   f"extension cap {min(R, C) - short}")
+        else:
+            theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
+        symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
+        self._blur_eig = np.abs(symbol) ** 2
+        self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
+        # the blur itself is diagonal in the FFT basis, and in the DCT-II
+        # basis when the kernel is symmetric about its center sample (Ng,
+        # Chan & Tang 1999); under zero, H and H', the flipped kernel's
+        # product and the exact transpose there, are FFT products
         if bc == "zero":
-            fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
-            self._preconditioner = SystemPlanner(
-                psf, self.shape, "reflective" if fits_dct else "periodic")
-            # H u, and H': the flipped kernel's product, the exact transpose
-            # under the zero model
             flipped = psf.flipped()
             self._blur = fft_convolver(psf.weights, psf.center, bc, self.shape)
             self._correlate = fft_convolver(flipped.weights, flipped.center, bc, self.shape)
+        elif bc == "periodic":
+            self._blur_symbol = symbol
+        elif (bc == "reflective" and psf.rows % 2 and psf.cols % 2
+                and psf.center == (psf.rows // 2, psf.cols // 2)):
+            self._blur_symbol = symbol.real.copy()  # contiguous, for the per-iteration product
         else:
-            # the transform's grid: theta = 2 pi k / n for the real FFT, whose
-            # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
-            # pi k / (n - 1) for the antireflective basis, whose ramps share k = 0
-            (R, C), short = self.shape, int(bc == "antireflective")
-            if bc == "periodic":
-                theta_r = 2 * np.pi * np.arange(R) / R
-                theta_c = 2 * np.pi * np.arange(C // 2 + 1) / C
-            elif depth > min(R, C) - short:
-                raise UnsupportedError(f"composite stencil ghost depth {depth} exceeds the "
-                                       f"extension cap {min(R, C) - short}")
-            else:
-                theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
-            symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
-            self._blur_eig = np.abs(symbol) ** 2
-            self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
-            # the blur itself is diagonal in the FFT basis, and in the DCT-II
-            # basis when the kernel is symmetric about its center sample (Ng,
-            # Chan & Tang 1999)
-            if bc == "periodic":
-                self._blur_symbol = symbol
-            elif (bc == "reflective" and psf.rows % 2 and psf.cols % 2
-                    and psf.center == (psf.rows // 2, psf.cols // 2)):
-                self._blur_symbol = symbol.real.copy()  # contiguous, for the per-iteration product
-            else:
-                self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
+            self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
 
     def plan(self, ratio: float) -> SpectralPlan:
         if not (np.isfinite(ratio) and ratio >= 0):
             raise DataError(f"ratio must be finite and non-negative, got {ratio}")
-        bc = self.bc
-        if bc == "zero":
-            return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=None, min_modulus=None,
-                                clamp_count=0, blur=self._blur, correlate=self._correlate,
-                                preconditioner=self._preconditioner.plan(ratio))
         eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
-            logger.warning("%s plan: clamped %d eigenvalue(s) below %g", bc, count, EIG_FLOOR)
-        if bc == "antireflective":
+            logger.warning("%s plan: clamped %d eigenvalue(s) below %g",
+                           self.basis, count, EIG_FLOOR)
+        if self.basis == "antireflective":
             eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
-        return SpectralPlan(bc, self.shape, float(ratio), eigenvalues=eig,
+        return SpectralPlan(self.bc, self.basis, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur)
+                            blur=self._blur, correlate=self._correlate)
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from
@@ -284,7 +273,7 @@ class SystemPlanner:
         corr_f = apply_correlation(f, self._psf, self.bc)
         if self._blur_symbol is None:
             return corr_f, f, _sum_of_squares(self._blur(f) - f)
-        target = _analyze(self.bc, f)
+        target = _analyze(self.basis, f)
         return corr_f, target, _squared_norm(self, self._blur_symbol * target - target)
 
 
@@ -296,11 +285,11 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     solution x, the CG numerics ``(iterations, start residual, final
     residual)``, both residuals relative to ``||b||``, and ``H x``, the
     product the final residual's check made."""
-    def regularizer(u):
-        return plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
-
     def matvec(u):
-        return plan.correlate(plan.blur(u)) + regularizer(u)
+        """``(A u, H u)``."""
+        blurred = plan.blur(u)
+        regularizer = plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
+        return plan.correlate(blurred) + regularizer, blurred
 
     b_norm = math.sqrt(_sum_of_squares(rhs))
     if b_norm == 0:
@@ -312,24 +301,22 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
         r_norm, tol = b_norm, CG_RTOL * b_norm
     else:
         x = np.array(start, dtype=float)
-        r = rhs - matvec(x)
+        r = rhs - matvec(x)[0]
         r_norm = math.sqrt(_sum_of_squares(r))
         tol = max(CG_RTOL * b_norm, CG_FORCING * r_norm)
     start_residual, steps = r_norm / b_norm, 0
     while r_norm > tol and steps < CG_MAXITER:
-        z = _transform_solve(plan.preconditioner, r)[0]
+        z = _transform_solve(plan, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
-        q = matvec(p)
+        q = matvec(p)[0]
         alpha = rho / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
         r_norm = math.sqrt(_sum_of_squares(r))
         rho_prev, steps = rho, steps + 1
-    # matvec(x), keeping its H x for the caller
-    blurred = plan.blur(x)
-    residual = math.sqrt(_sum_of_squares(
-        rhs - (plan.correlate(blurred) + regularizer(x)))) / b_norm
+    product, blurred = matvec(x)
+    residual = math.sqrt(_sum_of_squares(rhs - product)) / b_norm
     if r_norm > tol:
         raise ConvergenceError(
             f"zero-boundary CG stopped after {steps} iterations at relative residual "
@@ -385,22 +372,23 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out
 
 
-def _analyze(bc: str, image: np.ndarray) -> np.ndarray:
+def _analyze(basis: str, image: np.ndarray) -> np.ndarray:
     """The image's coefficients in the plan's transform basis."""
-    if bc == "periodic":
+    if basis == "periodic":
         return _fft.rfft2(image)
-    if bc == "reflective":
+    if basis == "reflective":
         return _fft.dctn(image, type=2, norm="ortho")
     return _antireflective(image)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
-    """A transform plan's solution and its coefficients."""
-    coefficients = _analyze(plan.bc, rhs)
+    """The solution in the plan's transform basis, and its coefficients: the
+    system's own for every model but zero, the preconditioner's for zero."""
+    coefficients = _analyze(plan.basis, rhs)
     coefficients /= plan.eigenvalues
-    if plan.bc == "periodic":
+    if plan.basis == "periodic":
         return _fft.irfft2(coefficients, s=plan.shape), coefficients
-    if plan.bc == "reflective":
+    if plan.basis == "reflective":
         return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
     return _antireflective(coefficients, inverse=True), coefficients
 
@@ -414,7 +402,7 @@ def _squared_norm(owner, coefficients: np.ndarray) -> float:
     even C the Nyquist column, its own conjugate: the inner columns count
     twice, and the sum is divided by R*C. Each sum is one pass.
     """
-    if owner.bc == "reflective":
+    if owner.basis == "reflective":
         return _sum_of_squares(coefficients)
     (R, C), parts = owner.shape, coefficients.view(float)  # re, im interleaved
     own = _sum_of_squares(parts[:, :2]) + (

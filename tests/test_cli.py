@@ -72,6 +72,13 @@ class TestSimulate:
                     "--sigma2", "nan", "--out", out]) == 2
         assert not out.exists() and not (tmp_path / "obs.meta.json").exists()
 
+    def test_negative_seed_is_a_data_error_naming_the_seed(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "obs.f64"
+        assert run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta=1",
+                    "--sigma2", "1e-4", "--seed", "-1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["nodir/o.pgm", "o.png"], ids=["directory", "suffix"])
     def test_bad_output_fails_before_the_work(self, tmp_path, truth_file, monkeypatch,
                                               capsys, out):
@@ -246,6 +253,14 @@ class TestSweep:
         assert len(lines) == 1 + 4
         best = [line for line in lines[1:] if line.split(",")[5] == "1"]
         assert len(best) == 2
+
+    def test_negative_seed_is_a_data_error_naming_the_seed(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta=1.0",
+                    "--sigma2", "1e-4", "--modes", "periodic", "--alphas", "1e2",
+                    "--seed", "-1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_duplicate_modes_are_solved_once(self, tmp_path, truth_file, capsys):
         out = tmp_path / "dup.csv"

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,33 @@ class TestRaw:
         write_raw(tmp_path / "b.f64", rng.standard_normal((4, 4)))
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"b.f64", "b.f64.json"}
+
+    @pytest.mark.parametrize("sidecar", [b'{"format": "raw-float64", rows: 2}', b"", b"\xff\xfe"],
+                             ids=["bad-json", "empty", "not-text"])
+    def test_unreadable_sidecar_is_data_error_naming_it(self, tmp_path, rng, sidecar):
+        path = tmp_path / "c.f64"
+        write_raw(path, rng.standard_normal((2, 3)))
+        (tmp_path / "c.f64.json").write_bytes(sidecar)
+        with pytest.raises(DataError, match=re.escape(f"{path}.json: ")):
+            read_raw(path)
+
+    @pytest.mark.parametrize("change", [{"byteorder": "big"}, {"order": "F"},
+                                        {"byteorder": None}])
+    def test_other_layouts_are_data_error_naming_the_sidecar(self, tmp_path, rng, change):
+        path = tmp_path / "d.f64"
+        write_raw(path, rng.standard_normal((2, 3)))
+        sidecar = tmp_path / "d.f64.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+        with pytest.raises(DataError, match=re.escape(f"{sidecar}: ")):
+            read_raw(path)
+
+    def test_sidecar_without_layout_keys_reads_as_written(self, tmp_path, rng):
+        img = rng.standard_normal((2, 3))
+        path = tmp_path / "e.f64"
+        write_raw(path, img)
+        (tmp_path / "e.f64.json").write_text(
+            json.dumps({"format": "raw-float64", "rows": 2, "cols": 3}))
+        assert np.array_equal(read_raw(path), img)
 
 
 class TestPsfFiles:

@@ -46,6 +46,28 @@ class TestGaussianPsf:
     def test_motion_kernel_is_not(self):
         assert not diagonal_motion_psf().quadrantally_symmetric
 
+    @pytest.mark.parametrize("hsize,delta,match", [
+        (2.5, 1.0, "hsize"), ("3", 1.0, "hsize"), (0, 1.0, "hsize"),
+        (3, math.inf, "delta"), (3, math.nan, "delta"), (3, 0.0, "delta")])
+    def test_bad_gaussian_rejected(self, hsize, delta, match):
+        with pytest.raises(DataError, match=match):
+            gaussian_psf(hsize, delta)
+
+    @pytest.mark.parametrize("length,slant,match", [
+        (7.5, 0.7, "length"), (1, 0.7, "length"), (7, math.nan, "slant"),
+        (7, math.inf, "slant"), (5, -0.7, "slant")])
+    def test_bad_motion_kernel_rejected(self, length, slant, match):
+        with pytest.raises(DataError, match=match):
+            diagonal_motion_psf(length, slant)
+
+    def test_integral_sizes_pass(self):
+        expected = gaussian_psf(3, 1.0)
+        for hsize in (3.0, np.int64(3)):
+            psf = gaussian_psf(hsize, 1.0)
+            assert psf.center == (1, 1) and np.array_equal(psf.weights, expected.weights)
+        motion = diagonal_motion_psf(5.0, 0.0)
+        assert motion.weights.shape == (5, 5) and np.all(motion.weights[:, 0] > 0)
+
 
 class TestBuiltinTruths:
     def test_shapes_and_ranges(self):
@@ -57,6 +79,15 @@ class TestBuiltinTruths:
     def test_unknown_name(self):
         with pytest.raises(DataError):
             builtin_truth("mona-lisa", 32, 32)
+
+    @pytest.mark.parametrize("rows,cols,match", [(8.5, 8.5, "rows"), (12, 9.5, "cols")])
+    def test_non_integral_size_rejected(self, rows, cols, match):
+        with pytest.raises(DataError, match=match):
+            builtin_truth("cartoon", rows, cols)
+
+    def test_integral_float_size_passes(self):
+        assert np.array_equal(builtin_truth("cartoon", 12.0, 10.0),
+                              builtin_truth("cartoon", 12, 10))
 
 
 class TestSimulate:
@@ -116,6 +147,17 @@ class TestSimulate:
     def test_non_finite_noise_variance_rejected(self, sigma2):
         with pytest.raises(DataError, match="noise variance"):
             simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(3, 1.0), sigma2, 0)
+
+    @pytest.mark.parametrize("seed,sigma2", [(1.5, 1e-4), (-1, 1e-4), ("3", 1e-4), (-1, 0.0)])
+    def test_bad_seed_rejected(self, seed, sigma2):
+        with pytest.raises(DataError, match="seed"):
+            simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(3, 1.0), sigma2, seed)
+
+    def test_integral_seeds_agree(self):
+        truth = builtin_truth("cartoon", 16, 16)
+        runs = [simulate(truth, gaussian_psf(3, 1.0), 1e-4, seed)[0] for seed in
+                (3, 3.0, np.int64(3))]
+        assert all(run.tobytes() == runs[0].tobytes() for run in runs)
 
 
 class TestSnr:
@@ -180,7 +222,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("change,match", [
         (dict(sigma2=math.nan), "sigma2"), (dict(sigma2=math.inf), "sigma2"),
-        (dict(alphas=(100.0, math.nan)), "alpha"), (dict(alphas=(math.inf,)), "alpha")])
+        (dict(alphas=(100.0, math.nan)), "alpha"), (dict(alphas=(math.inf,)), "alpha"),
+        (dict(seed=1.5), "seed"), (dict(seed=-1), "seed")])
     def test_non_finite_experiment_rejected(self, small_experiment, change, match):
         with pytest.raises(DataError, match=match):
             replace(small_experiment, **change)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from tvdeblur import (GradientField, Psf, UnsupportedError, apply_blur,
+from tvdeblur import (GradientField, PreconditionError, Psf, UnsupportedError, apply_blur,
                       apply_correlation, crop, extend, gaussian_psf,
                       gradient)
 from tvdeblur import dense
@@ -54,6 +54,13 @@ class TestExtendCrop:
     def test_center_crop_geometry(self):
         u = np.arange(36, dtype=float).reshape(6, 6)
         assert np.array_equal(crop(u, ((1, 1), (1, 1))), u[1:5, 1:5])
+
+    @pytest.mark.parametrize("pads", [((-1, 0), (0, 0)), ((0, 0), (0, -2))])
+    def test_negative_padding_rejected(self, rng, pads):
+        u = rng.standard_normal((20, 20))
+        for apply in (lambda: crop(u, pads), lambda: extend(u, pads, "zero")):
+            with pytest.raises(PreconditionError, match="negative padding"):
+                apply()
 
     def test_antireflective_pad_cap(self, rng):
         f = rng.standard_normal((4, 4))

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvdeblur import (ConvergenceError, GradientField, PreconditionError, Psf, SolveParams,
-                      SymmetryError, apply_blur, apply_correlation, builtin_truth, energy,
-                      extend, gaussian_psf, gradient, restore, shrink, simulate, snr, solve,
-                      solve_enlarged)
+from tvdeblur import (ConvergenceError, DataError, GradientField, PreconditionError, Psf,
+                      SolveParams, SymmetryError, apply_blur, apply_correlation, builtin_truth,
+                      energy, extend, gaussian_psf, gradient, restore, shrink, simulate, snr,
+                      solve, solve_enlarged)
 from tvdeblur import dense, solver
 from tvdeblur.grid import DEFAULT_BETA_LADDER
 from tvdeblur.operators import adjoint_gradient, transpose_adjoint_gradient
@@ -471,6 +471,19 @@ class TestSolveEnlarged:
         explicit, _ = solve_enlarged(observed, psf, "reflective", params,
                                      max(psf.rows, psf.cols))
         assert defaulted.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("pad", [2.5, "4"])
+    def test_non_integral_pad_rejected(self, small_instance, pad):
+        _, psf, observed, _ = small_instance
+        with pytest.raises(DataError, match="pad"):
+            solve_enlarged(observed, psf, "reflective", SolveParams(alpha=1.0), pad)
+
+    def test_integral_float_pad_passes(self, small_instance):
+        _, psf, observed, _ = small_instance
+        params = SolveParams(alpha=1e3, inner_max=2)
+        floated, _ = solve_enlarged(observed, psf, "reflective", params, 4.0)
+        integral, _ = solve_enlarged(observed, psf, "reflective", params, 4)
+        assert floated.tobytes() == integral.tobytes()
 
     def test_pad_below_kernel_support_rejected(self, small_instance):
         _, psf, observed, _ = small_instance

@@ -40,7 +40,7 @@ def stencil_system(psf, shape, bc, ratio):
     matrix = (dense.build_stencil_matrix(*autocorrelation(psf), shape, bc).matrix
               + ratio * dense.build_stencil_matrix(LAPLACIAN_STENCIL, LAPLACIAN_CENTER,
                                                    shape, bc).matrix)
-    return dense.DenseOperator(shape, matrix, "system")
+    return dense.DenseOperator(shape, matrix)
 
 
 class TestPlanSystem:
@@ -268,6 +268,30 @@ CROP_CASES = {
 }
 
 
+def check_preconditioner_plan(psf, plan, basis):
+    """A zero plan carries, bit for bit, the numerics of its basis's own plan."""
+    assert plan.bc == "zero" and plan.basis == basis
+    own = SystemPlanner(psf, plan.shape, basis).plan(plan.ratio)
+    assert plan.eigenvalues.tobytes() == own.eigenvalues.tobytes()
+    assert (plan.min_modulus, plan.clamp_count) == (own.min_modulus, own.clamp_count)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_a_solve_builds_one_planner(monkeypatch, bc):
+    built = []
+    init = SystemPlanner.__init__
+
+    def counted(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(SystemPlanner, "__init__", counted)
+    f = builtin_truth("cartoon", 12, 12)
+    solve(f, gaussian_psf(3, 1.0), bc, SolveParams(alpha=100.0, beta_ladder=(4.0, 8.0),
+                                                   inner_max=2))
+    assert built == [bc]
+
+
 class TestZeroPreconditionedCG:
     """The zero model's CG on inputs where plain CG was slow or untested."""
 
@@ -281,7 +305,7 @@ class TestZeroPreconditionedCG:
     def test_matches_dense_oracle(self, rng, n, psf, preconditioner):
         ratio = 0.3
         plan = SystemPlanner(psf, (n, n), "zero").plan(ratio)
-        assert plan.preconditioner.bc == preconditioner
+        check_preconditioner_plan(psf, plan, preconditioner)
         b = rng.standard_normal((n, n))
         expected = dense.build_system(psf, (n, n), "zero", ratio).solve(b)
         u, (iterations, start_residual, residual), blurred = _solve_zero(plan, b)
@@ -293,7 +317,7 @@ class TestZeroPreconditionedCG:
         psf = gaussian_psf(5, 1.0)
         planner = SystemPlanner(psf, (14, 12), "zero")
         a, b = planner.plan(0.3), planner.plan(3.0)
-        assert a.eigenvalues is None and a.blur is b.blur and a.correlate is b.correlate
+        assert a.basis == "reflective" and a.blur is b.blur and a.correlate is b.correlate
         u = rng.standard_normal((14, 12))
         assert np.abs(a.blur(u) - apply_blur(u, psf, "zero")).max() < 1e-12
         assert np.abs(a.correlate(u) - apply_correlation(u, psf, "zero")).max() < 1e-12
@@ -304,7 +328,7 @@ class TestZeroPreconditionedCG:
         psf = Psf(psf.weights[:, 3:6] / psf.weights[:, 3:6].sum(), (4, 1))  # 9x3
         assert psf.quadrantally_symmetric
         plan = SystemPlanner(psf, (20, 4), "zero").plan(0.5)
-        assert plan.preconditioner.bc == "periodic"
+        check_preconditioner_plan(psf, plan, "periodic")
         b = rng.standard_normal((20, 4))
         system = dense.build_system(psf, (20, 4), "zero", 0.5)
         assert relative_residual(system.apply, solve_system(plan, b), b) <= 1e-12
@@ -327,7 +351,7 @@ class TestZeroPreconditionedCG:
         cold, excess = [], []
 
         def checked(plan, rhs, *args):
-            assert plan.preconditioner.bc == preconditioner
+            assert plan.basis == preconditioner
             u, fit, cg = solve_and_blur(plan, rhs, *args)
             system = zero_system(psf, plan.ratio)
             cold.append(relative_residual(system, solve_system(plan, rhs), rhs))
