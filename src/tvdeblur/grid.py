@@ -46,8 +46,10 @@ def as_image(values, name: str = "image") -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int: integral floats such as ``1.0`` pass, ``2.7`` raises."""
-    if not (isinstance(value, (int, np.integer))
+    """``value`` as an int: integral floats such as ``1.0`` pass, ``2.7`` and
+    booleans (``bool`` is an ``int``) raise."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer))
             or (isinstance(value, (float, np.floating)) and float(value).is_integer())):
         raise DataError(f"{name} must be an integer, got {value!r}")
     return int(value)

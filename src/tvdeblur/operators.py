@@ -40,7 +40,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import PreconditionError, UnsupportedError
-from .grid import GradientField, Psf, as_image, check_boundary_model
+from .grid import GradientField, Psf, _integer, as_image, check_boundary_model
 
 _PAD_KW = {
     "zero": dict(mode="constant"),
@@ -50,12 +50,19 @@ _PAD_KW = {
 }
 
 
+def _pad_widths(pads):
+    """``pads = ((top, bottom), (left, right))`` as ints: a non-integral or
+    boolean entry is a ``DataError``, a negative one a ``PreconditionError``."""
+    (pt, pb), (pl, pr) = ((_integer(p, f"padding {pads} entry") for p in pair) for pair in pads)
+    if min(pt, pb, pl, pr) < 0:
+        raise PreconditionError(f"negative padding {pads}")
+    return (pt, pb), (pl, pr)
+
+
 def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
     """Pad ``u`` by ``pads = ((top, bottom), (left, right))`` per the rule."""
     check_boundary_model(extension)
-    (pt, pb), (pl, pr) = pads
-    if min(pt, pb, pl, pr) < 0:
-        raise PreconditionError(f"negative padding {pads}")
+    (pt, pb), (pl, pr) = _pad_widths(pads)
     rows, cols = u.shape
     # One application of the mirror rules reaches at most one image length.
     if extension == "reflective" and (max(pt, pb) > rows or max(pl, pr) > cols):
@@ -67,9 +74,7 @@ def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
 
 def crop(u: np.ndarray, pads) -> np.ndarray:
     """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins."""
-    (pt, pb), (pl, pr) = pads
-    if min(pt, pb, pl, pr) < 0:
-        raise PreconditionError(f"negative padding {pads}")
+    (pt, pb), (pl, pr) = _pad_widths(pads)
     return u[pt:u.shape[0] - pb, pl:u.shape[1] - pr].copy()
 
 

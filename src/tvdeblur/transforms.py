@@ -15,7 +15,14 @@ where the composite operator is, per boundary model, diagonalized by:
   Appl. 428, 2008). Its forward step keeps the four corners, subtracts from
   each frame edge the ramp through its two corners and takes a 1-D DST-I of
   the rest, and subtracts from the interior the bilinear (Coons) blend of
-  the frame and takes a 2-D DST-I; the inverse undoes these in reverse;
+  the frame and takes a 2-D DST-I; the inverse undoes these in reverse.
+  Along an axis of at most ``DENSE_SINE_MAX`` sines the DST-I is a product
+  with the orthonormal sine matrix, which the planner builds once per axis
+  length and its plans carry. Its cost depends on the length alone, where
+  pocketfft's DST-I, a real FFT of length ``2 (m + 1)``, was 8-12 times
+  slower at the benchmark's m = 102 and 126. Each of its BLAS calls makes at most ``BLAS_SERIAL_MADDS``
+  multiply-adds, which OpenBLAS runs on one thread. Longer axes keep
+  pocketfft's DST-I, so the update stays ``O(N log N)``;
 * ``zero``            no fast transform exists; the plan falls back to
   conjugate gradients on the literal normal equations, preconditioned by
   the system of the plan's ``basis`` model, solved in its transform:
@@ -116,6 +123,21 @@ CG_FORCING = 1e-5
 #: kernel took at most 1,280, 1,810 and 2,528 at the same sizes.
 CG_MAXITER = 5000
 
+#: The longest antireflective DST-I axis, ``m = n - 2``, taken as a product
+#: with its sine matrix; longer axes take pocketfft's DST-I. Measured
+#: pocketfft / dense time ratios of an m x m 2-D transform (2 vCPUs):
+#: 30: 4.4, 46: 6.6, 62: 2.9, 95: 1.6, 102: 12.3, 126: 7.9, 127: 0.88,
+#: 128: 1.95, 142: 1.38, 159: 0.58, 191: 0.44, 254: 0.48. Up to 128 the
+#: dense product loses at most 1.14x (at 127, where 2 (m + 1) = 256) and
+#: gains up to 12x; above it the O(m^3) product falls behind.
+DENSE_SINE_MAX = 128
+
+#: The most multiply-adds (m * k * n) in one BLAS call of the dense DST-I:
+#: OpenBLAS runs a gemm of at most 65536 * 4 on one thread, and a second
+#: thread would spin against the solve and sweep workers. DENSE_SINE_MAX^2
+#: times a 16-row block fits it.
+BLAS_SERIAL_MADDS = 65536 * 4
+
 
 # --- plan machinery ---
 
@@ -187,6 +209,8 @@ class SpectralPlan:
     blur: Callable | None = field(default=None, repr=False)
     # zero: v -> H'v, the flipped kernel's product
     correlate: Callable | None = field(default=None, repr=False)
+    # antireflective: per axis, its DST-I sine matrix or None (_sine_matrices)
+    sines: tuple = field(default=(None, None), repr=False)
 
 
 class SystemPlanner:
@@ -232,6 +256,7 @@ class SystemPlanner:
                                    f"extension cap {min(R, C) - short}")
         else:
             theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
+        self.sines = _sine_matrices(self.shape) if bc == "antireflective" else (None, None)
         symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
         self._blur_eig = np.abs(symbol) ** 2
         self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
@@ -262,7 +287,7 @@ class SystemPlanner:
             eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
         return SpectralPlan(self.bc, self.basis, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, correlate=self._correlate)
+                            blur=self._blur, correlate=self._correlate, sines=self.sines)
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from
@@ -273,7 +298,7 @@ class SystemPlanner:
         corr_f = apply_correlation(f, self._psf, self.bc)
         if self._blur_symbol is None:
             return corr_f, f, _sum_of_squares(self._blur(f) - f)
-        target = _analyze(self.basis, f)
+        target = _analyze(self, f)
         return corr_f, target, _squared_norm(self, self._blur_symbol * target - target)
 
 
@@ -324,9 +349,47 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     return x, (steps, start_residual, residual), blurred
 
 
-def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _sine_matrix(m: int) -> np.ndarray:
+    """The orthonormal DST-I matrix of length ``m``, symmetric:
+    ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))`` for ``j, k = 1 .. m``. The
+    product ``j k`` is reduced modulo the period ``2 (m + 1)`` in integers,
+    so every argument is below ``2 pi``: unreduced, the rounding of large
+    arguments moved benchmark restorations by up to 2.9e-12 from pocketfft's,
+    against 1.0e-13 reduced."""
+    jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
+    return math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
+
+
+def _sine_matrices(shape) -> tuple:
+    """Per axis of an antireflective grid, the sine matrix of its DST-I
+    length ``m = n - 2`` when ``1 <= m <= DENSE_SINE_MAX``, else ``None``
+    (pocketfft's DST-I, or no sines at ``m = 0``); one matrix per length."""
+    lengths = [n - 2 for n in shape]
+    built = {m: _sine_matrix(m) for m in set(lengths) if 1 <= m <= DENSE_SINE_MAX}
+    return tuple(built.get(m) for m in lengths)
+
+
+def _dst(x: np.ndarray, sine, axis: int) -> np.ndarray:
+    """The orthonormal DST-I of the 2-D ``x`` along ``axis``: pocketfft's when
+    ``sine`` is ``None``, else the product with that symmetric matrix, one
+    batched ``np.matmul`` over zero-padded blocks of rows (of ``x.T`` along
+    axis 0), each a BLAS call of at most ``BLAS_SERIAL_MADDS`` multiply-adds."""
+    if sine is None:
+        return _fft.dst(x, type=1, norm="ortho", axis=axis)
+    rows = x if axis == 1 else x.T
+    p, m = rows.shape
+    blocks = -(-p // (BLAS_SERIAL_MADDS // (m * m)))
+    size = -(-p // blocks)  # balanced, at most BLAS_SERIAL_MADDS // m^2
+    padded = np.zeros((blocks * size, m))
+    padded[:p] = rows
+    out = np.matmul(padded.reshape(blocks, size, m), sine).reshape(-1, m)[:p]
+    return out if axis == 1 else out.T
+
+
+def _antireflective(x: np.ndarray, sines, inverse: bool = False) -> np.ndarray:
     """``x`` in the antireflective basis, or with ``inverse`` the image with
-    coefficients ``x``; a new array either way.
+    coefficients ``x``; a new array either way. ``sines`` are the grid's
+    :func:`_sine_matrices`, which its planner builds and its plans carry.
 
     Forward: the corners stay, each frame edge loses the ramp through its
     two corners and the interior loses the bilinear (Coons) blend of the
@@ -334,9 +397,22 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     The inverse runs the same steps backwards (the orthonormal DST-I is its
     own inverse).
 
+    The DST-I along an axis whose sine length ``m = n - 2`` is at most
+    ``DENSE_SINE_MAX`` is a product with its sine matrix (:func:`_dst`),
+    taken on the columns ``1 .. n - 2`` of the whole image at once, the top
+    and bottom edges with the interior, and then on the rows, the left and
+    right edges with the interior. Below the cutoff the cost depends on the
+    length alone, not on the factors of ``2 (m + 1)``, the length of the
+    real FFT behind pocketfft's DST-I: a 2-D DST-I took 0.12 and 0.18 ms
+    dense at m = 102 and 126 against 1.44 and 1.45 ms with pocketfft, whose
+    FFTs of 2 * 103 and 2 * 127 fall back to Bluestein (2 vCPUs). Longer
+    axes keep pocketfft, so the update stays ``O(N log N)``; when both do,
+    the edges take ``dst`` and the interior ``dstn``, as before the dense
+    route.
+
     The blend is taken as the whole top and bottom rows blended down the
     columns plus the left and right edges less their ramps blended across
-    the rows, so it falls between the two pairs of edges' ramp steps. The
+    the rows, so it falls between the two pairs of edges' ramp steps. Its
     products are non-optimized ``einsum`` loops, not BLAS calls. An axis of
     two samples has only the ramps.
     """
@@ -346,21 +422,28 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     down, across = np.stack([1 - s, s], axis=1), np.stack([1 - t, t])
     corners = out[::R - 1, ::C - 1]
     rows, cols, inner = out[::R - 1, 1:-1], out[1:-1, ::C - 1], out[1:-1, 1:-1]
+    sine_r, sine_c = sines
 
     def blend():
         return np.einsum("ik,kj->ij", np.hstack([down, cols]), np.vstack([rows, across]))
 
-    def sines():
+    def transform():
         # scipy.fft rejects a transform of length 0
+        if sine_r is None and sine_c is None:
+            if C > 2:
+                rows[...] = _fft.dst(rows, type=1, norm="ortho", axis=1)
+            if R > 2:
+                cols[...] = _fft.dst(cols, type=1, norm="ortho", axis=0)
+            if R > 2 and C > 2:
+                inner[...] = _fft.dstn(inner, type=1, norm="ortho")
+            return
         if C > 2:
-            rows[...] = _fft.dst(rows, type=1, norm="ortho", axis=1)
+            out[:, 1:-1] = _dst(out[:, 1:-1], sine_c, 1)
         if R > 2:
-            cols[...] = _fft.dst(cols, type=1, norm="ortho", axis=0)
-        if R > 2 and C > 2:
-            inner[...] = _fft.dstn(inner, type=1, norm="ortho")
+            out[1:-1] = _dst(out[1:-1], sine_r, 0)
 
     if inverse:
-        sines()
+        transform()
         rows += np.einsum("ik,kj->ij", corners, across)
         inner += blend()
         cols += np.einsum("ik,kj->ij", down, corners)
@@ -368,29 +451,30 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
         cols -= np.einsum("ik,kj->ij", down, corners)
         inner -= blend()
         rows -= np.einsum("ik,kj->ij", corners, across)
-        sines()
+        transform()
     return out
 
 
-def _analyze(basis: str, image: np.ndarray) -> np.ndarray:
-    """The image's coefficients in the plan's transform basis."""
-    if basis == "periodic":
+def _analyze(owner, image: np.ndarray) -> np.ndarray:
+    """The image's coefficients in the transform basis of ``owner``, a plan
+    or planner."""
+    if owner.basis == "periodic":
         return _fft.rfft2(image)
-    if basis == "reflective":
+    if owner.basis == "reflective":
         return _fft.dctn(image, type=2, norm="ortho")
-    return _antireflective(image)
+    return _antireflective(image, owner.sines)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
     """The solution in the plan's transform basis, and its coefficients: the
     system's own for every model but zero, the preconditioner's for zero."""
-    coefficients = _analyze(plan.basis, rhs)
+    coefficients = _analyze(plan, rhs)
     coefficients /= plan.eigenvalues
     if plan.basis == "periodic":
         return _fft.irfft2(coefficients, s=plan.shape), coefficients
     if plan.basis == "reflective":
         return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
-    return _antireflective(coefficients, inverse=True), coefficients
+    return _antireflective(coefficients, plan.sines, inverse=True), coefficients
 
 
 def _squared_norm(owner, coefficients: np.ndarray) -> float:

@@ -45,8 +45,8 @@ class TestPsf:
         with pytest.raises(DataError):
             Psf(np.ones((3, 3)), (3, 0))
 
-    @pytest.mark.parametrize("center", [(1.6, 0.2), (1, 0.5), (np.nan, 0), (np.inf, 0), ("1", 0)],
-                             ids=str)
+    @pytest.mark.parametrize("center", [(1.6, 0.2), (1, 0.5), (np.nan, 0), (np.inf, 0), ("1", 0),
+                                        (True, False), (np.True_, 0)], ids=str)
     def test_non_integral_center_rejected(self, center):
         with pytest.raises(DataError, match="psf center entry must be an integer"):
             Psf(np.ones((3, 3)), center)
@@ -112,7 +112,7 @@ class TestSolveParams:
         with pytest.raises(DataError):
             SolveParams(alpha=1.0, inner_max=0)
 
-    @pytest.mark.parametrize("inner_max", [2.7, 1.5, np.nan, np.inf, "3"], ids=str)
+    @pytest.mark.parametrize("inner_max", [2.7, 1.5, np.nan, np.inf, "3", True, np.True_], ids=str)
     def test_non_integral_inner_max_rejected(self, inner_max):
         with pytest.raises(DataError, match="inner_max must be an integer"):
             SolveParams(alpha=1.0, inner_max=inner_max)

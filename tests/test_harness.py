@@ -47,7 +47,7 @@ class TestGaussianPsf:
         assert not diagonal_motion_psf().quadrantally_symmetric
 
     @pytest.mark.parametrize("hsize,delta,match", [
-        (2.5, 1.0, "hsize"), ("3", 1.0, "hsize"), (0, 1.0, "hsize"),
+        (2.5, 1.0, "hsize"), ("3", 1.0, "hsize"), (0, 1.0, "hsize"), (True, 1.0, "hsize"),
         (3, math.inf, "delta"), (3, math.nan, "delta"), (3, 0.0, "delta")])
     def test_bad_gaussian_rejected(self, hsize, delta, match):
         with pytest.raises(DataError, match=match):
@@ -148,7 +148,8 @@ class TestSimulate:
         with pytest.raises(DataError, match="noise variance"):
             simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(3, 1.0), sigma2, 0)
 
-    @pytest.mark.parametrize("seed,sigma2", [(1.5, 1e-4), (-1, 1e-4), ("3", 1e-4), (-1, 0.0)])
+    @pytest.mark.parametrize("seed,sigma2", [(1.5, 1e-4), (-1, 1e-4), ("3", 1e-4), (-1, 0.0),
+                                             (True, 1e-4), (False, 0.0)])
     def test_bad_seed_rejected(self, seed, sigma2):
         with pytest.raises(DataError, match="seed"):
             simulate(builtin_truth("cartoon", 16, 16), gaussian_psf(3, 1.0), sigma2, seed)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from tvdeblur import (GradientField, PreconditionError, Psf, UnsupportedError, apply_blur,
+from tvdeblur import (DataError, GradientField, PreconditionError, Psf, UnsupportedError, apply_blur,
                       apply_correlation, crop, extend, gaussian_psf,
                       gradient)
 from tvdeblur import dense
@@ -61,6 +62,19 @@ class TestExtendCrop:
         for apply in (lambda: crop(u, pads), lambda: extend(u, pads, "zero")):
             with pytest.raises(PreconditionError, match="negative padding"):
                 apply()
+
+    @pytest.mark.parametrize("pads", [((2.5, 0), (0, 0)), ((0, 0), (True, 0)), ((0, "1"), (0, 0))],
+                             ids=str)
+    def test_non_integral_padding_rejected(self, rng, pads):
+        u = rng.standard_normal((6, 6))
+        for apply in (lambda: crop(u, pads), lambda: extend(u, pads, "zero")):
+            with pytest.raises(DataError, match=re.escape(f"padding {pads} entry must be an integer")):
+                apply()
+
+    def test_integral_padding_of_any_kind_accepted(self, rng):
+        u = rng.standard_normal((6, 6))
+        pads = ((2.0, np.int64(1)), (np.float64(0.0), 3))
+        assert np.array_equal(crop(extend(u, pads, "reflective"), pads), u)
 
     def test_antireflective_pad_cap(self, rng):
         f = rng.standard_normal((4, 4))

@@ -12,7 +12,8 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
                       solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
-from tvdeblur.transforms import (EIG_FLOOR, SystemPlanner, _antireflective, _fft, _solve_zero,
+from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_SINE_MAX, EIG_FLOOR, SystemPlanner,
+                                 _antireflective, _fft, _sine_matrices, _solve_zero,
                                  _squared_norm, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
@@ -205,7 +206,8 @@ class TestAntireflectiveTransform:
     @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_inverse_undoes_forward(self, rng, shape):
         x = rng.standard_normal(shape)
-        back = _antireflective(_antireflective(x), inverse=True)
+        sines = _sine_matrices(shape)
+        back = _antireflective(_antireflective(x, sines), sines, inverse=True)
         assert np.abs(back - x).max() < 1e-12
 
     @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -214,7 +216,8 @@ class TestAntireflectiveTransform:
         # sine, the interior products of sines
         c = rng.standard_normal(shape)
         expected = _antireflective_basis(shape[0]) @ c @ _antireflective_basis(shape[1]).T
-        assert np.abs(_antireflective(c, inverse=True) - expected).max() < 1e-12
+        assert np.abs(_antireflective(c, _sine_matrices(shape), inverse=True)
+                      - expected).max() < 1e-12
 
     @pytest.mark.parametrize("shape,name", [
         pytest.param(shape, name, id=f"{shape[0]}x{shape[1]}-{name}")
@@ -224,10 +227,81 @@ class TestAntireflectiveTransform:
         psf, ratio = AR_KERNELS[name], 0.7
         plan = SystemPlanner(psf, shape, "antireflective").plan(ratio)
         c = rng.standard_normal(shape)
-        u = _antireflective(c, inverse=True)
+        u = _antireflective(c, plan.sines, inverse=True)
         system_u = stencil_system(psf, shape, "antireflective", ratio).apply(u)
         assert plan.eigenvalues.shape == shape
-        assert np.abs(_antireflective(system_u) - plan.eigenvalues * c).max() < 1e-12
+        assert np.abs(_antireflective(system_u, plan.sines)
+                      - plan.eigenvalues * c).max() < 1e-12
+
+
+# sine lengths m = n - 2 at and around the benchmark's, and either side of the cutoff
+DENSE_LENGTHS = (1, 2, 46, 102, 126, 127, 128)
+LONG_AXIS = DENSE_SINE_MAX + 5
+
+
+class TestDenseSines:
+    """The dense DST-I against pocketfft's, through the whole transform: the
+    route with no sine matrices is the one every axis above the cutoff takes.
+    Bound, fixed before the run: 1e-13 max-abs on unit-normal entries, about
+    4 m eps at m = 128, for rounding in sums of at most 128 terms."""
+
+    @staticmethod
+    def shapes(m):
+        n = m + 2
+        return [(n, n), (n, 9), (5, n), (n, LONG_AXIS), (LONG_AXIS, n)]
+
+    @pytest.mark.parametrize("m", DENSE_LENGTHS)
+    def test_matches_pocketfft(self, rng, m):
+        for shape in self.shapes(m):
+            sines = _sine_matrices(shape)
+            assert [s is None for s in sines] == [n - 2 > DENSE_SINE_MAX for n in shape]
+            x = rng.standard_normal(shape)
+            for inverse in (False, True):
+                got = _antireflective(x, sines, inverse=inverse)
+                expected = _antireflective(x, (None, None), inverse=inverse)
+                assert np.abs(got - expected).max() <= 1e-13, (shape, inverse)
+
+    @pytest.mark.parametrize("m", DENSE_LENGTHS)
+    def test_edges_take_a_one_dimensional_dst(self, rng, m):
+        # each frame edge loses the ramp through its corners and takes a DST-I
+        for shape in [(m + 2, 7), (7, m + 2)]:
+            x = rng.standard_normal(shape)
+            got = _antireflective(x, _sine_matrices(shape))
+            for edge, coefficients in ((x[0], got[0]), (x[-1], got[-1]),
+                                       (x[:, 0], got[:, 0]), (x[:, -1], got[:, -1])):
+                n = edge.size
+                ramp = edge[0] + (edge[-1] - edge[0]) * np.arange(1, n - 1) / (n - 1)
+                expected = _fft.dst(edge[1:-1] - ramp, type=1, norm="ortho")
+                assert np.abs(coefficients[1:-1] - expected).max() <= 1e-13, shape
+
+    @pytest.mark.parametrize("m", DENSE_LENGTHS)
+    def test_round_trip(self, rng, m):
+        for shape in self.shapes(m):
+            sines = _sine_matrices(shape)
+            x = rng.standard_normal(shape)
+            back = _antireflective(_antireflective(x, sines), sines, inverse=True)
+            assert np.abs(back - x).max() <= 1e-13, shape
+
+    def test_every_blas_call_stays_on_one_thread(self, rng, monkeypatch):
+        # OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds on one thread
+        calls, matmul = [], np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            calls.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        for m in DENSE_LENGTHS:
+            for shape in self.shapes(m):
+                _antireflective(rng.standard_normal(shape), _sine_matrices(shape))
+        assert BLAS_SERIAL_MADDS == 262144
+        assert calls and max(calls) <= BLAS_SERIAL_MADDS
+
+    def test_the_planner_builds_one_matrix_per_length(self):
+        planner = SystemPlanner(gaussian_psf(3, 0.8), (40, 40), "antireflective")
+        a, b = planner.plan(0.5), planner.plan(8.0)
+        assert a.sines[0] is a.sines[1] is b.sines[0]
+        assert SystemPlanner(gaussian_psf(3, 0.8), (40, 40), "reflective").sines == (None, None)
 
 
 class TestPlannerReuse:
@@ -390,6 +464,9 @@ class TestZeroPreconditionedCG:
         assert all(r.cg_residual <= forcing_bound(r.cg_start_residual) for r in trace.records)
 
 
+FFT, DCT, TRUTH = {"rfft2": 1, "irfft2": 1}, {"dctn": 1, "idctn": 1}, (26, 25)
+
+
 class TestSolveAndBlur:
     KERNELS = {"3x3": gaussian_psf(3, 0.8), "4x4": gaussian_psf(4, 1.0),
                "7x7": gaussian_psf(7, 1.5), "nonsymmetric": NONSYM}
@@ -441,13 +518,31 @@ class TestSolveAndBlur:
         expected = np.sum((apply_blur(u, psf, "reflective") - f) ** 2)
         assert abs(fit - expected) <= 1e-12 * expected
 
-    # (mode, psf): enlarge:* runs a periodic solve on the enlarged domain
-    SYMBOL_CASES = [("periodic", gaussian_psf(3, 0.8)), ("periodic", NONSYM),
-                    ("reflective", gaussian_psf(3, 0.8)), ("reflective", gaussian_psf(7, 1.5))]
-    SYMBOL_CASES += [(f"enlarge:{rule}", NONSYM) for rule in BCS]
+    # (mode, psf, truth shape, scipy.fft calls per image update); enlarge:*
+    # runs a periodic solve on the enlarged domain. The antireflective DST-I
+    # of at most DENSE_SINE_MAX sines is a dense product, so only a 7x7
+    # kernel's blur (49 taps, an FFT product) or the pocketfft DST-I of a
+    # longer axis, one dst each way, reaches scipy.fft there; the reflective
+    # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
+    # longer, the edges take a dst each and the interior a dstn, each way.
+    UPDATE_CASES = [("periodic", gaussian_psf(3, 0.8), TRUTH, FFT),
+                    ("periodic", NONSYM, TRUTH, FFT),
+                    ("reflective", gaussian_psf(3, 0.8), TRUTH, DCT),
+                    ("reflective", gaussian_psf(7, 1.5), TRUTH, DCT),
+                    ("reflective", gaussian_psf(4, 1.0), TRUTH, DCT),
+                    ("antireflective", gaussian_psf(3, 0.8), TRUTH, {}),
+                    ("antireflective", gaussian_psf(7, 1.5), TRUTH, FFT),
+                    # 22 x 136 and 136 x 21: 134 sines on one axis
+                    ("antireflective", gaussian_psf(3, 0.8), (26, 140), {"dst": 2}),
+                    ("antireflective", gaussian_psf(3, 0.8), (140, 25), {"dst": 2}),
+                    ("antireflective", gaussian_psf(3, 0.8), (140, 140), {"dst": 4, "dstn": 2})]
+    UPDATE_CASES += [(f"enlarge:{rule}", NONSYM, TRUTH, FFT) for rule in BCS]
 
-    @pytest.mark.parametrize("mode, psf", SYMBOL_CASES)
-    def test_a_symbol_plan_update_makes_one_transform_each_way(self, monkeypatch, mode, psf):
+    @pytest.mark.parametrize("mode, psf, truth, expected", UPDATE_CASES, ids=[
+        f"{mode}-{psf.rows}x{psf.cols}-on-{truth[0]}x{truth[1]}"
+        for mode, psf, truth, _ in UPDATE_CASES])
+    def test_a_symbol_plan_update_makes_one_transform_each_way(self, monkeypatch, mode, psf,
+                                                               truth, expected):
         from tvdeblur import solver
         calls = {}
         for name in ("rfft2", "irfft2", "dctn", "idctn", "dstn", "dst"):
@@ -464,16 +559,14 @@ class TestSolveAndBlur:
             return out
 
         monkeypatch.setattr(solver, "solve_and_blur", recorded)
-        observed, _ = simulate(builtin_truth("cartoon", 26, 25), psf, 1e-4, seed=6)
+        observed, _ = simulate(builtin_truth("cartoon", *truth), psf, 1e-4, seed=6)
         params = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=3)
         if mode.startswith("enlarge:"):
             solve_enlarged(observed, psf, mode.split(":")[1], params, 3)
-            pair = {"rfft2": 1, "irfft2": 1}
         else:
             solve(observed, psf, mode, params)
-            pair = {"rfft2": 1, "irfft2": 1} if mode == "periodic" else {"dctn": 1, "idctn": 1}
         assert len(per_update) >= 4
-        assert all(counts == pair for counts in per_update)
+        assert all(counts == expected for counts in per_update)
 
     def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch):
         # each matvec is two real-FFT products, H and then H'; the CG makes
