@@ -22,7 +22,9 @@ directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
 :func:`fft_convolver`, a real FFT with the stencil's spectrum cached, so a
 wide kernel costs a few transforms rather than k^2 multiply-adds per pixel.
 The zero model's CG products come from :func:`fft_convolver` for every
-kernel. The package takes only ``scipy.fft`` from SciPy.
+kernel but a separable one on an image of at most
+``transforms.DENSE_AXIS_MAX`` samples a side, whose products are matrix
+products built in ``transforms``. The package takes only ``scipy.fft`` from SciPy.
 The system stencil (the kernel's autocorrelation plus ``ratio`` times the
 five-point Laplacian) is never built here: the transform plans sample its
 symbol from the kernel alone. :func:`differences` is the unvalidated,

@@ -16,13 +16,14 @@ where the composite operator is, per boundary model, diagonalized by:
   each frame edge the ramp through its two corners and takes a 1-D DST-I of
   the rest, and subtracts from the interior the bilinear (Coons) blend of
   the frame and takes a 2-D DST-I; the inverse undoes these in reverse.
-  Along an axis of at most ``DENSE_SINE_MAX`` sines the DST-I is a product
+  Along an axis of at most ``DENSE_AXIS_MAX`` sines the DST-I is a product
   with the orthonormal sine matrix, which the planner builds once per axis
   length and its plans carry. Its cost depends on the length alone, where
   pocketfft's DST-I, a real FFT of length ``2 (m + 1)``, was 8-12 times
-  slower at the benchmark's m = 102 and 126. Each of its BLAS calls makes at most ``BLAS_SERIAL_MADDS``
-  multiply-adds, which OpenBLAS runs on one thread. Longer axes keep
-  pocketfft's DST-I, so the update stays ``O(N log N)``;
+  slower at the benchmark's m = 102 and 126. Each of its BLAS calls makes
+  at most ``BLAS_SERIAL_MADDS`` multiply-adds, which OpenBLAS runs on one
+  thread (:func:`_matmul_rows`). Longer axes keep pocketfft's DST-I, so
+  the update stays ``O(N log N)``;
 * ``zero``            no fast transform exists; the plan falls back to
   conjugate gradients on the literal normal equations, preconditioned by
   the system of the plan's ``basis`` model, solved in its transform:
@@ -30,14 +31,19 @@ where the composite operator is, per boundary model, diagonalized by:
   composite stencil fits the reflective ghost depth (the Neumann-boundary
   preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput. 21, 1999), else
   ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM J. Sci. Stat.
-  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H is the
-  kernel's product from :func:`~tvdeblur.operators.fft_convolver`, H' the
-  flipped kernel's, both built once per planner and kept on its plans as
-  ``blur`` and ``correlate``, each a real-FFT pair on a grid of at least
+  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H and
+  its exact transpose H' are built once per planner and kept on its plans
+  as ``blur`` and ``correlate`` (:func:`_zero_products`). For a separable
+  (rank-1) kernel on an image whose sides are both at most
+  ``DENSE_AXIS_MAX`` they are Kronecker products of two banded Toeplitz
+  matrices, ``T_a u T_b'`` and ``T_a' v T_b``, each two single-threaded
+  BLAS products and no transform; otherwise H is the kernel's product from
+  :func:`~tvdeblur.operators.fft_convolver` and H' the flipped kernel's,
+  each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
-  model's ghosts. Norms go through :func:`_sum_of_squares` and dot products
-  are NumPy sums, never BLAS, whose threads would spin against sweep
-  workers. A cold CG (:func:`solve_system`, from zeros) stops once the
+  model's ghosts. Norms go through :func:`_sum_of_squares` and dot
+  products are NumPy sums, never BLAS, whose threads would spin against
+  sweep workers. A cold CG (:func:`solve_system`, from zeros) stops once the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
   right-hand side. The solver loop's update starts from the current iterate
   and also stops at a forcing term, once the residual falls to
@@ -123,18 +129,24 @@ CG_FORCING = 1e-5
 #: kernel took at most 1,280, 1,810 and 2,528 at the same sizes.
 CG_MAXITER = 5000
 
-#: The longest antireflective DST-I axis, ``m = n - 2``, taken as a product
-#: with its sine matrix; longer axes take pocketfft's DST-I. Measured
-#: pocketfft / dense time ratios of an m x m 2-D transform (2 vCPUs):
+#: The longest axis taken as a dense matrix product: the antireflective
+#: DST-I's sine length ``m = n - 2`` (longer axes take pocketfft's DST-I),
+#: and both sides of a zero-model image whose separable kernel's CG
+#: products are Toeplitz matrix products (larger images take FFT products).
+#: Measured pocketfft / dense time ratios of an m x m 2-D DST-I (2 vCPUs):
 #: 30: 4.4, 46: 6.6, 62: 2.9, 95: 1.6, 102: 12.3, 126: 7.9, 127: 0.88,
 #: 128: 1.95, 142: 1.38, 159: 0.58, 191: 0.44, 254: 0.48. Up to 128 the
 #: dense product loses at most 1.14x (at 127, where 2 (m + 1) = 256) and
-#: gains up to 12x; above it the O(m^3) product falls behind.
-DENSE_SINE_MAX = 128
+#: gains up to 12x; above it the O(m^3) product falls behind. FFT / Toeplitz
+#: time ratios of ``H'H u`` for gaussian_psf(5, 1) on an n x n image (best
+#: of 7, 2-vCPU Xeon): 48: 3.2-3.4, 64: 2.7, 96: 1.3-1.4, 104: 1.25,
+#: 112: 1.18, 120: 1.13, 127: 1.08, 128: 0.86, 160: 1.1, 192: 0.42,
+#: 256: 0.55; the crossover sits at the cutoff.
+DENSE_AXIS_MAX = 128
 
-#: The most multiply-adds (m * k * n) in one BLAS call of the dense DST-I:
-#: OpenBLAS runs a gemm of at most 65536 * 4 on one thread, and a second
-#: thread would spin against the solve and sweep workers. DENSE_SINE_MAX^2
+#: The most multiply-adds (m * k * n) in one BLAS call of the dense routes,
+#: the DST-I and the zero model's Toeplitz products: OpenBLAS runs a gemm of at most 65536 * 4 on one thread, and a second
+#: thread would spin against the solve and sweep workers. DENSE_AXIS_MAX^2
 #: times a 16-row block fits it.
 BLAS_SERIAL_MADDS = 65536 * 4
 
@@ -204,10 +216,12 @@ class SpectralPlan:
     clamp_count: int
     # the blur H of the solution, for the objective: a symbol in the plan's
     # transform basis (periodic, and reflective with an odd centered
-    # kernel), else a callable u -> H u
+    # kernel), else a callable u -> H u; under zero, a Kronecker product of
+    # Toeplitz matrices for a separable kernel up to DENSE_AXIS_MAX a side,
+    # else an FFT product (_zero_products)
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
-    # zero: v -> H'v, the flipped kernel's product
+    # zero: v -> H'v, the exact transpose of blur, by the same route
     correlate: Callable | None = field(default=None, repr=False)
     # antireflective: per axis, its DST-I sine matrix or None (_sine_matrices)
     sines: tuple = field(default=(None, None), repr=False)
@@ -262,12 +276,10 @@ class SystemPlanner:
         self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
         # the blur itself is diagonal in the FFT basis, and in the DCT-II
         # basis when the kernel is symmetric about its center sample (Ng,
-        # Chan & Tang 1999); under zero, H and H', the flipped kernel's
-        # product and the exact transpose there, are FFT products
+        # Chan & Tang 1999); under zero, H and its exact transpose H' are
+        # matrix products (_zero_products)
         if bc == "zero":
-            flipped = psf.flipped()
-            self._blur = fft_convolver(psf.weights, psf.center, bc, self.shape)
-            self._correlate = fft_convolver(flipped.weights, flipped.center, bc, self.shape)
+            self._blur, self._correlate = _zero_products(psf, self.shape)
         elif bc == "periodic":
             self._blur_symbol = symbol
         elif (bc == "reflective" and psf.rows % 2 and psf.cols % 2
@@ -362,28 +374,82 @@ def _sine_matrix(m: int) -> np.ndarray:
 
 def _sine_matrices(shape) -> tuple:
     """Per axis of an antireflective grid, the sine matrix of its DST-I
-    length ``m = n - 2`` when ``1 <= m <= DENSE_SINE_MAX``, else ``None``
+    length ``m = n - 2`` when ``1 <= m <= DENSE_AXIS_MAX``, else ``None``
     (pocketfft's DST-I, or no sines at ``m = 0``); one matrix per length."""
     lengths = [n - 2 for n in shape]
-    built = {m: _sine_matrix(m) for m in set(lengths) if 1 <= m <= DENSE_SINE_MAX}
+    built = {m: _sine_matrix(m) for m in set(lengths) if 1 <= m <= DENSE_AXIS_MAX}
     return tuple(built.get(m) for m in lengths)
+
+
+def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` for a 2-D ``rows`` (p x k) and a k x n ``matrix``
+    with ``k * n <= BLAS_SERIAL_MADDS``: one batched ``np.matmul`` over
+    zero-padded, balanced blocks of rows, each a BLAS call of at most
+    ``BLAS_SERIAL_MADDS`` multiply-adds (block rows times k times n), which
+    OpenBLAS runs on one thread; when one block holds every row, a plain
+    ``np.matmul`` (the padded copy took about 40% of a 48 x 48 product). A
+    new C-contiguous array."""
+    p, (k, n) = rows.shape[0], matrix.shape
+    blocks = -(-p // (BLAS_SERIAL_MADDS // (k * n)))
+    if blocks == 1:
+        # a transposed view would reach BLAS as a transposed operand, whose
+        # rounding differs from the blocked route's
+        return np.matmul(np.ascontiguousarray(rows), matrix)
+    size = -(-p // blocks)  # balanced, at most BLAS_SERIAL_MADDS // (k n)
+    padded = np.zeros((blocks * size, k))
+    padded[:p] = rows
+    return np.matmul(padded.reshape(blocks, size, k), matrix).reshape(-1, n)[:p]
 
 
 def _dst(x: np.ndarray, sine, axis: int) -> np.ndarray:
     """The orthonormal DST-I of the 2-D ``x`` along ``axis``: pocketfft's when
-    ``sine`` is ``None``, else the product with that symmetric matrix, one
-    batched ``np.matmul`` over zero-padded blocks of rows (of ``x.T`` along
-    axis 0), each a BLAS call of at most ``BLAS_SERIAL_MADDS`` multiply-adds."""
+    ``sine`` is ``None``, else the product of the rows of ``x`` (of ``x.T``
+    along axis 0) with that symmetric matrix (:func:`_matmul_rows`)."""
     if sine is None:
         return _fft.dst(x, type=1, norm="ortho", axis=axis)
-    rows = x if axis == 1 else x.T
-    p, m = rows.shape
-    blocks = -(-p // (BLAS_SERIAL_MADDS // (m * m)))
-    size = -(-p // blocks)  # balanced, at most BLAS_SERIAL_MADDS // m^2
-    padded = np.zeros((blocks * size, m))
-    padded[:p] = rows
-    out = np.matmul(padded.reshape(blocks, size, m), sine).reshape(-1, m)[:p]
-    return out if axis == 1 else out.T
+    return _matmul_rows(x, sine) if axis == 1 else _matmul_rows(x.T, sine).T
+
+
+def _toeplitz(taps: np.ndarray, center: int, n: int) -> np.ndarray:
+    """The n x n matrix of the zero-boundary convolution of a length-n axis
+    with the 1-D ``taps`` centred on sample ``center``, the output the size
+    of the input: ``T[i, j] = taps[i - j + center]`` where that index is in
+    range, else 0."""
+    index = np.subtract.outer(np.arange(n), np.arange(n)) + center
+    inside = (index >= 0) & (index < taps.size)
+    return np.where(inside, taps[np.clip(index, 0, taps.size - 1)], 0.0)
+
+
+def _zero_products(psf: Psf, shape):
+    """The zero plan's ``blur`` and ``correlate``, ``u -> H u`` and its exact
+    transpose ``v -> H'v``.
+
+    A separable kernel, ``w = a b'`` (``np.linalg.matrix_rank(w) == 1`` at
+    NumPy's default tolerance; ``a`` and ``b`` are its first singular
+    vectors scaled by the root of its singular value), on an image whose
+    sides are both at most ``DENSE_AXIS_MAX`` blurs as an exact Kronecker
+    product of two banded Toeplitz matrices (Hansen, Nagy & O'Leary,
+    *Deblurring Images*, SIAM 2006, sec. 4.4): ``H u = T_a u T_b'`` and
+    ``H'v = T_a' v T_b``, two :func:`_matmul_rows` products each, down the
+    columns and then along the rows, so the result is C-contiguous. Any
+    other kernel, or a side above the cutoff, takes
+    :func:`~tvdeblur.operators.fft_convolver` products, the kernel's and the
+    flipped kernel's, each a real-FFT pair on a grid of at least
+    ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the ghosts.
+    """
+    if max(shape) <= DENSE_AXIS_MAX and np.linalg.matrix_rank(psf.weights) == 1:
+        left, singular, right = np.linalg.svd(psf.weights)
+        scale = math.sqrt(singular[0])
+        t_a, t_b = (_toeplitz(scale * taps, c, n) for taps, c, n
+                    in zip((left[:, 0], right[0]), psf.center, shape))
+        # contiguous transposes: a transposed view made each product up to
+        # 1.6x slower at 128^2
+        ta_t, tb_t = np.ascontiguousarray(t_a.T), np.ascontiguousarray(t_b.T)
+        return (lambda u: _matmul_rows(_matmul_rows(u.T, ta_t).T, tb_t),
+                lambda v: _matmul_rows(_matmul_rows(v.T, t_a).T, t_b))
+    flipped = psf.flipped()
+    return (fft_convolver(psf.weights, psf.center, "zero", shape),
+            fft_convolver(flipped.weights, flipped.center, "zero", shape))
 
 
 def _antireflective(x: np.ndarray, sines, inverse: bool = False) -> np.ndarray:
@@ -398,7 +464,7 @@ def _antireflective(x: np.ndarray, sines, inverse: bool = False) -> np.ndarray:
     own inverse).
 
     The DST-I along an axis whose sine length ``m = n - 2`` is at most
-    ``DENSE_SINE_MAX`` is a product with its sine matrix (:func:`_dst`),
+    ``DENSE_AXIS_MAX`` is a product with its sine matrix (:func:`_dst`),
     taken on the columns ``1 .. n - 2`` of the whole image at once, the top
     and bottom edges with the interior, and then on the rows, the left and
     right edges with the interior. Below the cutoff the cost depends on the

@@ -12,7 +12,7 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
                       solve_enlarged)
 from tvdeblur import dense
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
-from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_SINE_MAX, EIG_FLOOR, SystemPlanner,
+from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
                                  _antireflective, _fft, _sine_matrices, _solve_zero,
                                  _squared_norm, solve_and_blur, solve_system)
 
@@ -236,7 +236,7 @@ class TestAntireflectiveTransform:
 
 # sine lengths m = n - 2 at and around the benchmark's, and either side of the cutoff
 DENSE_LENGTHS = (1, 2, 46, 102, 126, 127, 128)
-LONG_AXIS = DENSE_SINE_MAX + 5
+LONG_AXIS = DENSE_AXIS_MAX + 5
 
 
 class TestDenseSines:
@@ -254,7 +254,7 @@ class TestDenseSines:
     def test_matches_pocketfft(self, rng, m):
         for shape in self.shapes(m):
             sines = _sine_matrices(shape)
-            assert [s is None for s in sines] == [n - 2 > DENSE_SINE_MAX for n in shape]
+            assert [s is None for s in sines] == [n - 2 > DENSE_AXIS_MAX for n in shape]
             x = rng.standard_normal(shape)
             for inverse in (False, True):
                 got = _antireflective(x, sines, inverse=inverse)
@@ -464,6 +464,98 @@ class TestZeroPreconditionedCG:
         assert all(r.cg_residual <= forcing_bound(r.cg_start_residual) for r in trace.records)
 
 
+def separable_psf(rows, cols, center, seed):
+    """A positive rank-1 kernel, the outer product of two random factors."""
+    rng = np.random.default_rng(seed)
+    return Psf(np.outer(rng.random(rows) + 0.1, rng.random(cols) + 0.1), center)
+
+
+def record_products(monkeypatch):
+    """Patch rfft2 and np.matmul to record, per call, the FFT's grid and the
+    matmul's multiply-adds per BLAS call (m * k * n)."""
+    ffts, madds = [], []
+    rfft2, matmul = _fft.rfft2, np.matmul
+
+    def fft(x, *args, **kwargs):
+        ffts.append(x.shape)
+        return rfft2(x, *args, **kwargs)
+
+    def product(a, b, *args, **kwargs):
+        madds.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(_fft, "rfft2", fft)
+    monkeypatch.setattr(np, "matmul", product)
+    return ffts, madds
+
+
+class TestSeparableZeroProducts:
+    """A rank-1 kernel's zero plan blurs by Kronecker products of Toeplitz
+    matrices when both image sides are at most the cutoff. Bounds, fixed
+    before the run: 1e-8 max-abs against the dense oracle's solve (its
+    ``TOLERANCE``), and 1e-12 against ``apply_blur`` and
+    ``apply_correlation``, for rounding in sums of at most 16 taps on
+    unit-normal images."""
+
+    # (psf, shape): off-centre and even-extent factors, a row, a column and
+    # the delta, on non-square grids
+    CASES = {
+        "gaussian5-on-20x13": (gaussian_psf(5, 1.0), (20, 13)),
+        "even-gaussian6-on-13x20": (gaussian_psf(6, 1.5), (13, 20)),
+        "off-centre-3x4-on-20x13": (separable_psf(3, 4, (0, 3), 1), (20, 13)),
+        "off-centre-4x2-on-9x16": (separable_psf(4, 2, (3, 0), 2), (9, 16)),
+        "1x5-on-7x12": (separable_psf(1, 5, (0, 1), 3), (7, 12)),
+        "6x1-on-12x7": (separable_psf(6, 1, (4, 0), 4), (12, 7)),
+        "delta-on-5x8": (Psf.delta(), (5, 8)),
+    }
+
+    @pytest.mark.parametrize("psf, shape", CASES.values(), ids=CASES.keys())
+    def test_matches_the_dense_oracle(self, rng, monkeypatch, psf, shape):
+        ffts, madds = record_products(monkeypatch)
+        plan = SystemPlanner(psf, shape, "zero").plan(0.3)
+        u = rng.standard_normal(shape)
+        assert np.abs(plan.blur(u) - apply_blur(u, psf, "zero")).max() <= 1e-12
+        assert np.abs(plan.correlate(u) - apply_correlation(u, psf, "zero")).max() <= 1e-12
+        expected = dense.build_system(psf, shape, "zero", 0.3).solve(u)
+        assert np.abs(solve_system(plan, u) - expected).max() <= 1e-8
+        assert plan.blur(u).flags.c_contiguous and plan.correlate(u).flags.c_contiguous
+        ffts.clear()
+        madds.clear()
+        plan.correlate(plan.blur(u))
+        assert not ffts and len(madds) == 4  # one per axis and product
+
+    # matrix_rank 2 and 5, and a side above the cutoff
+    @pytest.mark.parametrize("psf, shape", [
+        (NONSYM, (20, 13)), (diagonal_motion_psf(7), (20, 13)),
+        (gaussian_psf(3, 0.8), (DENSE_AXIS_MAX + 1, 9)),
+        (gaussian_psf(3, 0.8), (9, DENSE_AXIS_MAX + 1))],
+        ids=["rank-2-nonsym3x2", "rank-5-diagonal-motion-7", "rows-above-the-cutoff",
+             "cols-above-the-cutoff"])
+    def test_other_kernels_and_sides_take_the_fft(self, rng, monkeypatch, psf, shape):
+        ffts, madds = record_products(monkeypatch)
+        plan = SystemPlanner(psf, shape, "zero").plan(0.3)
+        u = rng.standard_normal(shape)
+        ffts.clear()
+        blurred, correlated = plan.blur(u), plan.correlate(u)
+        assert len(ffts) == 2 and not madds
+        assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
+        assert np.abs(correlated - apply_correlation(u, psf, "zero")).max() <= 1e-12
+
+    def test_every_blas_call_stays_on_one_thread(self, rng, monkeypatch):
+        ffts, madds = record_products(monkeypatch)
+        n = DENSE_AXIS_MAX
+        for psf, shape in list(self.CASES.values()) + [
+                (gaussian_psf(5, 1.0), (n, n)), (gaussian_psf(3, 0.8), (n, 3)),
+                (gaussian_psf(3, 0.8), (3, n)), (gaussian_psf(16, 5.0), (97, n))]:
+            plan = SystemPlanner(psf, shape, "zero").plan(0.3)
+            u = rng.standard_normal(shape)
+            ffts.clear()
+            blurred = plan.blur(u)
+            assert not ffts
+            assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
+        assert madds and max(madds) <= BLAS_SERIAL_MADDS
+
+
 FFT, DCT, TRUTH = {"rfft2": 1, "irfft2": 1}, {"dctn": 1, "idctn": 1}, (26, 25)
 
 
@@ -520,7 +612,7 @@ class TestSolveAndBlur:
 
     # (mode, psf, truth shape, scipy.fft calls per image update); enlarge:*
     # runs a periodic solve on the enlarged domain. The antireflective DST-I
-    # of at most DENSE_SINE_MAX sines is a dense product, so only a 7x7
+    # of at most DENSE_AXIS_MAX sines is a dense product, so only a 7x7
     # kernel's blur (49 taps, an FFT product) or the pocketfft DST-I of a
     # longer axis, one dst each way, reaches scipy.fft there; the reflective
     # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
@@ -568,34 +660,51 @@ class TestSolveAndBlur:
         assert len(per_update) >= 4
         assert all(counts == expected for counts in per_update)
 
-    def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch):
-        # each matvec is two real-FFT products, H and then H'; the CG makes
-        # one at its start, one per step and one for its final residual,
-        # whose H x is the fidelity's. The DCT preconditioner takes no rfft2.
+    # (psf, its plan's basis, whether its products are matrix products): a
+    # quadrantally symmetric cross of rank 2 under the DCT-II, the oracle's
+    # nonsymmetric 3x2 kernel under the FFT, and the separable Gaussian
+    ZERO_ROUTES = {
+        "fft-cross3x3": (Psf(np.array([[1.0, 2, 1], [2, 8, 2], [1, 2, 1]]) / 20, (1, 1)),
+                         "reflective", False),
+        "fft-nonsym3x2": (NONSYM, "periodic", False),
+        "kronecker-gaussian5": (gaussian_psf(5, 1.0), "reflective", True),
+    }
+
+    @pytest.mark.parametrize("psf, basis, kronecker", ZERO_ROUTES.values(),
+                             ids=ZERO_ROUTES.keys())
+    def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch, psf, basis, kronecker):
+        # each matvec is two products, H and then H'; the CG makes one at its
+        # start, one per step and one for its final residual, whose H x is
+        # the fidelity's. An FFT product is one rfft2/irfft2 pair, a
+        # Kronecker product two np.matmul calls (each axis in one batched
+        # call up to this size); the DCT preconditioner takes neither, the
+        # FFT one a pair per step.
         from tvdeblur import solver
-        counted = {"rfft2": 0}
-        rfft2 = _fft.rfft2
-
-        def counting(*args, **kwargs):
-            counted["rfft2"] += 1
-            return rfft2(*args, **kwargs)
-
-        monkeypatch.setattr(_fft, "rfft2", counting)
+        calls = dict(rfft2=0, irfft2=0, matmul=0)
+        for module, name in ((_fft, "rfft2"), (_fft, "irfft2"), (np, "matmul")):
+            def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         step, per_update = solver.solve_and_blur, []
 
         def recorded(*args):
-            counted["rfft2"] = 0
+            calls.update(rfft2=0, irfft2=0, matmul=0)
             out = step(*args)
-            per_update.append((counted["rfft2"], out[2][0]))
+            assert args[0].basis == basis
+            per_update.append((dict(calls), out[2][0]))
             return out
 
         monkeypatch.setattr(solver, "solve_and_blur", recorded)
-        psf = gaussian_psf(5, 1.0)
         observed, _ = simulate(builtin_truth("cartoon", 26, 25), psf, 1e-4, seed=6)
         solve(observed, psf, "zero", SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0),
                                                  inner_max=3))
         assert len(per_update) >= 4
-        assert all(ffts == 2 * steps + 4 for ffts, steps in per_update)
+        for counts, steps in per_update:
+            products, preconditioner = 2 * (steps + 2), steps * (basis == "periodic")
+            ffts = 0 if kronecker else products + preconditioner
+            assert counts == {"rfft2": ffts, "irfft2": ffts,
+                              "matmul": 2 * products if kronecker else 0}
 
     @pytest.mark.parametrize("shape", [(17, 18), (18, 17), (2, 2), (5, 3)])
     def test_half_spectrum_parseval_weights(self, rng, shape):
