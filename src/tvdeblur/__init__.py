@@ -6,7 +6,6 @@ model (FFT / DCT-II / the antireflective ramp-and-sine transform), or on an
 enlarged periodic domain for nonsymmetric kernels.
 """
 
-from .energy import energy
 from .errors import (ConvergenceError, DataError, PreconditionError, ShapeError,
                      SingularPlanError, SymmetryError, TvDeblurError, UnsupportedError)
 from .grid import (BOUNDARY_MODELS, DEFAULT_BETA_LADDER, EnergyReport,
@@ -25,7 +24,7 @@ __all__ = [
     "PreconditionError", "Psf", "ShapeError", "SingularPlanError", "SolveParams",
     "SolveTrace", "SweepResult", "SweepRow", "SymmetryError", "TraceRecord",
     "TvDeblurError", "UnsupportedError", "apply_blur", "apply_correlation",
-    "as_image", "builtin_truth", "crop", "diagonal_motion_psf", "energy", "extend",
+    "as_image", "builtin_truth", "crop", "diagonal_motion_psf", "extend",
     "gaussian_psf", "gradient", "parse_mode", "restore", "shrink", "simulate",
     "snr", "solve", "solve_enlarged", "sweep", "sweep_csv_text", "write_sweep_csv",
 ]

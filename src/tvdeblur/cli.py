@@ -19,8 +19,9 @@ import numpy as np
 from . import fileio
 from .errors import ConvergenceError, SingularPlanError, TvDeblurError
 from .grid import DEFAULT_BETA_LADDER, BOUNDARY_MODELS, Psf, SolveParams
-from .harness import (Experiment, gaussian_psf, parse_mode, restore, simulate,
-                      sweep, write_sweep_csv)
+from .dense import ORACLE_CAP
+from .harness import (Experiment, gaussian_psf, parse_mode, reference_alpha, restore,
+                      simulate, sweep, write_sweep_csv)
 from .oracle import TOLERANCE, oracle_deviations, worst_deviation
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -69,10 +70,10 @@ def _solve_params(args, alpha: float) -> SolveParams:
 def _add_solver_flags(p):
     p.add_argument("--beta-ladder", default=None,
                    help="comma-separated increasing penalties (default 2,4,...,128)")
-    p.add_argument("--inner-tol", type=float, default=1e-3,
-                   help="relative-change stop per ladder rung (default 1e-3)")
-    p.add_argument("--inner-max", type=int, default=10,
-                   help="max iterations per ladder rung (default 10)")
+    p.add_argument("--inner-tol", type=float, default=SolveParams.inner_tol,
+                   help="relative-change stop per ladder rung (default %(default)s)")
+    p.add_argument("--inner-max", type=int, default=SolveParams.inner_max,
+                   help="max iterations per ladder rung (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -118,7 +119,7 @@ def build_parser() -> _Parser:
                    help="also write every successful cell's restoration into DIR")
 
     p = sub.add_parser("oracle-check", help="compare fast paths against the dense oracle")
-    p.add_argument("--n", type=int, default=8, help="grid side (<= 64)")
+    p.add_argument("--n", type=int, default=8, help=f"grid side (<= {ORACLE_CAP})")
     p.add_argument("--ratio", type=float, default=2.0)
     p.add_argument("--bc", default="all", help=f"all or one of {'|'.join(BOUNDARY_MODELS)}")
     return parser
@@ -202,7 +203,7 @@ def cmd_sweep(args) -> int:
     if args.reference_alpha:
         if args.sigma2 <= 0:
             raise _UsageError("--reference-alpha needs sigma2 > 0")
-        alphas = alphas + (0.05 / args.sigma2,)
+        alphas = alphas + (reference_alpha(args.sigma2),)
     params = _solve_params(args, alphas[0])
     truth = fileio.read_image(args.truth)
     exp = Experiment(truth=truth, psf=psf, sigma2=args.sigma2, modes=modes,
@@ -229,8 +230,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.n > 64:
-        raise _UsageError(f"oracle grid capped at n <= 64, got {args.n}")
+    if args.n > ORACLE_CAP:
+        raise _UsageError(f"oracle grid capped at n <= {ORACLE_CAP}, got {args.n}")
     if args.n < 2:
         raise _UsageError("oracle grid needs n >= 2")
     if not (np.isfinite(args.ratio) and args.ratio >= 0):

@@ -180,6 +180,12 @@ def parse_mode(mode: str):
                     f"'enlarge:<extension>:<pad>'")
 
 
+def reference_alpha(sigma2: float) -> float:
+    """The fidelity weight a sweep marks as its reference for noise
+    variance ``sigma2 > 0``: ``0.05 / sigma2``."""
+    return 0.05 / sigma2
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One sweep specification over (mode, alpha) cells.
@@ -216,7 +222,7 @@ class Experiment:
 
     @property
     def reference_alpha(self) -> float | None:
-        return 0.05 / self.sigma2 if self.sigma2 > 0 else None
+        return reference_alpha(self.sigma2) if self.sigma2 > 0 else None
 
 
 @dataclass(frozen=True)

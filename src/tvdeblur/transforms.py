@@ -12,13 +12,13 @@ where the composite operator is, per boundary model, diagonalized by:
   kernels only): per axis, the two linear ramps through the end samples
   plus the DST-I sines that vanish there (Serra-Capizzano, SIAM J. Sci.
   Comput. 25, 2003; Arico, Donatelli & Serra-Capizzano, Linear Algebra
-  Appl. 428, 2008). Its forward step keeps the four corners, subtracts from
-  each frame edge the ramp through its two corners and takes a 1-D DST-I of
-  the rest, and subtracts from the interior the bilinear (Coons) blend of
-  the frame and takes a 2-D DST-I; the inverse undoes these in reverse.
-  Along an axis of at most ``DENSE_AXIS_MAX`` sines the DST-I is a product
-  with the orthonormal sine matrix, which the planner builds once per axis
-  length and its plans carry. Its cost depends on the length alone, where
+  Appl. 428, 2008). Its forward step takes from every column's samples
+  ``1 .. R - 2`` the ramp through its two ends, then from every row's
+  ``1 .. C - 2`` the same (the two steps commute), and takes a DST-I along
+  each axis of what is left; the inverse runs these backwards. Along an axis
+  of at most ``DENSE_AXIS_MAX`` sines the DST-I is a product with the
+  orthonormal sine matrix, built once per length and process and cached
+  (:func:`_sine_matrix`). Its cost depends on the length alone, where
   pocketfft's DST-I, a real FFT of length ``2 (m + 1)``, was 8-12 times
   slower at the benchmark's m = 102 and 126. Each of its BLAS calls makes
   at most ``BLAS_SERIAL_MADDS`` multiply-adds, which OpenBLAS runs on one
@@ -88,6 +88,7 @@ is recorded on the plan and logged).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Callable
@@ -223,8 +224,6 @@ class SpectralPlan:
     blur: Callable | None = field(default=None, repr=False)
     # zero: v -> H'v, the exact transpose of blur, by the same route
     correlate: Callable | None = field(default=None, repr=False)
-    # antireflective: per axis, its DST-I sine matrix or None (_sine_matrices)
-    sines: tuple = field(default=(None, None), repr=False)
 
 
 class SystemPlanner:
@@ -270,7 +269,6 @@ class SystemPlanner:
                                    f"extension cap {min(R, C) - short}")
         else:
             theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
-        self.sines = _sine_matrices(self.shape) if bc == "antireflective" else (None, None)
         symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
         self._blur_eig = np.abs(symbol) ** 2
         self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
@@ -299,7 +297,7 @@ class SystemPlanner:
             eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
         return SpectralPlan(self.bc, self.basis, self.shape, float(ratio), eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, correlate=self._correlate, sines=self.sines)
+                            blur=self._blur, correlate=self._correlate)
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from
@@ -361,24 +359,19 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     return x, (steps, start_residual, residual), blurred
 
 
+@functools.cache
 def _sine_matrix(m: int) -> np.ndarray:
     """The orthonormal DST-I matrix of length ``m``, symmetric:
     ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))`` for ``j, k = 1 .. m``. The
     product ``j k`` is reduced modulo the period ``2 (m + 1)`` in integers,
     so every argument is below ``2 pi``: unreduced, the rounding of large
     arguments moved benchmark restorations by up to 2.9e-12 from pocketfft's,
-    against 1.0e-13 reduced."""
+    against 1.0e-13 reduced. Cached and read-only: one matrix per length per
+    process, and :func:`_dst` asks only for ``m <= DENSE_AXIS_MAX``."""
     jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
-    return math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
-
-
-def _sine_matrices(shape) -> tuple:
-    """Per axis of an antireflective grid, the sine matrix of its DST-I
-    length ``m = n - 2`` when ``1 <= m <= DENSE_AXIS_MAX``, else ``None``
-    (pocketfft's DST-I, or no sines at ``m = 0``); one matrix per length."""
-    lengths = [n - 2 for n in shape]
-    built = {m: _sine_matrix(m) for m in set(lengths) if 1 <= m <= DENSE_AXIS_MAX}
-    return tuple(built.get(m) for m in lengths)
+    sine = math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
+    sine.setflags(write=False)
+    return sine
 
 
 def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -401,12 +394,15 @@ def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.matmul(padded.reshape(blocks, size, k), matrix).reshape(-1, n)[:p]
 
 
-def _dst(x: np.ndarray, sine, axis: int) -> np.ndarray:
-    """The orthonormal DST-I of the 2-D ``x`` along ``axis``: pocketfft's when
-    ``sine`` is ``None``, else the product of the rows of ``x`` (of ``x.T``
-    along axis 0) with that symmetric matrix (:func:`_matmul_rows`)."""
-    if sine is None:
+def _dst(x: np.ndarray, axis: int) -> np.ndarray:
+    """The orthonormal DST-I of the 2-D ``x`` along ``axis``: up to
+    ``DENSE_AXIS_MAX`` samples, the product of the rows of ``x`` (of ``x.T``
+    along axis 0) with the symmetric :func:`_sine_matrix` of that length
+    (:func:`_matmul_rows`), else pocketfft's."""
+    m = x.shape[axis]
+    if m > DENSE_AXIS_MAX:
         return _fft.dst(x, type=1, norm="ortho", axis=axis)
+    sine = _sine_matrix(m)
     return _matmul_rows(x, sine) if axis == 1 else _matmul_rows(x.T, sine).T
 
 
@@ -452,72 +448,53 @@ def _zero_products(psf: Psf, shape):
             fft_convolver(flipped.weights, flipped.center, "zero", shape))
 
 
-def _antireflective(x: np.ndarray, sines, inverse: bool = False) -> np.ndarray:
+def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``x`` in the antireflective basis, or with ``inverse`` the image with
-    coefficients ``x``; a new array either way. ``sines`` are the grid's
-    :func:`_sine_matrices`, which its planner builds and its plans carry.
+    coefficients ``x``; a new array either way.
 
-    Forward: the corners stay, each frame edge loses the ramp through its
-    two corners and the interior loses the bilinear (Coons) blend of the
-    frame; then the edges take a 1-D DST-I and the interior a 2-D DST-I.
-    The inverse runs the same steps backwards (the orthonormal DST-I is its
-    own inverse).
+    Forward: every column's samples ``1 .. R - 2`` lose the ramp through the
+    column's two ends, then every row's ``1 .. C - 2`` lose the ramp through
+    the row's (the two steps commute: each removes one axis's ramps); then
+    the DST-I of what is left along each axis. The inverse takes the DST-I
+    first (the orthonormal DST-I is its own inverse) and adds the ramps
+    back. Each ramp step is one rank-2 product, a non-optimized ``einsum``
+    loop, not a BLAS call; an axis of two samples has only the ramps.
 
-    The DST-I along an axis whose sine length ``m = n - 2`` is at most
-    ``DENSE_AXIS_MAX`` is a product with its sine matrix (:func:`_dst`),
-    taken on the columns ``1 .. n - 2`` of the whole image at once, the top
-    and bottom edges with the interior, and then on the rows, the left and
-    right edges with the interior. Below the cutoff the cost depends on the
-    length alone, not on the factors of ``2 (m + 1)``, the length of the
+    The DST-I along an axis of at most ``DENSE_AXIS_MAX`` sines is a product
+    with its sine matrix (:func:`_dst`), taken on the columns ``1 .. C - 2``
+    of the whole image at once, the top and bottom edges with the interior,
+    and then on the rows ``1 .. R - 2``. Below the cutoff the cost depends on
+    the length alone, not on the factors of ``2 (m + 1)``, the length of the
     real FFT behind pocketfft's DST-I: a 2-D DST-I took 0.12 and 0.18 ms
     dense at m = 102 and 126 against 1.44 and 1.45 ms with pocketfft, whose
     FFTs of 2 * 103 and 2 * 127 fall back to Bluestein (2 vCPUs). Longer
     axes keep pocketfft, so the update stays ``O(N log N)``; when both do,
-    the edges take ``dst`` and the interior ``dstn``, as before the dense
-    route.
-
-    The blend is taken as the whole top and bottom rows blended down the
-    columns plus the left and right edges less their ramps blended across
-    the rows, so it falls between the two pairs of edges' ramp steps. Its
-    products are non-optimized ``einsum`` loops, not BLAS calls. An axis of
-    two samples has only the ramps.
+    the frame edges take a 1-D ``dst`` and the interior a ``dstn``, which
+    beat a ``dst`` along each axis by 4-8% at m = 254 to 1022 (2 vCPUs).
     """
     out = np.array(x, dtype=float)
     R, C = out.shape
-    s, t = (np.arange(1, n - 1) / (n - 1) for n in (R, C))
-    down, across = np.stack([1 - s, s], axis=1), np.stack([1 - t, t])
-    corners = out[::R - 1, ::C - 1]
-    rows, cols, inner = out[::R - 1, 1:-1], out[1:-1, ::C - 1], out[1:-1, 1:-1]
-    sine_r, sine_c = sines
+    sign = 1.0 if inverse else -1.0
 
-    def blend():
-        return np.einsum("ik,kj->ij", np.hstack([down, cols]), np.vstack([rows, across]))
+    def ramps():
+        s, t = (np.arange(1, n - 1) / (n - 1) for n in (R, C))
+        out[1:-1] += np.einsum("ik,kj->ij", sign * np.stack([1 - s, s], axis=1), out[::R - 1])
+        out[:, 1:-1] += np.einsum("ik,kj->ij", out[:, ::C - 1], sign * np.stack([1 - t, t]))
 
     def transform():
-        # scipy.fft rejects a transform of length 0
-        if sine_r is None and sine_c is None:
-            if C > 2:
-                rows[...] = _fft.dst(rows, type=1, norm="ortho", axis=1)
-            if R > 2:
-                cols[...] = _fft.dst(cols, type=1, norm="ortho", axis=0)
-            if R > 2 and C > 2:
-                inner[...] = _fft.dstn(inner, type=1, norm="ortho")
+        if min(R, C) - 2 > DENSE_AXIS_MAX:
+            out[::R - 1, 1:-1] = _fft.dst(out[::R - 1, 1:-1], type=1, norm="ortho", axis=1)
+            out[1:-1, ::C - 1] = _fft.dst(out[1:-1, ::C - 1], type=1, norm="ortho", axis=0)
+            out[1:-1, 1:-1] = _fft.dstn(out[1:-1, 1:-1], type=1, norm="ortho")
             return
+        # an axis of two samples has no sines
         if C > 2:
-            out[:, 1:-1] = _dst(out[:, 1:-1], sine_c, 1)
+            out[:, 1:-1] = _dst(out[:, 1:-1], 1)
         if R > 2:
-            out[1:-1] = _dst(out[1:-1], sine_r, 0)
+            out[1:-1] = _dst(out[1:-1], 0)
 
-    if inverse:
-        transform()
-        rows += np.einsum("ik,kj->ij", corners, across)
-        inner += blend()
-        cols += np.einsum("ik,kj->ij", down, corners)
-    else:
-        cols -= np.einsum("ik,kj->ij", down, corners)
-        inner -= blend()
-        rows -= np.einsum("ik,kj->ij", corners, across)
-        transform()
+    for step in (transform, ramps) if inverse else (ramps, transform):
+        step()
     return out
 
 
@@ -528,7 +505,7 @@ def _analyze(owner, image: np.ndarray) -> np.ndarray:
         return _fft.rfft2(image)
     if owner.basis == "reflective":
         return _fft.dctn(image, type=2, norm="ortho")
-    return _antireflective(image, owner.sines)
+    return _antireflective(image)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
@@ -540,7 +517,7 @@ def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
         return _fft.irfft2(coefficients, s=plan.shape), coefficients
     if plan.basis == "reflective":
         return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
-    return _antireflective(coefficients, plan.sines, inverse=True), coefficients
+    return _antireflective(coefficients, inverse=True), coefficients
 
 
 def _squared_norm(owner, coefficients: np.ndarray) -> float:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tvdeblur import (DataError, GradientField, Psf, ShapeError, energy,
-                      gaussian_psf, gradient)
+from tvdeblur import DataError, GradientField, Psf, ShapeError, gaussian_psf, gradient
+from tvdeblur.energy import energy
 
 
 def straight_loop_energy_periodic(u, z1, z2, f, weights, center, alpha, beta):

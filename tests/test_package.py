@@ -18,14 +18,14 @@ PUBLIC = {
     "PreconditionError", "Psf", "ShapeError", "SingularPlanError", "SolveParams",
     "SolveTrace", "SweepResult", "SweepRow", "SymmetryError", "TraceRecord",
     "TvDeblurError", "UnsupportedError", "apply_blur", "apply_correlation",
-    "as_image", "builtin_truth", "crop", "diagonal_motion_psf", "energy", "extend",
+    "as_image", "builtin_truth", "crop", "diagonal_motion_psf", "extend",
     "gaussian_psf", "gradient", "parse_mode", "restore", "shrink", "simulate",
     "snr", "solve", "solve_enlarged", "sweep", "sweep_csv_text", "write_sweep_csv",
 }
 
 
 def test_public_names_are_the_entry_points():
-    assert len(tvdeblur.__all__) == len(PUBLIC) == 40
+    assert len(tvdeblur.__all__) == len(PUBLIC) == 39
     assert set(tvdeblur.__all__) == PUBLIC
     for name in tvdeblur.__all__:
         assert getattr(tvdeblur, name) is not None
@@ -114,3 +114,34 @@ def test_every_import_is_used(path):
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
             assert name in loaded, f"{path.name}:{node.lineno} imports {name} and never uses it"
+
+
+def test_every_module_level_name_is_referenced():
+    # no linter runs on the package; a deletion must not leave a helper behind.
+    # A reference is a loaded name, an attribute or an imported name anywhere
+    # in the package.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(tvdeblur.__file__).parent.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{filename}:{node.lineno} {name}" for name in names
+                             if not name.startswith("__") and name not in referenced]
+    assert not unreferenced, f"defined and never referenced: {unreferenced}"

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from tvdeblur import (ConvergenceError, DataError, GradientField, PreconditionError, Psf,
                       SolveParams, SymmetryError, apply_blur, apply_correlation, builtin_truth,
-                      energy, extend, gaussian_psf, gradient, restore, shrink, simulate, snr,
-                      solve, solve_enlarged)
+                      extend, gaussian_psf, gradient, restore, shrink, simulate, snr, solve,
+                      solve_enlarged)
 from tvdeblur import dense, solver
+from tvdeblur.energy import energy
 from tvdeblur.grid import DEFAULT_BETA_LADDER
 from tvdeblur.operators import adjoint_gradient, transpose_adjoint_gradient
 from tvdeblur.solver import _soft_threshold

@@ -10,10 +10,10 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
                       SymmetryError, UnsupportedError, apply_blur, apply_correlation,
                       builtin_truth, diagonal_motion_psf, gaussian_psf, simulate, solve,
                       solve_enlarged)
-from tvdeblur import dense
+from tvdeblur import dense, transforms
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
-                                 _antireflective, _fft, _sine_matrices, _solve_zero,
+                                 _antireflective, _fft, _sine_matrix, _solve_zero,
                                  _squared_norm, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
@@ -206,8 +206,7 @@ class TestAntireflectiveTransform:
     @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_inverse_undoes_forward(self, rng, shape):
         x = rng.standard_normal(shape)
-        sines = _sine_matrices(shape)
-        back = _antireflective(_antireflective(x, sines), sines, inverse=True)
+        back = _antireflective(_antireflective(x), inverse=True)
         assert np.abs(back - x).max() < 1e-12
 
     @pytest.mark.parametrize("shape", AR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -216,8 +215,7 @@ class TestAntireflectiveTransform:
         # sine, the interior products of sines
         c = rng.standard_normal(shape)
         expected = _antireflective_basis(shape[0]) @ c @ _antireflective_basis(shape[1]).T
-        assert np.abs(_antireflective(c, _sine_matrices(shape), inverse=True)
-                      - expected).max() < 1e-12
+        assert np.abs(_antireflective(c, inverse=True) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("shape,name", [
         pytest.param(shape, name, id=f"{shape[0]}x{shape[1]}-{name}")
@@ -227,11 +225,10 @@ class TestAntireflectiveTransform:
         psf, ratio = AR_KERNELS[name], 0.7
         plan = SystemPlanner(psf, shape, "antireflective").plan(ratio)
         c = rng.standard_normal(shape)
-        u = _antireflective(c, plan.sines, inverse=True)
+        u = _antireflective(c, inverse=True)
         system_u = stencil_system(psf, shape, "antireflective", ratio).apply(u)
         assert plan.eigenvalues.shape == shape
-        assert np.abs(_antireflective(system_u, plan.sines)
-                      - plan.eigenvalues * c).max() < 1e-12
+        assert np.abs(_antireflective(system_u) - plan.eigenvalues * c).max() < 1e-12
 
 
 # sine lengths m = n - 2 at and around the benchmark's, and either side of the cutoff
@@ -241,9 +238,10 @@ LONG_AXIS = DENSE_AXIS_MAX + 5
 
 class TestDenseSines:
     """The dense DST-I against pocketfft's, through the whole transform: the
-    route with no sine matrices is the one every axis above the cutoff takes.
-    Bound, fixed before the run: 1e-13 max-abs on unit-normal entries, about
-    4 m eps at m = 128, for rounding in sums of at most 128 terms."""
+    reference sets DENSE_AXIS_MAX to 0, the route every axis above the
+    cutoff takes. Bound, fixed before the run: 1e-13 max-abs on unit-normal
+    entries, about 4 m eps at m = 128, for rounding in sums of at most 128
+    terms."""
 
     @staticmethod
     def shapes(m):
@@ -251,14 +249,14 @@ class TestDenseSines:
         return [(n, n), (n, 9), (5, n), (n, LONG_AXIS), (LONG_AXIS, n)]
 
     @pytest.mark.parametrize("m", DENSE_LENGTHS)
-    def test_matches_pocketfft(self, rng, m):
+    def test_matches_pocketfft(self, rng, monkeypatch, m):
         for shape in self.shapes(m):
-            sines = _sine_matrices(shape)
-            assert [s is None for s in sines] == [n - 2 > DENSE_AXIS_MAX for n in shape]
             x = rng.standard_normal(shape)
             for inverse in (False, True):
-                got = _antireflective(x, sines, inverse=inverse)
-                expected = _antireflective(x, (None, None), inverse=inverse)
+                got = _antireflective(x, inverse=inverse)
+                with monkeypatch.context() as patch:
+                    patch.setattr(transforms, "DENSE_AXIS_MAX", 0)
+                    expected = _antireflective(x, inverse=inverse)
                 assert np.abs(got - expected).max() <= 1e-13, (shape, inverse)
 
     @pytest.mark.parametrize("m", DENSE_LENGTHS)
@@ -266,7 +264,7 @@ class TestDenseSines:
         # each frame edge loses the ramp through its corners and takes a DST-I
         for shape in [(m + 2, 7), (7, m + 2)]:
             x = rng.standard_normal(shape)
-            got = _antireflective(x, _sine_matrices(shape))
+            got = _antireflective(x)
             for edge, coefficients in ((x[0], got[0]), (x[-1], got[-1]),
                                        (x[:, 0], got[:, 0]), (x[:, -1], got[:, -1])):
                 n = edge.size
@@ -277,9 +275,8 @@ class TestDenseSines:
     @pytest.mark.parametrize("m", DENSE_LENGTHS)
     def test_round_trip(self, rng, m):
         for shape in self.shapes(m):
-            sines = _sine_matrices(shape)
             x = rng.standard_normal(shape)
-            back = _antireflective(_antireflective(x, sines), sines, inverse=True)
+            back = _antireflective(_antireflective(x), inverse=True)
             assert np.abs(back - x).max() <= 1e-13, shape
 
     def test_every_blas_call_stays_on_one_thread(self, rng, monkeypatch):
@@ -293,15 +290,36 @@ class TestDenseSines:
         monkeypatch.setattr(np, "matmul", recorded)
         for m in DENSE_LENGTHS:
             for shape in self.shapes(m):
-                _antireflective(rng.standard_normal(shape), _sine_matrices(shape))
+                _antireflective(rng.standard_normal(shape))
         assert BLAS_SERIAL_MADDS == 262144
         assert calls and max(calls) <= BLAS_SERIAL_MADDS
 
-    def test_the_planner_builds_one_matrix_per_length(self):
-        planner = SystemPlanner(gaussian_psf(3, 0.8), (40, 40), "antireflective")
-        a, b = planner.plan(0.5), planner.plan(8.0)
-        assert a.sines[0] is a.sines[1] is b.sines[0]
-        assert SystemPlanner(gaussian_psf(3, 0.8), (40, 40), "reflective").sines == (None, None)
+    def test_one_read_only_matrix_per_length_up_to_the_cutoff(self, rng):
+        _sine_matrix.cache_clear()
+        for shape in [(LONG_AXIS, 9), (9, 9), (9, LONG_AXIS), (LONG_AXIS, LONG_AXIS)]:
+            _antireflective(_antireflective(rng.standard_normal(shape)), inverse=True)
+        assert _sine_matrix.cache_info().currsize == 1
+        sine = _sine_matrix(7)
+        assert sine is _sine_matrix(7) and not sine.flags.writeable
+
+    # three solves mixing the routes, one axis dense and the other pocketfft's
+    MIXED_ROUTES = [(gaussian_psf(3, 0.8), (40, 150)), (gaussian_psf(3, 0.8), (150, 40)),
+                    (gaussian_psf(9, 2), (60, 140))]
+
+    @pytest.mark.parametrize("psf, shape", MIXED_ROUTES,
+                             ids=[f"{s[0]}x{s[1]}-{p.rows}x{p.cols}" for p, s in MIXED_ROUTES])
+    def test_a_mixed_route_solve_matches_pocketfft(self, monkeypatch, psf, shape):
+        # bound, fixed before the run: 1e-12 max-abs on a [0, 1] image, with
+        # the same iteration count
+        truth = builtin_truth("cartoon", shape[0] + 2 * psf.rows - 2, shape[1] + 2 * psf.cols - 2)
+        observed, _ = simulate(truth, psf, 1e-4, seed=2)
+        assert observed.shape == shape
+        params = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4)
+        got, trace = solve(observed, psf, "antireflective", params)
+        monkeypatch.setattr(transforms, "DENSE_AXIS_MAX", 0)
+        expected, expected_trace = solve(observed, psf, "antireflective", params)
+        assert np.abs(got - expected).max() <= 1e-12
+        assert trace.total_inner_iterations == expected_trace.total_inner_iterations
 
 
 class TestPlannerReuse:
