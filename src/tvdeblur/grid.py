@@ -55,6 +55,16 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _sequence(values, name: str) -> tuple:
+    """``values`` as a tuple; a string (not its characters) or a scalar raises."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise DataError(f"{name} must be a sequence, got {values!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -80,7 +90,10 @@ class Psf:
             raise DataError("psf weights contain non-finite values")
         if w.sum() <= 0.0:
             raise DataError("psf weights must have positive total mass")
-        cr, cc = (_integer(c, "psf center entry") for c in self.center)
+        center = _sequence(self.center, "psf center")
+        if len(center) != 2:
+            raise DataError(f"psf center must be a pair, got {self.center!r}")
+        cr, cc = (_integer(c, "psf center entry") for c in center)
         if not (0 <= cr < w.shape[0] and 0 <= cc < w.shape[1]):
             raise DataError(f"psf center {self.center} outside kernel extent {w.shape}")
         object.__setattr__(self, "weights", _freeze(w))
@@ -175,7 +188,7 @@ class SolveParams:
     def __post_init__(self):
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise DataError(f"alpha must be positive and finite, got {self.alpha}")
-        ladder = tuple(float(b) for b in self.beta_ladder)
+        ladder = tuple(float(b) for b in _sequence(self.beta_ladder, "beta ladder"))
         if not ladder:
             raise DataError("beta ladder must not be empty")
         if any(b <= 0 or not np.isfinite(b) for b in ladder):

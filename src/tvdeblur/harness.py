@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ShapeError, TvDeblurError
-from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, as_image
+from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, _sequence, as_image
 from .operators import _sliding_sum
 from .solver import solve, solve_enlarged
 
@@ -209,11 +209,11 @@ class Experiment:
         if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
             raise DataError(f"sigma2 must be non-negative and finite, got {self.sigma2}")
         object.__setattr__(self, "seed", _seed(self.seed))
-        alphas = tuple(dict.fromkeys(float(a) for a in self.alphas))
+        alphas = tuple(dict.fromkeys(float(a) for a in _sequence(self.alphas, "alpha grid")))
         if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
             raise DataError(f"alpha grid must be non-empty, positive and finite, got {alphas}")
         object.__setattr__(self, "alphas", alphas)
-        modes = tuple(dict.fromkeys(self.modes))
+        modes = tuple(dict.fromkeys(_sequence(self.modes, "modes")))
         for m in modes:
             parse_mode(m)
         if not modes:
@@ -283,8 +283,11 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     the same serially and with ``jobs > 1``; pass ``None`` to record zeros
     and make the output byte-reproducible across runs. Each successful row
     keeps its restoration in ``restored``, so the caller holds one image
-    per successful cell (cells x rows x cols x 8 bytes).
+    per successful cell (cells x rows x cols x 8 bytes). The pool has
+    ``min(jobs, cells)`` workers, since it forks them all at its first
+    task; one runs the cells in this process.
     """
+    jobs = _integer(jobs, "jobs")
     if jobs < 1:
         raise DataError(f"jobs must be at least 1, got {jobs}")
     if clock is None:
@@ -294,8 +297,9 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     cells = [(mode, alpha) for mode in exp.modes for alpha in exp.alphas]
     tasks = [(observed, exp.psf, mode, alpha, exp.params, truth_fov, clock)
              for mode, alpha in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(task) for task in tasks]

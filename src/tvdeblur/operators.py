@@ -30,10 +30,10 @@ five-point Laplacian) is never built here: the transform plans sample its
 symbol from the kernel alone. :func:`differences` is the unvalidated,
 plain-array form of :func:`gradient`, and both divergences accept a plain
 pair ``(z1, z2)``, for the solver's inner loop. These three write into
-buffers the caller gives when it gives them, else into fresh arrays; the
-two divergences share one implementation. All functions are safe for
-concurrent use, and only these three write into an array they did not
-make.
+buffers the caller gives when it gives them, else into fresh arrays. Each
+rule's closing difference is written once, in :func:`_close`, which all
+three read (:func:`_divergence`). All functions are safe for concurrent
+use, and only these three write into an array they did not make.
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ def extend(u: np.ndarray, pads, extension: str) -> np.ndarray:
 
 
 def crop(u: np.ndarray, pads) -> np.ndarray:
-    """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins."""
+    """Inverse of :func:`extend`: a copy of ``u`` without its ``pads`` margins,
+    which must leave at least one sample per axis."""
     (pt, pb), (pl, pr) = _pad_widths(pads)
+    if pt + pb >= u.shape[0] or pl + pr >= u.shape[1]:
+        raise PreconditionError(f"padding {pads} leaves no sample of shape {u.shape}")
     return u[pt:u.shape[0] - pb, pl:u.shape[1] - pr].copy()
 
 
@@ -219,31 +222,38 @@ def differences(u: np.ndarray, bc: str, out=None):
     z1, z2 = (np.empty_like(u), np.empty_like(u)) if out is None else out
     np.subtract(u[:, 1:], u[:, :-1], out=z1[:, :-1])
     np.subtract(u[1:, :], u[:-1, :], out=z2[:-1, :])
-    if bc == "zero":
-        z1[:, -1] = -u[:, -1]
-        z2[-1, :] = -u[-1, :]
-    elif bc == "periodic":
-        z1[:, -1] = u[:, 0] - u[:, -1]
-        z2[-1, :] = u[0, :] - u[-1, :]
-    elif bc == "reflective":
-        z1[:, -1] = 0.0
-        z2[-1, :] = 0.0
-    else:  # antireflective
-        z1[:, -1] = u[:, -1] - u[:, -2]
-        z2[-1, :] = u[-1, :] - u[-2, :]
+    _close(z1[:, -1], u[:, -1], u[:, 0], u[:, -2], bc)
+    _close(z2[-1, :], u[-1, :], u[0, :], u[-2, :], bc)
     return z1, z2
+
+
+def _close(out, last, first, inner, bc: str):
+    """Write a line's closing forward difference into ``out``: the rule's
+    ghost past ``last``, minus ``last``; ``first`` is the line's other end
+    and ``inner`` the sample before ``last``. Assignments, not
+    ``np.negative(last, out=out)``, which NumPy 2.4.6 (AVX-512) got wrong for
+    a strided input and output 8 doubles apart, as in an 8-wide image."""
+    if bc == "zero":  # ghost 0
+        out[...] = -last
+    elif bc == "periodic":  # ghost: the line's other end
+        out[...] = first - last
+    elif bc == "reflective":  # ghost: last itself
+        out[...] = 0.0
+    else:  # antireflective, ghost 2 last - inner
+        out[...] = last - inner
 
 
 def adjoint_gradient(z: GradientField, bc: str, out=None) -> np.ndarray:
     """Discrete analogue of the negative divergence (reblurred closure).
 
-    Applies the flipped difference stencil under the same boundary rule,
-    so constants are annihilated for every non-zero model and
-    ``adjoint_gradient(gradient(u))`` is the positive-semidefinite
-    boundary-closed Laplacian for the periodic model, where this operator
-    equals the exact transpose of :func:`gradient`. ``z`` is a
-    :class:`GradientField` or a plain pair ``(z1, z2)``; ``out`` is as in
-    :func:`_divergence`.
+    Applies the flipped difference stencil under the same boundary rule: its
+    first column and row take the gradient's closure (:func:`_close`) read
+    from the line's other end, so constants are annihilated for every
+    non-zero model and ``adjoint_gradient(gradient(u))`` is the
+    positive-semidefinite boundary-closed Laplacian for the periodic model,
+    where this operator equals the exact transpose of :func:`gradient`.
+    ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``; ``out``
+    is as in :func:`_divergence`.
     """
     check_boundary_model(bc)
     return _divergence(*z, bc, False, out)
@@ -255,6 +265,9 @@ def transpose_adjoint_gradient(z: GradientField, bc: str, out=None) -> np.ndarra
     Satisfies <grad(u), z> == <u, transpose_adjoint_gradient(z)> identically.
     This is the pairing the reflective-model restoration system uses, making
     its image update the exact partial minimizer of the discrete objective.
+    Its first column and row close by the zero rule (:func:`_close`); the
+    reflective and antireflective models then add the terms their
+    gradient's closure reads at the far end.
     ``z`` is a :class:`GradientField` or a plain pair ``(z1, z2)``; ``out``
     is as in :func:`_divergence`.
     """
@@ -269,33 +282,21 @@ def _divergence(z1, z2, bc: str, transpose: bool, out):
     The two components' terms go into the pair of arrays ``out`` when given,
     else into fresh arrays, and their sum into the first, which is returned.
     The inputs are only read. Both pairings take the same backward
-    differences inside; each closes its first and last samples by one rule
-    below (the zero and periodic models' rules are the same for both).
+    differences inside and close the first column and row by
+    :func:`_close`, with the line read from its far end: the reblurred one
+    by the model's rule, the exact transpose by the zero rule plus the
+    far-end terms of the gradient's closure.
     """
     o1, o2 = (np.empty_like(z1), np.empty_like(z2)) if out is None else out
     np.subtract(z1[:, :-1], z1[:, 1:], out=o1[:, 1:])
     np.subtract(z2[:-1, :], z2[1:, :], out=o2[1:, :])
-    rule = (bc, transpose)
-    if bc == "zero":
-        o1[:, 0] = -z1[:, 0]
-        o2[0, :] = -z2[0, :]
-    elif bc == "periodic":
-        o1[:, 0] = z1[:, -1] - z1[:, 0]
-        o2[0, :] = z2[-1, :] - z2[0, :]
-    elif rule == ("reflective", False):
-        o1[:, 0] = 0.0
-        o2[0, :] = 0.0
-    elif rule == ("reflective", True):
-        o1[:, 0] = -z1[:, 0]
-        o2[0, :] = -z2[0, :]
+    rule = "zero" if transpose and bc in ("reflective", "antireflective") else bc
+    _close(o1[:, 0], z1[:, 0], z1[:, -1], z1[:, 1], rule)
+    _close(o2[0, :], z2[0, :], z2[-1, :], z2[1, :], rule)
+    if transpose and bc == "reflective":  # the closure is 0, not -u_last
         o1[:, -1] += z1[:, -1]
         o2[-1, :] += z2[-1, :]
-    elif rule == ("antireflective", False):  # ghost z(-1) = 2 z(0) - z(1)
-        o1[:, 0] = z1[:, 0] - z1[:, 1]
-        o2[0, :] = z2[0, :] - z2[1, :]
-    else:  # the antireflective transpose
-        o1[:, 0] = -z1[:, 0]
-        o2[0, :] = -z2[0, :]
+    elif transpose and bc == "antireflective":  # u_last - u_inner, not -u_last
         o1[:, -2] -= z1[:, -1]
         o1[:, -1] += 2.0 * z1[:, -1]
         o2[-2, :] -= z2[-1, :]

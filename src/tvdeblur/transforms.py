@@ -79,7 +79,10 @@ fidelity comes the same way; this module makes no convolution of its own.
 Every fidelity and squared norm the loop reads is one pass, a
 non-optimized ``einsum`` (:func:`_sum_of_squares`).
 :func:`solve_system` of every model but zero, the update and the CG
-preconditioner share one analyze, divide and synthesize step.
+preconditioner share one step (:func:`_transform_solve`): the forward
+:func:`_transform` of the right-hand side, a division by the eigenvalues,
+and the inverse. :func:`_transform` is the one place each basis names its
+transform pair.
 
 Plans are deterministic and immutable. Every eigenvalue is non-negative by
 construction; those below 1e-14 are raised to it (never silently: the count
@@ -308,7 +311,7 @@ class SystemPlanner:
         corr_f = apply_correlation(f, self._psf, self.bc)
         if self._blur_symbol is None:
             return corr_f, f, _sum_of_squares(self._blur(f) - f)
-        target = _analyze(self, f)
+        target = _transform(self, f)
         return corr_f, target, _squared_norm(self, self._blur_symbol * target - target)
 
 
@@ -498,26 +501,23 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out
 
 
-def _analyze(owner, image: np.ndarray) -> np.ndarray:
-    """The image's coefficients in the transform basis of ``owner``, a plan
-    or planner."""
+def _transform(owner, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``x`` in the transform basis of ``owner``, a plan or planner, or with
+    ``inverse`` the image with coefficients ``x``: the real 2-D FFT
+    (periodic), the orthonormal DCT-II (reflective) or :func:`_antireflective`."""
     if owner.basis == "periodic":
-        return _fft.rfft2(image)
+        return _fft.irfft2(x, s=owner.shape) if inverse else _fft.rfft2(x)
     if owner.basis == "reflective":
-        return _fft.dctn(image, type=2, norm="ortho")
-    return _antireflective(image)
+        return (_fft.idctn if inverse else _fft.dctn)(x, type=2, norm="ortho")
+    return _antireflective(x, inverse)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
     """The solution in the plan's transform basis, and its coefficients: the
     system's own for every model but zero, the preconditioner's for zero."""
-    coefficients = _analyze(plan, rhs)
+    coefficients = _transform(plan, rhs)
     coefficients /= plan.eigenvalues
-    if plan.basis == "periodic":
-        return _fft.irfft2(coefficients, s=plan.shape), coefficients
-    if plan.basis == "reflective":
-        return _fft.idctn(coefficients, type=2, norm="ortho"), coefficients
-    return _antireflective(coefficients, inverse=True), coefficients
+    return _transform(plan, coefficients, inverse=True), coefficients
 
 
 def _squared_norm(owner, coefficients: np.ndarray) -> float:

@@ -51,6 +51,13 @@ class TestPsf:
         with pytest.raises(DataError, match="psf center entry must be an integer"):
             Psf(np.ones((3, 3)), center)
 
+    @pytest.mark.parametrize("center,match", [
+        ((1,), "must be a pair"), ((1, 1, 1), "must be a pair"), (None, "must be a sequence"),
+        (1, "must be a sequence"), ("11", "must be a sequence")], ids=repr)
+    def test_center_must_be_a_pair(self, center, match):
+        with pytest.raises(DataError, match=f"psf center {match}"):
+            Psf(np.ones((3, 3)), center)
+
     def test_integral_center_of_any_kind_accepted(self):
         p = Psf(np.ones((3, 3)), (1.0, np.int64(2)))
         assert p.center == (1, 2) and all(type(c) is int for c in p.center)
@@ -97,6 +104,15 @@ class TestSolveParams:
             SolveParams(alpha=1.0, beta_ladder=(2.0, 2.0))
         with pytest.raises(DataError):
             SolveParams(alpha=1.0, beta_ladder=(4.0, 2.0))
+
+    @pytest.mark.parametrize("ladder", ["248", b"248", 5.0, None], ids=repr)
+    def test_ladder_must_be_a_sequence(self, ladder):
+        with pytest.raises(DataError, match="beta ladder must be a sequence"):
+            SolveParams(alpha=1.0, beta_ladder=ladder)
+
+    def test_ladder_of_any_sequence_kind_accepted(self):
+        for ladder in ([2, 4], np.array([2.0, 4.0]), (b for b in (2.0, 4.0))):
+            assert SolveParams(alpha=1.0, beta_ladder=ladder).beta_ladder == (2.0, 4.0)
 
     def test_alpha_positive(self):
         with pytest.raises(DataError):

@@ -229,6 +229,13 @@ class TestSweep:
         with pytest.raises(DataError, match=match):
             replace(small_experiment, **change)
 
+    @pytest.mark.parametrize("change,match", [
+        (dict(alphas="12"), "alpha grid"), (dict(alphas=5.0), "alpha grid"),
+        (dict(modes="periodic"), "modes"), (dict(modes=None), "modes")], ids=str)
+    def test_string_or_scalar_for_a_sequence_rejected(self, small_experiment, change, match):
+        with pytest.raises(DataError, match=f"{match} must be a sequence"):
+            replace(small_experiment, **change)
+
     def test_rows_sorted_and_one_best_per_mode(self, small_experiment):
         result = sweep(small_experiment, clock=None)
         keys = [(r.mode, r.alpha) for r in result.rows]
@@ -263,6 +270,37 @@ class TestSweep:
     def test_jobs_below_one_rejected(self, small_experiment, jobs):
         with pytest.raises(DataError, match="jobs must be at least 1"):
             sweep(small_experiment, jobs=jobs, clock=None)
+
+    @pytest.mark.parametrize("jobs", [2.5, True, "2"])
+    def test_non_integral_jobs_rejected(self, small_experiment, jobs):
+        with pytest.raises(DataError, match="jobs must be an integer"):
+            sweep(small_experiment, jobs=jobs, clock=None)
+
+    def test_the_pool_has_at_most_one_worker_per_cell(self, small_experiment, monkeypatch):
+        # the pool forks every worker at its first task, so it is replaced by
+        # a stand-in that records its size and runs the cells here
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("tvdeblur.harness.ProcessPoolExecutor", RecordingPool)
+        two = replace(small_experiment, modes=("periodic",), alphas=(50.0, 500.0))
+        assert len(sweep(two, jobs=64, clock=None).rows) == 2
+        assert sizes == [2]
+        # a single cell runs in this process
+        sweep(replace(two, alphas=(50.0,)), jobs=64, clock=None)
+        assert sizes == [2]
 
     def test_programming_errors_raise(self, small_experiment, monkeypatch):
         def broken(*args):

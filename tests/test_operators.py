@@ -76,6 +76,12 @@ class TestExtendCrop:
         pads = ((2.0, np.int64(1)), (np.float64(0.0), 3))
         assert np.array_equal(crop(extend(u, pads, "reflective"), pads), u)
 
+    @pytest.mark.parametrize("pads", [((2, 2), (0, 0)), ((0, 0), (5, 0)), ((4, 0), (1, 1))])
+    def test_crop_leaving_no_sample_rejected(self, pads):
+        message = re.escape(f"padding {pads} leaves no sample of shape (4, 4)")
+        with pytest.raises(PreconditionError, match=message):
+            crop(np.ones((4, 4)), pads)
+
     def test_antireflective_pad_cap(self, rng):
         f = rng.standard_normal((4, 4))
         with pytest.raises(UnsupportedError):
@@ -283,6 +289,38 @@ class TestTransposeAdjointGradient:
         expected = (dense.build_grad((n, n), 1, bc).matrix.T @ z.z1.ravel()
                     + dense.build_grad((n, n), 2, bc).matrix.T @ z.z2.ravel()).reshape(n, n)
         assert np.abs(transpose_adjoint_gradient(z, bc) - expected).max() < 1e-14
+
+
+class TestClosures:
+    """Every closing difference, bit for bit. Small-integer inputs make every
+    sum exact, so the dense oracle pins the bytes. Two-sample axes are where
+    the antireflective transpose's end terms overlap; the 8-wide grids take
+    NumPy's vectorized loops over the strided closing column."""
+
+    SHAPES = [(2, 2), (2, 5), (5, 2), (3, 3), (8, 8), (7, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bc", BCS)
+    def test_all_three_equal_the_dense_oracle(self, rng, bc, shape):
+        u, z1, z2 = rng.integers(-8, 9, (3,) + shape).astype(float)
+        grad = [dense.build_grad(shape, d, bc) for d in (1, 2)]
+        adjgrad = [dense.build_adjgrad(shape, d, bc) for d in (1, 2)]
+        g = gradient(u, bc)
+        assert np.array_equal(g.z1, grad[0].apply(u)) and np.array_equal(g.z2, grad[1].apply(u))
+        assert np.array_equal(adjoint_gradient((z1, z2), bc),
+                              adjgrad[0].apply(z1) + adjgrad[1].apply(z2))
+        transposed = (grad[0].matrix.T @ z1.ravel() + grad[1].matrix.T @ z2.ravel())
+        assert np.array_equal(transpose_adjoint_gradient((z1, z2), bc), transposed.reshape(shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bc", BCS)
+    def test_reblurred_pairing_is_the_gradient_of_the_reversed_line(self, rng, bc, shape):
+        z = rng.integers(-8, 9, shape).astype(float)
+        flat = np.zeros(shape)
+        along = adjoint_gradient((z, flat), bc)[:, ::-1]
+        assert np.array_equal(along, differences(z[:, ::-1].copy(), bc)[0])
+        down = adjoint_gradient((flat, z), bc)[::-1, :]
+        assert np.array_equal(down, differences(z[::-1, :].copy(), bc)[1])
 
 
 class TestPlainForms:
