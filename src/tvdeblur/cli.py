@@ -1,7 +1,8 @@
 """Command-line surface: simulate, deblur, sweep, oracle-check.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+3 numerical failure. Any other exception is a programming error and raises
+with its traceback.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, SingularPlanError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TvDeblurError, OSError, ValueError) as exc:
+    except (TvDeblurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ShapeError
-from .grid import EnergyReport, GradientField, Psf, as_image, check_boundary_model
+from .errors import ShapeError
+from .grid import EnergyReport, GradientField, Psf, _real, as_image, check_boundary_model
 from .operators import apply_blur, gradient
 
 
@@ -44,8 +44,7 @@ def energy(u: np.ndarray, z: GradientField, f: np.ndarray, psf: Psf, bc: str,
         raise ShapeError(f"u shape {u.shape} does not match f shape {f.shape}")
     if z.shape != u.shape:
         raise ShapeError(f"gradient field shape {z.shape} does not match image {u.shape}")
-    if not (alpha > 0 and beta > 0 and np.isfinite(alpha) and np.isfinite(beta)):
-        raise DataError(f"alpha and beta must be positive and finite, got {alpha}, {beta}")
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     residual = apply_blur(u, psf, bc) - f
     fidelity = 0.5 * alpha * float(np.sum(residual * residual))
     tv_z = float(np.sum(z.magnitude()))

@@ -5,10 +5,17 @@ nominally in [0, 1] but never clamped inside the solver; they are validated
 at API boundaries with :func:`as_image`. Row-major ``(row, col)`` indexing is
 used throughout; difference direction 1 is horizontal (along columns),
 direction 2 is vertical (along rows).
+
+Every value the library takes from its caller is read once, where it
+enters, by one of three readers: :func:`_integer` (an integral number, with
+an optional lower bound), :func:`_real` (a finite float, positive or
+non-negative) and :func:`_sequence` (a tuple, never a string's characters).
+A malformed value is a ``DataError`` that names the field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,14 +52,32 @@ def as_image(values, name: str = "image") -> np.ndarray:
     return arr
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int: integral floats such as ``1.0`` pass, ``2.7`` and
-    booleans (``bool`` is an ``int``) raise."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``: integral floats such as
+    ``1.0`` pass, ``2.7`` and booleans (``bool`` is an ``int``) raise."""
     if isinstance(value, (bool, np.bool_)) or not (
             isinstance(value, (int, np.integer))
             or (isinstance(value, (float, np.floating)) and float(value).is_integer())):
         raise DataError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise DataError(f"{name} must be {bound}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, positive: bool = True) -> float:
+    """``value`` as a finite float, positive or else non-negative: a string,
+    a boolean, ``None`` and whatever ``float()`` cannot read raise."""
+    try:
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise TypeError
+        real = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} must be a real number, got {value!r}") from None
+    if not (math.isfinite(real) and (real > 0 if positive else real >= 0)):
+        bound = "positive" if positive else "non-negative"
+        raise DataError(f"{name} must be {bound} and finite, got {value!r}")
+    return real
 
 
 def _sequence(values, name: str) -> tuple:
@@ -186,24 +211,20 @@ class SolveParams:
     inner_max: int = 10
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise DataError(f"alpha must be positive and finite, got {self.alpha}")
-        ladder = tuple(float(b) for b in _sequence(self.beta_ladder, "beta ladder"))
+        alpha = _real(self.alpha, "alpha")
+        ladder = tuple(_real(b, "beta ladder entry")
+                       for b in _sequence(self.beta_ladder, "beta ladder"))
         if not ladder:
             raise DataError("beta ladder must not be empty")
-        if any(b <= 0 or not np.isfinite(b) for b in ladder):
-            raise DataError("beta ladder entries must be positive and finite")
         if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
             raise DataError(f"beta ladder must be strictly increasing, got {ladder}")
-        if not (0.0 < self.inner_tol < 1.0):
-            raise DataError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
-        inner_max = _integer(self.inner_max, "inner_max")
-        if inner_max < 1:
-            raise DataError(f"inner_max must be >= 1, got {self.inner_max}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        inner_tol = _real(self.inner_tol, "inner_tol")
+        if inner_tol >= 1.0:
+            raise DataError(f"inner_tol must lie in (0, 1), got {self.inner_tol!r}")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta_ladder", ladder)
-        object.__setattr__(self, "inner_tol", float(self.inner_tol))
-        object.__setattr__(self, "inner_max", inner_max)
+        object.__setattr__(self, "inner_tol", inner_tol)
+        object.__setattr__(self, "inner_max", _integer(self.inner_max, "inner_max", least=1))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ShapeError, TvDeblurError
-from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, _sequence, as_image
+from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, _real, _sequence, as_image
 from .operators import _sliding_sum
 from .solver import solve, solve_enlarged
 
@@ -39,11 +39,8 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
     (hsize-1)/2}; even extents center between samples and declare the
     center index ceil(hsize/2) (1-based).
     """
-    hsize = _integer(hsize, "hsize")
-    if hsize < 1:
-        raise DataError(f"hsize must be >= 1, got {hsize}")
-    if not (delta > 0 and math.isfinite(delta)):
-        raise DataError(f"delta must be positive and finite, got {delta}")
+    hsize = _integer(hsize, "hsize", least=1)
+    delta = _real(delta, "delta")
     x = np.arange(hsize) - (hsize - 1) / 2.0
     g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * delta ** 2))
     g /= g.sum()
@@ -53,11 +50,8 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
 
 def diagonal_motion_psf(length: int = 7, slant: float = 0.7) -> Psf:
     """Nonsymmetric motion-like kernel: a slanted streak, row k weighing 1 + 0.35 k."""
-    length = _integer(length, "length")
-    if length < 2:
-        raise DataError(f"length must be >= 2, got {length}")
-    if not (slant >= 0 and math.isfinite(slant)):
-        raise DataError(f"slant must be non-negative and finite, got {slant}")
+    length = _integer(length, "length", least=2)
+    slant = _real(slant, "slant", positive=False)
     w = np.zeros((length, length))
     for k in range(length):
         w[k, min(length - 1, int(round(k * slant)))] = 1.0 + 0.35 * k
@@ -106,12 +100,6 @@ class FieldOfView:
                      self.col0:self.col0 + self.cols]
 
 
-def _seed(seed) -> int:
-    if _integer(seed, "seed") < 0:
-        raise DataError(f"seed must be non-negative, got {seed}")
-    return int(seed)
-
-
 def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
     """Blur, cut the extension-independent field of view, add seeded noise.
 
@@ -121,9 +109,8 @@ def simulate(truth: np.ndarray, psf: Psf, sigma2: float, seed: int):
     implementation would use.
     """
     truth = as_image(truth, "truth")
-    if not (sigma2 >= 0 and math.isfinite(sigma2)):
-        raise DataError(f"noise variance must be non-negative and finite, got {sigma2}")
-    seed = _seed(seed)
+    sigma2 = _real(sigma2, "noise variance", positive=False)
+    seed = _integer(seed, "seed", least=0)
     mr, mc = psf.rows - 1, psf.cols - 1
     out_rows = truth.shape[0] - 2 * mr
     out_cols = truth.shape[1] - 2 * mc
@@ -165,7 +152,7 @@ def parse_mode(mode: str):
     """Split a mode string into ("bc", model) or ("enlarge", extension, pad)."""
     if mode in BOUNDARY_MODELS:
         return ("bc", mode)
-    parts = mode.split(":")
+    parts = str(mode).split(":")
     if len(parts) == 3 and parts[0] == "enlarge":
         if parts[1] not in BOUNDARY_MODELS:
             raise DataError(f"unknown extension {parts[1]!r} in mode {mode!r}")
@@ -173,9 +160,7 @@ def parse_mode(mode: str):
             pad = int(parts[2])
         except ValueError:
             raise DataError(f"bad pad in mode {mode!r}") from None
-        if pad < 0:
-            raise DataError(f"pad must be non-negative in mode {mode!r}")
-        return ("enlarge", parts[1], pad)
+        return ("enlarge", parts[1], _integer(pad, f"pad in mode {mode!r}", least=0))
     raise DataError(f"unknown mode {mode!r}; expected a boundary model or "
                     f"'enlarge:<extension>:<pad>'")
 
@@ -206,12 +191,12 @@ class Experiment:
         truth = as_image(self.truth, "truth").copy()
         truth.setflags(write=False)
         object.__setattr__(self, "truth", truth)
-        if not (self.sigma2 >= 0 and math.isfinite(self.sigma2)):
-            raise DataError(f"sigma2 must be non-negative and finite, got {self.sigma2}")
-        object.__setattr__(self, "seed", _seed(self.seed))
-        alphas = tuple(dict.fromkeys(float(a) for a in _sequence(self.alphas, "alpha grid")))
-        if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
-            raise DataError(f"alpha grid must be non-empty, positive and finite, got {alphas}")
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2", positive=False))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
+        alphas = tuple(dict.fromkeys(_real(a, "alpha grid entry")
+                                     for a in _sequence(self.alphas, "alpha grid")))
+        if not alphas:
+            raise DataError("alpha grid must not be empty")
         object.__setattr__(self, "alphas", alphas)
         modes = tuple(dict.fromkeys(_sequence(self.modes, "modes")))
         for m in modes:
@@ -287,9 +272,7 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
     ``min(jobs, cells)`` workers, since it forks them all at its first
     task; one runs the cells in this process.
     """
-    jobs = _integer(jobs, "jobs")
-    if jobs < 1:
-        raise DataError(f"jobs must be at least 1, got {jobs}")
+    jobs = _integer(jobs, "jobs", least=1)
     if clock is None:
         clock = _no_clock
     observed, fov = simulate(exp.truth, exp.psf, exp.sigma2, exp.seed)

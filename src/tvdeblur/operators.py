@@ -143,13 +143,14 @@ def stencil_convolver(weights: np.ndarray, center, bc: str, shape):
     bytes of ``scipy.signal.convolve2d``, up to ``DIRECT_MAX_TAPS`` taps, and
     :func:`fft_convolver` above. Both routes are silent on IEEE overflow and
     invalid values: a non-finite iterate is the solver's to report, as
-    ``ConvergenceError``."""
+    ``ConvergenceError``. Neither route re-checks its pads per apply: they
+    and the rule are fixed here, by a kernel that fits the image."""
     if weights.size > DIRECT_MAX_TAPS:
         # as a decorator, errstate costs a third of a with-block per call
         return np.errstate(over="ignore", invalid="ignore")(
             fft_convolver(weights, center, bc, shape))
-    pads = stencil_pads(weights, center)
-    return lambda u: _sliding_sum(extend(u, pads, bc), weights)
+    pads, pad_kw = stencil_pads(weights, center), _PAD_KW[bc]
+    return lambda u: _sliding_sum(np.pad(u, pads, **pad_kw), weights)
 
 
 def fft_convolver(weights: np.ndarray, center, bc: str, shape):
@@ -169,11 +170,12 @@ def fft_convolver(weights: np.ndarray, center, bc: str, shape):
     """
     grid = tuple(_fft.next_fast_len(n + k - 1, True) for n, k in zip(shape, weights.shape))
     spectrum = _fft.rfft2(weights, grid)
-    pads, zero, (R, C) = stencil_pads(weights, center), bc == "zero", shape
+    pads, pad_kw = stencil_pads(weights, center), _PAD_KW[bc]
+    zero, (R, C) = bc == "zero", shape
     r0, c0 = center if zero else (weights.shape[0] - 1, weights.shape[1] - 1)
 
     def convolve(u):
-        product = _fft.rfft2(u if zero else extend(u, pads, bc), grid)
+        product = _fft.rfft2(u if zero else np.pad(u, pads, **pad_kw), grid)
         product *= spectrum
         return _fft.irfft2(product, grid)[r0:r0 + R, c0:c0 + C]
 

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, PreconditionError
-from .grid import EnergyReport, GradientField, Psf, SolveParams, _integer, as_image
+from .errors import ConvergenceError, PreconditionError
+from .grid import EnergyReport, GradientField, Psf, SolveParams, _integer, _real, as_image
 from .operators import adjoint_gradient, crop, differences, extend, transpose_adjoint_gradient
 from .transforms import SystemPlanner, _sum_of_squares, solve_and_blur
 # Unused here, but perfbench/layers.py patches these names on this module.
@@ -85,9 +85,7 @@ def shrink(g: GradientField, beta: float) -> GradientField:
     The output magnitude never exceeds the input magnitude pointwise, and
     pixels with |g| = 0 map to zero (subnormal magnitudes included).
     """
-    if not (beta > 0 and np.isfinite(beta)):
-        raise DataError(f"beta must be positive and finite, got {beta}")
-    z1, z2, _ = _soft_threshold(g.z1, g.z2, beta)
+    z1, z2, _ = _soft_threshold(g.z1, g.z2, _real(beta, "beta"))
     return GradientField(z1, z2)
 
 

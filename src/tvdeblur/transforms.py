@@ -100,9 +100,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
+from .errors import (ConvergenceError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
-from .grid import Psf, check_boundary_model
+from .grid import Psf, _real, check_boundary_model
 from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
                         transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
@@ -290,15 +290,14 @@ class SystemPlanner:
             self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
 
     def plan(self, ratio: float) -> SpectralPlan:
-        if not (np.isfinite(ratio) and ratio >= 0):
-            raise DataError(f"ratio must be finite and non-negative, got {ratio}")
+        ratio = _real(ratio, "ratio", positive=False)
         eig, count, mn = _clamp(self._blur_eig + ratio * self._lap_eig)
         if count:
             logger.warning("%s plan: clamped %d eigenvalue(s) below %g",
                            self.basis, count, EIG_FLOOR)
         if self.basis == "antireflective":
             eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
-        return SpectralPlan(self.bc, self.basis, self.shape, float(ratio), eigenvalues=eig,
+        return SpectralPlan(self.bc, self.basis, self.shape, ratio, eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
                             blur=self._blur, correlate=self._correlate)
 

@@ -59,6 +59,12 @@ class TestSimulate:
                     "gaussian:hsize=3", "--sigma2", "0", "--out", tmp_path / "o.f64"])
         assert code == 1
 
+    def test_psf_spec_item_without_a_value_is_usage_error(self, tmp_path, truth_file, capsys):
+        code = run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta",
+                    "--sigma2", "0", "--out", tmp_path / "o.f64"])
+        assert code == 1
+        assert "bad psf spec item 'delta'" in capsys.readouterr().err
+
     def test_bad_psf_spec_is_reported_before_the_truth_is_read(self, tmp_path, capsys):
         code = run(["simulate", "--truth", tmp_path / "missing.pgm",
                     "--psf", "gaussian:hsize=0,delta=1", "--sigma2", "0",
@@ -204,6 +210,24 @@ class TestDeblur:
         assert code == 2
         assert "'mirror'" in capsys.readouterr().err
 
+    def test_kernel_file_that_is_not_utf8_is_data_error(self, tmp_path, observed_file, capsys):
+        psf_path = tmp_path / "latin1.txt"
+        psf_path.write_bytes(b"# \xe9\n1\n")
+        code = run(["deblur", "--in", observed_file, "--psf", psf_path,
+                    "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {psf_path}: ")
+
+    def test_programming_error_propagates(self, tmp_path, observed_file, monkeypatch):
+        # a bare ValueError is a bug, not bad input: no exit code hides it
+        def broken(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr("tvdeblur.cli.restore", broken)
+        with pytest.raises(ValueError, match="^bug$"):
+            run(["deblur", "--in", observed_file, "--psf", "gaussian:hsize=5,delta=1.2",
+                 "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
+
     def test_singular_kernel_is_numerical_failure(self, tmp_path, observed_file):
         psf_path = tmp_path / "tiny.txt"
         psf_path.write_text("1e-10 1e-10\n1e-10 1e-10\n")  # mass^2 below the floor
@@ -292,6 +316,14 @@ class TestSweep:
                     "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", sigma2,
                     "--modes", "periodic", "--alphas", "1e2", "--inner-max", "3",
                     "--no-timing", "--out", out]) == 2
+        assert not out.exists()
+
+    def test_alphas_that_are_not_numbers_are_usage_error(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "alphas.csv"
+        assert run(["sweep", "--truth", truth_file,
+                    "--psf", "gaussian:hsize=3,delta=1.0", "--sigma2", "1e-4",
+                    "--modes", "periodic", "--alphas", "1,x", "--out", out]) == 1
+        assert "expected comma-separated reals, got '1,x'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -391,6 +423,10 @@ class TestOracleCheck:
 
     def test_cap_is_usage_error(self):
         assert run(["oracle-check", "--n", "70"]) == 1
+
+    def test_grid_below_two_is_usage_error(self, capsys):
+        assert run(["oracle-check", "--n", "1"]) == 1
+        assert "oracle grid needs n >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["-1", "nan", "inf", "-inf"])
     def test_bad_ratio_is_usage_error(self, monkeypatch, capsys, ratio):

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from tvdeblur import DataError, gaussian_psf
-from tvdeblur.fileio import (read_image, read_pgm, read_psf_file, read_raw,
+from tvdeblur.fileio import (atomic_write_text, read_image, read_pgm, read_psf_file, read_raw,
                              write_image, write_pgm, write_raw)
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr("tvdeblur.fileio.os.replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        atomic_write_text(tmp_path / "a.txt", "text")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPgm:
@@ -41,6 +51,18 @@ class TestPgm:
         img = read_pgm(path)
         assert img.shape == (2, 3)
         assert img[0, 1] == pytest.approx(128 / 255)
+
+    def test_truncated_header_is_data_error(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b"P5\n3 2\n")
+        with pytest.raises(DataError, match="truncated PGM header"):
+            read_pgm(path)
+
+    def test_maxval_above_16_bits_is_data_error(self, tmp_path):
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n2 2\n65536\n" + bytes(12))
+        with pytest.raises(DataError, match="unsupported maxval 65536"):
+            read_pgm(path)
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -139,6 +161,13 @@ class TestRaw:
         with pytest.raises(DataError, match=re.escape(f"{sidecar}: ")):
             read_raw(path)
 
+    def test_payload_shorter_than_the_sidecar_is_data_error(self, tmp_path, rng):
+        path = tmp_path / "short.f64"
+        write_raw(path, rng.standard_normal((2, 3)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match="expected 6 samples, got 5"):
+            read_raw(path)
+
     def test_sidecar_without_layout_keys_reads_as_written(self, tmp_path, rng):
         img = rng.standard_normal((2, 3))
         path = tmp_path / "e.f64"
@@ -166,6 +195,12 @@ class TestPsfFiles:
         weights = gaussian_psf(4, 1.0).weights
         path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in weights))
         assert read_psf_file(path).center == (1, 1)
+
+    def test_comments_only_is_data_error(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("# center 0 0\n# no weights\n\n")
+        with pytest.raises(DataError, match="no kernel rows found"):
+            read_psf_file(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "k.txt"

@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 from tvdeblur import (DataError, EnergyReport, GradientField, Psf, ShapeError,
-                      SolveParams, as_image)
+                      SolveParams, apply_blur, as_image, extend, gradient)
 from tvdeblur.grid import DEFAULT_BETA_LADDER
+from tvdeblur.transforms import SystemPlanner
+
+
+@pytest.mark.parametrize("apply", [
+    lambda u: apply_blur(u, Psf.delta(), "mirror"),
+    lambda u: gradient(u, "mirror"),
+    lambda u: extend(u, ((1, 1), (1, 1)), "mirror"),
+    lambda u: SystemPlanner(Psf.delta(), u.shape, "mirror"),
+], ids=["apply_blur", "gradient", "extend", "SystemPlanner"])
+def test_unknown_boundary_model_rejected(apply):
+    with pytest.raises(DataError, match="unknown boundary model 'mirror'"):
+        apply(np.zeros((4, 4)))
 
 
 class TestImageValidation:
@@ -66,6 +78,10 @@ class TestPsf:
         with pytest.raises(DataError):
             Psf(np.array([[np.inf]]), (0, 0))
 
+    def test_empty_weights_rejected(self):
+        with pytest.raises(ShapeError, match="non-empty 2-D array"):
+            Psf(np.zeros((0, 3)), (0, 0))
+
     def test_weights_frozen(self):
         p = Psf(np.ones((3, 3)), (1, 1))
         with pytest.raises(ValueError):
@@ -88,6 +104,16 @@ class TestGradientField:
         with pytest.raises(ShapeError):
             GradientField(np.zeros((3, 3)), np.zeros((3, 4)))
 
+    def test_one_dimensional_components_rejected(self):
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            GradientField(np.zeros(4), np.zeros(4))
+
+    def test_non_finite_entry_rejected(self):
+        z2 = np.zeros((3, 3))
+        z2[1, 2] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            GradientField(np.zeros((3, 3)), z2)
+
     def test_magnitude(self):
         z = GradientField(np.full((2, 2), 3.0), np.full((2, 2), 4.0))
         assert np.allclose(z.magnitude(), 5.0)
@@ -98,6 +124,10 @@ class TestSolveParams:
         p = SolveParams(alpha=1.0)
         assert p.beta_ladder == DEFAULT_BETA_LADDER
         assert p.beta_ladder == tuple(2.0 ** k for k in range(1, 8))
+
+    def test_ladder_must_not_be_empty(self):
+        with pytest.raises(DataError, match="beta ladder must not be empty"):
+            SolveParams(alpha=1.0, beta_ladder=())
 
     def test_ladder_must_increase(self):
         with pytest.raises(DataError):

@@ -85,6 +85,11 @@ class TestBuiltinTruths:
         with pytest.raises(DataError, match=match):
             builtin_truth("cartoon", rows, cols)
 
+    @pytest.mark.parametrize("rows,cols", [(7, 8), (8, 7)])
+    def test_below_eight_a_side_rejected(self, rows, cols):
+        with pytest.raises(ShapeError, match="at least 8x8"):
+            builtin_truth("cartoon", rows, cols)
+
     def test_integral_float_size_passes(self):
         assert np.array_equal(builtin_truth("cartoon", 12.0, 10.0),
                               builtin_truth("cartoon", 12, 10))
@@ -202,7 +207,8 @@ class TestParseMode:
         assert parse_mode("enlarge:reflective:12") == ("enlarge", "reflective", 12)
 
     def test_bad_specs(self):
-        for bad in ("mirror", "enlarge:reflective", "enlarge:foo:3", "enlarge:zero:-1"):
+        for bad in ("mirror", "enlarge:reflective", "enlarge:foo:3", "enlarge:zero:-1",
+                    "enlarge:reflective:x"):
             with pytest.raises(DataError):
                 parse_mode(bad)
 
@@ -235,6 +241,17 @@ class TestSweep:
     def test_string_or_scalar_for_a_sequence_rejected(self, small_experiment, change, match):
         with pytest.raises(DataError, match=f"{match} must be a sequence"):
             replace(small_experiment, **change)
+
+    def test_no_modes_rejected(self, small_experiment):
+        with pytest.raises(DataError, match="at least one mode is required"):
+            replace(small_experiment, modes=())
+
+    def test_best_of_a_mode_whose_cells_all_failed_is_a_key_error(self):
+        failed = SweepRow(mode="reflective", alpha=10.0, snr_db=math.nan, seconds=0.0,
+                          iterations=0, is_best=False, is_reference=False, failed=True,
+                          message="SymmetryError: nonsymmetric")
+        with pytest.raises(KeyError, match="no successful cell for mode 'reflective'"):
+            SweepResult((failed,)).best("reflective")
 
     def test_rows_sorted_and_one_best_per_mode(self, small_experiment):
         result = sweep(small_experiment, clock=None)

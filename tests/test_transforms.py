@@ -68,6 +68,11 @@ class TestPlanSystem:
             with pytest.raises(SymmetryError):
                 SystemPlanner(NONSYM, (8, 8), bc).plan(1.0)
 
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+    def test_grid_below_two_samples_a_side_rejected(self, shape):
+        with pytest.raises(ShapeError, match="at least 2x2"):
+            SystemPlanner(Psf.delta(), shape, "periodic")
+
     def test_vanishing_mass_is_singular(self):
         tiny = Psf(np.array([[1e-12]]), (0, 0))
         with pytest.raises(SingularPlanError):
