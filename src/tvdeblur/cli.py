@@ -159,6 +159,13 @@ def _require_directory(path) -> None:
         raise FileNotFoundError(errno.ENOENT, "no directory to write", str(path))
 
 
+def _trace_row(record) -> dict:
+    """A trace record's fields, its ``energy`` spread in place into the
+    fields of :class:`~tvdeblur.grid.EnergyReport`."""
+    return {name: value for key, field in asdict(record).items()
+            for name, value in (field.items() if key == "energy" else [(key, field)])}
+
+
 def cmd_deblur(args) -> int:
     fileio._image_format(args.out)  # reject the output suffix before any work
     trace_path = args.trace or str(Path(args.out).with_suffix("")) + ".trace.json"
@@ -176,16 +183,7 @@ def cmd_deblur(args) -> int:
         "alpha": args.alpha,
         "total_inner_iterations": trace.total_inner_iterations,
         "violations": [list(v) for v in trace.violations],
-        "records": [
-            {"beta": r.beta, "iteration": r.iteration,
-             "fidelity": r.energy.fidelity, "tv": r.energy.tv_z,
-             "coupling": r.energy.coupling, "total": r.energy.total,
-             "rel_change": r.rel_change, "seconds": r.seconds,
-             "shrink_s": r.shrink_s, "objective_s": r.objective_s, "update_s": r.update_s,
-             "cg_iterations": r.cg_iterations, "cg_start_residual": r.cg_start_residual,
-             "cg_residual": r.cg_residual}
-            for r in trace.records
-        ],
+        "records": [_trace_row(r) for r in trace.records],
     }
     fileio.atomic_write_text(trace_path, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out} and {trace_path} ({trace.total_inner_iterations} iterations)")

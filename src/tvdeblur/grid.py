@@ -80,6 +80,14 @@ def _real(value, name: str, positive: bool = True) -> float:
     return real
 
 
+def _square(value: float, name: str) -> float:
+    """``value ** 2``; a square past the largest float raises."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise DataError(f"{name} {value:.3e} is too large: its square overflows") from None
+
+
 def _sequence(values, name: str) -> tuple:
     """``values`` as a tuple; a string (not its characters) or a scalar raises."""
     if not isinstance(values, (str, bytes)):

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ShapeError, TvDeblurError
-from .grid import BOUNDARY_MODELS, Psf, SolveParams, _integer, _real, _sequence, as_image
+from .fileio import atomic_write_text
+from .grid import (BOUNDARY_MODELS, Psf, SolveParams, _integer, _real, _sequence, _square,
+                   as_image)
 from .operators import _sliding_sum
 from .solver import solve, solve_enlarged
 
@@ -42,7 +44,7 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
     hsize = _integer(hsize, "hsize", least=1)
     delta = _real(delta, "delta")
     x = np.arange(hsize) - (hsize - 1) / 2.0
-    g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * delta ** 2))
+    g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * _square(delta, "delta")))
     g /= g.sum()
     c = (hsize + 1) // 2 - 1
     return Psf(g, (c, c))
@@ -212,16 +214,25 @@ class Experiment:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (mode, alpha) cell of a sweep. The fields :data:`CSV_HEADER`
+    names are the CSV's columns. A failed cell scores NaN with zero
+    iterations, keeps the error in ``message`` and has no ``restored``
+    image; a successful one has an empty ``message``. :func:`sweep` sets
+    ``is_best`` and ``is_reference``."""
+
     mode: str
     alpha: float
     snr_db: float
     seconds: float
     iterations: int
-    is_best: bool
-    is_reference: bool
-    failed: bool = False
+    is_best: bool = False
+    is_reference: bool = False
     message: str = ""
     restored: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.message)
 
 
 @dataclass(frozen=True)
@@ -247,17 +258,19 @@ def _no_clock() -> float:
     return 0.0
 
 
-def _run_cell(args):
+def _run_cell(args) -> SweepRow:
     observed, psf, mode, alpha, params, truth_fov, clock = args
     cell_params = replace(params, alpha=alpha)
     t0 = clock()
     try:
         restored, trace = restore(observed, psf, mode, cell_params)
-        seconds = clock() - t0
-        return (snr(restored, truth_fov), seconds, trace.total_inner_iterations, "", restored)
+        seconds = float(clock() - t0)
+        return SweepRow(mode, alpha, snr(restored, truth_fov), seconds,
+                        trace.total_inner_iterations, restored=restored)
     except TvDeblurError as exc:
         # a failed cell is recorded, the sweep continues; programming errors raise
-        return (math.nan, clock() - t0, 0, f"{type(exc).__name__}: {exc}", None)
+        return SweepRow(mode, alpha, math.nan, float(clock() - t0), 0,
+                        message=f"{type(exc).__name__}: {exc}")
 
 
 def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResult:
@@ -277,41 +290,38 @@ def sweep(exp: Experiment, jobs: int = 1, clock=time.perf_counter) -> SweepResul
         clock = _no_clock
     observed, fov = simulate(exp.truth, exp.psf, exp.sigma2, exp.seed)
     truth_fov = fov.crop(exp.truth)
-    cells = [(mode, alpha) for mode in exp.modes for alpha in exp.alphas]
     tasks = [(observed, exp.psf, mode, alpha, exp.params, truth_fov, clock)
-             for mode, alpha in cells]
+             for mode in exp.modes for alpha in exp.alphas]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+            rows = list(pool.map(_run_cell, tasks))
     else:
-        outcomes = [_run_cell(task) for task in tasks]
-    ref = exp.reference_alpha
-    results = sorted(zip(cells, outcomes), key=lambda item: item[0])
+        rows = [_run_cell(task) for task in tasks]
+    rows.sort(key=lambda row: (row.mode, row.alpha))
     # exactly one best mark per mode among successful cells (first on ties)
-    best = {}
-    for (mode, alpha), (snr_db, _, _, message, _) in results:
-        if not message and (mode not in best or (snr_db, -alpha) > best[mode]):
-            best[mode] = (snr_db, -alpha)
-    rows = [SweepRow(mode=mode, alpha=alpha, snr_db=snr_db, seconds=float(seconds),
-                     iterations=iters, is_best=bool(not message and best[mode][1] == -alpha),
-                     is_reference=bool(
-                         ref is not None and np.isclose(alpha, ref, rtol=1e-12, atol=0.0)),
-                     failed=message != "", message=message, restored=restored)
-            for (mode, alpha), (snr_db, seconds, iters, message, restored) in results]
-    return SweepResult(tuple(rows))
+    best = {mode: max((row for row in rows if row.mode == mode and not row.failed),
+                      key=lambda row: row.snr_db, default=None) for mode in exp.modes}
+    ref = exp.reference_alpha
+    return SweepResult(tuple(replace(
+        row, is_best=row is best[row.mode],
+        is_reference=ref is not None and bool(np.isclose(row.alpha, ref, rtol=1e-12, atol=0.0)))
+        for row in rows))
+
+
+def _csv_field(value) -> str:
+    """A flag as 0 or 1, a real as ``repr`` spells it (``nan``, ``inf``)."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(int(value) if isinstance(value, bool) else value)
 
 
 def sweep_csv_text(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(",".join([
-            r.mode, repr(float(r.alpha)), repr(float(r.snr_db)), repr(float(r.seconds)),
-            str(r.iterations), str(int(r.is_best)), str(int(r.is_reference)),
-        ]))
+    lines = [CSV_HEADER] + [
+        ",".join(_csv_field(getattr(row, name)) for name in CSV_HEADER.split(","))
+        for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    from .fileio import atomic_write_text
     atomic_write_text(path, sweep_csv_text(result))

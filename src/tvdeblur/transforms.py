@@ -102,7 +102,7 @@ from scipy import fft as _fft
 
 from .errors import (ConvergenceError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
-from .grid import Psf, _real, check_boundary_model
+from .grid import Psf, _real, _square, check_boundary_model
 from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
                         transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
@@ -247,7 +247,7 @@ class SystemPlanner:
             raise SymmetryError(
                 f"{bc} restoration requires a quadrantally symmetric kernel; "
                 "use solve_enlarged with a reflective or antireflective extension instead")
-        if psf.mass ** 2 < EIG_FLOOR:
+        if _square(psf.mass, "kernel mass") < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
         self._blur_symbol, self._blur, self._correlate = None, None, None

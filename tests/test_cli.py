@@ -1,13 +1,16 @@
 import json
 import re
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from tvdeblur import builtin_truth
+from tvdeblur import SolveParams, builtin_truth, gaussian_psf, restore
 from tvdeblur.cli import main
 from tvdeblur.fileio import read_image, write_image
+from tvdeblur.grid import EnergyReport
 from tvdeblur.harness import CSV_HEADER
+from tvdeblur.solver import TraceRecord
 
 
 @pytest.fixture
@@ -54,9 +57,10 @@ class TestSimulate:
                     "--out", tmp_path / "o.f64"])
         assert code == 2
 
-    def test_bad_psf_spec_is_usage_error(self, tmp_path, truth_file):
-        code = run(["simulate", "--truth", truth_file, "--psf",
-                    "gaussian:hsize=3", "--sigma2", "0", "--out", tmp_path / "o.f64"])
+    @pytest.mark.parametrize("spec", ["gaussian:hsize=3", "gaussian:hsize=3,delta=1e308"])
+    def test_bad_psf_spec_is_usage_error(self, tmp_path, truth_file, spec):
+        code = run(["simulate", "--truth", truth_file, "--psf", spec,
+                    "--sigma2", "0", "--out", tmp_path / "o.f64"])
         assert code == 1
 
     def test_psf_spec_item_without_a_value_is_usage_error(self, tmp_path, truth_file, capsys):
@@ -228,6 +232,15 @@ class TestDeblur:
             run(["deblur", "--in", observed_file, "--psf", "gaussian:hsize=5,delta=1.2",
                  "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
 
+    def test_kernel_mass_whose_square_overflows_is_data_error(self, tmp_path, observed_file,
+                                                              capsys):
+        psf_path = tmp_path / "huge.txt"
+        psf_path.write_text("1e200 1e200\n1e200 1e200\n")
+        code = run(["deblur", "--in", observed_file, "--psf", psf_path,
+                    "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 2
+        assert "kernel mass 4.000e+200 is too large" in capsys.readouterr().err
+
     def test_singular_kernel_is_numerical_failure(self, tmp_path, observed_file):
         psf_path = tmp_path / "tiny.txt"
         psf_path.write_text("1e-10 1e-10\n1e-10 1e-10\n")  # mass^2 below the floor
@@ -250,6 +263,22 @@ class TestDeblur:
                     "--psf", "gaussian:hsize=5,delta=1.2", "--mode", "zero",
                     "--alpha", "10", "--out", tmp_path / "r.f64"])
         assert code == 3
+
+    def test_trace_keys_are_the_trace_record_fields(self, tmp_path, observed_file):
+        code = run(["deblur", "--in", observed_file, "--psf", "gaussian:hsize=5,delta=1.2",
+                    "--mode", "periodic", "--alpha", "1e3", "--inner-max", "2",
+                    "--out", tmp_path / "r.f64"])
+        assert code == 0
+        keys = []
+        for f in fields(TraceRecord):
+            keys += [e.name for e in fields(EnergyReport)] if f.name == "energy" else [f.name]
+        records = json.loads((tmp_path / "r.trace.json").read_text())["records"]
+        assert records and all(list(r) == keys for r in records)
+        _, trace = restore(read_image(observed_file), gaussian_psf(5, 1.2), "periodic",
+                           SolveParams(alpha=1e3, inner_max=2))
+        assert [(r["beta"], r["iteration"], r["fidelity"], r["tv_z"], r["coupling"],
+                 r["total"]) for r in records] == [
+            (r.beta, r.iteration, *astuple(r.energy)) for r in trace.records]
 
     def test_zero_mode_trace_records_cg_numerics(self, tmp_path, observed_file, forcing_bound):
         code = run(["deblur", "--in", observed_file,

@@ -48,10 +48,18 @@ class TestGaussianPsf:
 
     @pytest.mark.parametrize("hsize,delta,match", [
         (2.5, 1.0, "hsize"), ("3", 1.0, "hsize"), (0, 1.0, "hsize"), (True, 1.0, "hsize"),
-        (3, math.inf, "delta"), (3, math.nan, "delta"), (3, 0.0, "delta")])
+        (3, math.inf, "delta"), (3, math.nan, "delta"), (3, 0.0, "delta"),
+        (3, 1e155, "delta 1.000e"), (3, 1e308, "delta 1.000e")])
     def test_bad_gaussian_rejected(self, hsize, delta, match):
         with pytest.raises(DataError, match=match):
             gaussian_psf(hsize, delta)
+
+    def test_weights_take_the_square_of_delta_as_pow(self):
+        # here delta * delta rounds differently from delta ** 2, and moves the weights
+        delta = 1.2909067530792377
+        x = np.arange(3) - 1.0
+        g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * delta ** 2))
+        assert gaussian_psf(3, delta).weights.tobytes() == (g / g.sum()).tobytes()
 
     @pytest.mark.parametrize("length,slant,match", [
         (7.5, 0.7, "length"), (1, 0.7, "length"), (7, math.nan, "slant"),
@@ -248,7 +256,7 @@ class TestSweep:
 
     def test_best_of_a_mode_whose_cells_all_failed_is_a_key_error(self):
         failed = SweepRow(mode="reflective", alpha=10.0, snr_db=math.nan, seconds=0.0,
-                          iterations=0, is_best=False, is_reference=False, failed=True,
+                          iterations=0, is_best=False, is_reference=False,
                           message="SymmetryError: nonsymmetric")
         with pytest.raises(KeyError, match="no successful cell for mode 'reflective'"):
             SweepResult((failed,)).best("reflective")
@@ -270,18 +278,23 @@ class TestSweep:
         marked = [r for r in result.rows if r.is_reference]
         assert len(marked) == 1 and marked[0].alpha == pytest.approx(500.0)
 
-    def test_failed_cells_recorded_and_sweep_continues(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cells_recorded_and_sweep_continues(self, jobs):
+        # with two jobs the failed cell comes back from a worker process
         truth = builtin_truth("cartoon", 40, 40)
         nonsym = Psf(np.array([[0.6, 0.2], [0.1, 0.1]]), (0, 0))
         exp = Experiment(truth=truth, psf=nonsym, sigma2=1e-4,
                          modes=("reflective", "periodic"), alphas=(100.0,),
                          params=SolveParams(alpha=1.0, inner_max=4), seed=0)
-        result = sweep(exp, clock=None)
+        result = sweep(exp, jobs=jobs, clock=None)
+        serial = sweep(exp, jobs=1, clock=None)
         refl = [r for r in result.rows if r.mode == "reflective"][0]
         per = [r for r in result.rows if r.mode == "periodic"][0]
         assert refl.failed and math.isnan(refl.snr_db) and "Symmetry" in refl.message
-        assert refl.restored is None
+        assert refl.restored is None and not refl.is_best
         assert not per.failed and math.isfinite(per.snr_db)
+        assert refl.message == [r for r in serial.rows if r.failed][0].message
+        assert sweep_csv_text(result) == sweep_csv_text(serial)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, small_experiment, jobs):

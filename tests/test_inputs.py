@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from tvdeblur import (DataError, Experiment, GradientField, SolveParams, builtin_truth,
-                      diagonal_motion_psf, gaussian_psf, shrink, simulate, sweep)
+from tvdeblur import (DataError, Experiment, GradientField, Psf, SolveParams, builtin_truth,
+                      diagonal_motion_psf, gaussian_psf, restore, shrink, simulate, sweep)
 from tvdeblur.energy import energy
 from tvdeblur.grid import _integer, _real
 from tvdeblur.transforms import SystemPlanner
@@ -136,3 +136,24 @@ def test_read_values_are_stored_as_read():
     exp = experiment(sigma2=0, seed=np.int64(3), alphas=[10, np.float64(10.0)])
     assert (exp.sigma2, exp.seed, exp.alphas) == (0.0, 3, (10.0,))
     assert type(exp.sigma2) is float and type(exp.seed) is int
+
+
+MODES = ("periodic", "reflective", "antireflective", "zero", "enlarge:reflective:3")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("weight", [1e160, 1e300])
+def test_a_kernel_mass_whose_square_overflows_is_a_data_error(weight, mode):
+    observed, _ = simulate(TRUTH, PSF, 1e-4, 0)
+    with pytest.raises(DataError, match=r"^kernel mass 9\.000e\+\d+ is too large"):
+        restore(observed, Psf(np.full((3, 3), weight), (1, 1)), mode,
+                SolveParams(alpha=500.0, inner_max=2))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_huge_kernel_mass_whose_square_is_a_float_restores(mode):
+    # the tests turn a RuntimeWarning (an overflow) into an error
+    observed, _ = simulate(TRUTH, PSF, 1e-4, 0)
+    restored, _ = restore(observed, Psf(np.full((3, 3), 1e150), (1, 1)), mode,
+                          SolveParams(alpha=500.0, inner_max=2))
+    assert np.all(np.isfinite(restored))
