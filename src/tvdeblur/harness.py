@@ -39,12 +39,20 @@ def gaussian_psf(hsize: int, delta: float) -> Psf:
 
     Samples exp(-(x^2+y^2)/(2 delta^2)) at x, y in {-(hsize-1)/2, ...,
     (hsize-1)/2}; even extents center between samples and declare the
-    center index ceil(hsize/2) (1-based).
+    center index ceil(hsize/2) (1-based). A delta too small for any sample
+    to survive gives the limit: the point kernel for odd hsize, the centre
+    2x2 block at 1/4 for even.
     """
     hsize = _integer(hsize, "hsize", least=1)
     delta = _real(delta, "delta")
     x = np.arange(hsize) - (hsize - 1) / 2.0
-    g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * _square(delta, "delta")))
+    r2 = x[:, None] ** 2 + x[None, :] ** 2
+    # a tiny delta divides by zero or overflows here, and every sample may
+    # underflow (or the centre be 0/0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = np.exp(-r2 / (2.0 * _square(delta, "delta")))
+    if not g.sum() > 0:
+        g = (r2 == r2.min()).astype(float)
     g /= g.sum()
     c = (hsize + 1) // 2 - 1
     return Psf(g, (c, c))

@@ -7,7 +7,15 @@ The image update of the alternating-minimization loop solves
 where the composite operator is, per boundary model, diagonalized by:
 
 * ``periodic``        2-D real FFT;
-* ``reflective``      2-D DCT-II (quadrantally symmetric kernels only);
+* ``reflective``      2-D DCT-II (quadrantally symmetric kernels only). On
+  an R x C grid with ``R * C * max(R, C) <= BLAS_SERIAL_MADDS`` (up to
+  64 x 64 for a square one) it is two products each way with the
+  orthonormal cosine matrices, cached per length (:func:`_cosine_matrix`),
+  each one single-threaded BLAS call: there pocketfft's per-call set-up
+  cost about as much as the transform (a forward and inverse pair took 17
+  and 34 us dense at 48 x 48 and 64 x 64, against 42 and 62 us). Larger
+  grids keep pocketfft's: there one product would exceed the bound, and at
+  120 x 120 the dense pair took 209 us against 174 (2 vCPUs);
 * ``antireflective``  the antireflective transform (quadrantally symmetric
   kernels only): per axis, the two linear ramps through the end samples
   plus the DST-I sines that vanish there (Serra-Capizzano, SIAM J. Sci.
@@ -31,17 +39,24 @@ where the composite operator is, per boundary model, diagonalized by:
   composite stencil fits the reflective ghost depth (the Neumann-boundary
   preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput. 21, 1999), else
   ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM J. Sci. Stat.
-  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H and
-  its exact transpose H' are built once per planner and kept on its plans
-  as ``blur`` and ``correlate`` (:func:`_zero_products`). For a separable
-  (rank-1) kernel on an image whose sides are both at most
-  ``DENSE_AXIS_MAX`` they are Kronecker products of two banded Toeplitz
-  matrices, ``T_a u T_b'`` and ``T_a' v T_b``, each two single-threaded
-  BLAS products and no transform; otherwise H is the kernel's product from
-  :func:`~tvdeblur.operators.fft_convolver` and H' the flipped kernel's,
-  each a real-FFT pair on a grid of at least
+  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H, its
+  exact transpose H' and H'H are built once per planner and kept on its
+  plans as ``blur``, ``correlate`` and ``normal`` (:func:`_zero_products`).
+  For a separable (rank-1) kernel on an image whose sides are both at most
+  ``DENSE_AXIS_MAX`` H and H' are Kronecker products of two banded
+  Toeplitz matrices, ``T_a u T_b'`` and ``T_a' v T_b``, and H'H is
+  ``M_a u M_b`` with the Gram matrices ``M_a = T_a' T_a`` and
+  ``M_b = T_b' T_b``: two single-threaded BLAS products each, and no
+  transform. With the cosine-product DCT-II preconditioner a CG step on
+  such a plan up to 64 x 64 makes no scipy.fft call. Otherwise H is the
+  kernel's product from :func:`~tvdeblur.operators.fft_convolver`, H' the
+  flipped kernel's, each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
-  model's ghosts. Norms go through :func:`_sum_of_squares` and dot
+  model's ghosts, and H'H the one after the other. Each CG step takes
+  ``normal``; the start residual and the final check take ``blur`` and
+  then ``correlate``, since the final ``H x`` is the fidelity's. A norm of
+  the right-hand side or start residual that overflows raises
+  ``ConvergenceError``. Norms go through :func:`_sum_of_squares` and dot
   products are NumPy sums, never BLAS, whose threads would spin against
   sweep workers. A cold CG (:func:`solve_system`, from zeros) stops once the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
@@ -100,7 +115,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import (ConvergenceError, ShapeError, SingularPlanError,
+from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
                      SymmetryError, UnsupportedError)
 from .grid import Psf, _real, _square, check_boundary_model
 from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
@@ -136,22 +151,25 @@ CG_MAXITER = 5000
 #: The longest axis taken as a dense matrix product: the antireflective
 #: DST-I's sine length ``m = n - 2`` (longer axes take pocketfft's DST-I),
 #: and both sides of a zero-model image whose separable kernel's CG
-#: products are Toeplitz matrix products (larger images take FFT products).
-#: Measured pocketfft / dense time ratios of an m x m 2-D DST-I (2 vCPUs):
-#: 30: 4.4, 46: 6.6, 62: 2.9, 95: 1.6, 102: 12.3, 126: 7.9, 127: 0.88,
-#: 128: 1.95, 142: 1.38, 159: 0.58, 191: 0.44, 254: 0.48. Up to 128 the
-#: dense product loses at most 1.14x (at 127, where 2 (m + 1) = 256) and
-#: gains up to 12x; above it the O(m^3) product falls behind. FFT / Toeplitz
-#: time ratios of ``H'H u`` for gaussian_psf(5, 1) on an n x n image (best
-#: of 7, 2-vCPU Xeon): 48: 3.2-3.4, 64: 2.7, 96: 1.3-1.4, 104: 1.25,
-#: 112: 1.18, 120: 1.13, 127: 1.08, 128: 0.86, 160: 1.1, 192: 0.42,
-#: 256: 0.55; the crossover sits at the cutoff.
+#: products are Toeplitz and Gram matrix products (larger images take FFT
+#: products). Measured pocketfft / dense time ratios of an m x m 2-D DST-I
+#: (2 vCPUs): 30: 4.4, 46: 6.6, 62: 2.9, 95: 1.6, 102: 12.3, 126: 7.9,
+#: 127: 0.88, 128: 1.95, 142: 1.38, 159: 0.58, 191: 0.44, 254: 0.48. Up to
+#: 128 the dense product loses at most 1.14x (at 127, where 2 (m + 1) = 256)
+#: and gains up to 12x; above it the O(m^3) product falls behind. FFT / Gram
+#: time ratios of a CG step's ``H'H u`` for gaussian_psf(5, 1) on an n x n
+#: image, the FFT pair against M_a u M_b (best of 7, 2-vCPU Xeon): 48: 11,
+#: 64: 8.6, 96: 3.8-3.9, 104: 3.1, 112: 2.9, 120: 3.0, 127: 2.6,
+#: 128: 2.2 (367 against 164-170 us); the Toeplitz H then H' that each
+#: update's start and end take lost 0.86x at 128.
 DENSE_AXIS_MAX = 128
 
 #: The most multiply-adds (m * k * n) in one BLAS call of the dense routes,
-#: the DST-I and the zero model's Toeplitz products: OpenBLAS runs a gemm of at most 65536 * 4 on one thread, and a second
-#: thread would spin against the solve and sweep workers. DENSE_AXIS_MAX^2
-#: times a 16-row block fits it.
+#: the DST-I, the DCT-II cosine products and the zero model's Toeplitz and
+#: Gram products: OpenBLAS runs a gemm of at most 65536 * 4 on one thread,
+#: and a second thread would spin against the solve and sweep workers.
+#: DENSE_AXIS_MAX^2 times a 16-row block fits it, and so does each cosine
+#: product of an R x C image with R * C * max(R, C) within it.
 BLAS_SERIAL_MADDS = 65536 * 4
 
 
@@ -227,6 +245,9 @@ class SpectralPlan:
     blur: Callable | None = field(default=None, repr=False)
     # zero: v -> H'v, the exact transpose of blur, by the same route
     correlate: Callable | None = field(default=None, repr=False)
+    # zero: u -> H'H u, each CG step's: the Gram products M_a u M_b on the
+    # Kronecker route, else correlate(blur(u))
+    normal: Callable | None = field(default=None, repr=False)
 
 
 class SystemPlanner:
@@ -250,7 +271,7 @@ class SystemPlanner:
         if _square(psf.mass, "kernel mass") < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
-        self._blur_symbol, self._blur, self._correlate = None, None, None
+        self._blur_symbol, self._blur, self._correlate, self._normal = None, None, None, None
         if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
                                            or psf.cols > self.shape[1]):
             raise UnsupportedError(
@@ -272,15 +293,21 @@ class SystemPlanner:
                                    f"extension cap {min(R, C) - short}")
         else:
             theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
-        symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
-        self._blur_eig = np.abs(symbol) ** 2
+        # a kernel with negative weights can have |h| above its mass, so the
+        # mass check above does not bound |h|^2
+        with np.errstate(over="ignore", invalid="ignore"):
+            symbol = _symbol(psf.weights, psf.center, theta_r, theta_c)
+            self._blur_eig = np.abs(symbol) ** 2
+        if not np.isfinite(self._blur_eig).all():
+            raise DataError("kernel spectrum |h|^2 overflows: "
+                            f"the kernel's weights reach {np.abs(psf.weights).max():.3e}")
         self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
         # the blur itself is diagonal in the FFT basis, and in the DCT-II
         # basis when the kernel is symmetric about its center sample (Ng,
-        # Chan & Tang 1999); under zero, H and its exact transpose H' are
-        # matrix products (_zero_products)
+        # Chan & Tang 1999); under zero, H, its exact transpose H' and H'H
+        # are matrix products (_zero_products)
         if bc == "zero":
-            self._blur, self._correlate = _zero_products(psf, self.shape)
+            self._blur, self._correlate, self._normal = _zero_products(psf, self.shape)
         elif bc == "periodic":
             self._blur_symbol = symbol
         elif (bc == "reflective" and psf.rows % 2 and psf.cols % 2
@@ -299,7 +326,7 @@ class SystemPlanner:
             eig = eig[np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))]
         return SpectralPlan(self.bc, self.basis, self.shape, ratio, eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, correlate=self._correlate)
+                            blur=self._blur, correlate=self._correlate, normal=self._normal)
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from
@@ -321,14 +348,29 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     ``CG_FORCING`` times its own residual if that is larger. Returns the
     solution x, the CG numerics ``(iterations, start residual, final
     residual)``, both residuals relative to ``||b||``, and ``H x``, the
-    product the final residual's check made."""
+    product the final residual's check made. A right-hand side or start
+    residual whose norm overflows raises ``ConvergenceError``: its tolerance
+    would be infinite, met by any x.
+
+    Each step's ``A p`` is ``plan.normal(p)`` plus the regularizer; the
+    start residual and the final check take ``H`` and then ``H'``, since
+    the final ``H x`` is the fidelity's.
+    """
+    def regularizer(u):
+        return plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
+
     def matvec(u):
         """``(A u, H u)``."""
         blurred = plan.blur(u)
-        regularizer = plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
-        return plan.correlate(blurred) + regularizer, blurred
+        return plan.correlate(blurred) + regularizer(u), blurred
 
-    b_norm = math.sqrt(_sum_of_squares(rhs))
+    def finite(norm, name):
+        if not math.isfinite(norm):
+            raise ConvergenceError(f"zero-boundary CG: the norm of the {name} is {norm}; "
+                                   "its tolerance would be met by any solution")
+        return norm
+
+    b_norm = finite(math.sqrt(_sum_of_squares(rhs)), "right-hand side")
     if b_norm == 0:
         # the solution is zero whatever the start; a tolerance of 0 could
         # not be met from a nonzero one
@@ -339,14 +381,14 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     else:
         x = np.array(start, dtype=float)
         r = rhs - matvec(x)[0]
-        r_norm = math.sqrt(_sum_of_squares(r))
+        r_norm = finite(math.sqrt(_sum_of_squares(r)), "start residual")
         tol = max(CG_RTOL * b_norm, CG_FORCING * r_norm)
     start_residual, steps = r_norm / b_norm, 0
     while r_norm > tol and steps < CG_MAXITER:
         z = _transform_solve(plan, r)[0]
         rho = np.sum(r * z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
-        q = matvec(p)[0]
+        q = plan.normal(p) + regularizer(p)
         alpha = rho / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
@@ -374,6 +416,22 @@ def _sine_matrix(m: int) -> np.ndarray:
     sine = math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
     sine.setflags(write=False)
     return sine
+
+
+@functools.cache
+def _cosine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix of length ``n``:
+    ``s_k cos(pi k (2 j + 1) / (2 n))`` for row ``k`` and column
+    ``j = 0 .. n - 1``, with ``s_0 = sqrt(1 / n)`` and ``s_k = sqrt(2 / n)``;
+    its transpose is the inverse. The product ``k (2 j + 1)`` is reduced
+    modulo the period ``4 n`` in integers, as in :func:`_sine_matrix`.
+    Cached and read-only: one matrix per length per process, and
+    :func:`_transform` asks only for grids within ``BLAS_SERIAL_MADDS``."""
+    kj = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+    cosine = math.sqrt(2 / n) * np.cos(np.pi / (2 * n) * kj)
+    cosine[0] = math.sqrt(1 / n)
+    cosine.setflags(write=False)
+    return cosine
 
 
 def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -419,8 +477,8 @@ def _toeplitz(taps: np.ndarray, center: int, n: int) -> np.ndarray:
 
 
 def _zero_products(psf: Psf, shape):
-    """The zero plan's ``blur`` and ``correlate``, ``u -> H u`` and its exact
-    transpose ``v -> H'v``.
+    """The zero plan's ``blur``, ``correlate`` and ``normal``: ``u -> H u``,
+    its exact transpose ``v -> H'v`` and ``u -> H'H u``.
 
     A separable kernel, ``w = a b'`` (``np.linalg.matrix_rank(w) == 1`` at
     NumPy's default tolerance; ``a`` and ``b`` are its first singular
@@ -429,11 +487,14 @@ def _zero_products(psf: Psf, shape):
     product of two banded Toeplitz matrices (Hansen, Nagy & O'Leary,
     *Deblurring Images*, SIAM 2006, sec. 4.4): ``H u = T_a u T_b'`` and
     ``H'v = T_a' v T_b``, two :func:`_matmul_rows` products each, down the
-    columns and then along the rows, so the result is C-contiguous. Any
-    other kernel, or a side above the cutoff, takes
+    columns and then along the rows, so the result is C-contiguous; and
+    ``H'H u = M_a u M_b`` with the Gram matrices ``M_a = T_a' T_a`` and
+    ``M_b = T_b' T_b``, built once here, two products with no transposed
+    copy. Any other kernel, or a side above the cutoff, takes
     :func:`~tvdeblur.operators.fft_convolver` products, the kernel's and the
     flipped kernel's, each a real-FFT pair on a grid of at least
-    ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the ghosts.
+    ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the ghosts;
+    there ``H'H u`` is the one after the other.
     """
     if max(shape) <= DENSE_AXIS_MAX and np.linalg.matrix_rank(psf.weights) == 1:
         left, singular, right = np.linalg.svd(psf.weights)
@@ -443,11 +504,14 @@ def _zero_products(psf: Psf, shape):
         # contiguous transposes: a transposed view made each product up to
         # 1.6x slower at 128^2
         ta_t, tb_t = np.ascontiguousarray(t_a.T), np.ascontiguousarray(t_b.T)
+        gram_a, gram_b = _matmul_rows(ta_t, t_a), _matmul_rows(tb_t, t_b)
         return (lambda u: _matmul_rows(_matmul_rows(u.T, ta_t).T, tb_t),
-                lambda v: _matmul_rows(_matmul_rows(v.T, t_a).T, t_b))
+                lambda v: _matmul_rows(_matmul_rows(v.T, t_a).T, t_b),
+                lambda u: _matmul_rows(_matmul_rows(gram_a, u), gram_b))
     flipped = psf.flipped()
-    return (fft_convolver(psf.weights, psf.center, "zero", shape),
-            fft_convolver(flipped.weights, flipped.center, "zero", shape))
+    blur = fft_convolver(psf.weights, psf.center, "zero", shape)
+    correlate = fft_convolver(flipped.weights, flipped.center, "zero", shape)
+    return blur, correlate, lambda u: correlate(blur(u))
 
 
 def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -503,12 +567,21 @@ def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
 def _transform(owner, x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """``x`` in the transform basis of ``owner``, a plan or planner, or with
     ``inverse`` the image with coefficients ``x``: the real 2-D FFT
-    (periodic), the orthonormal DCT-II (reflective) or :func:`_antireflective`."""
+    (periodic), the orthonormal DCT-II (reflective) or :func:`_antireflective`.
+    An R x C DCT-II with ``R * C * max(R, C) <= BLAS_SERIAL_MADDS`` is two
+    products with :func:`_cosine_matrix`, each one BLAS call on one thread;
+    larger grids keep pocketfft's."""
     if owner.basis == "periodic":
         return _fft.irfft2(x, s=owner.shape) if inverse else _fft.rfft2(x)
-    if owner.basis == "reflective":
+    if owner.basis != "reflective":
+        return _antireflective(x, inverse)
+    R, C = x.shape
+    if R * C * max(R, C) > BLAS_SERIAL_MADDS:
         return (_fft.idctn if inverse else _fft.dctn)(x, type=2, norm="ortho")
-    return _antireflective(x, inverse)
+    rows, cols = _cosine_matrix(R), _cosine_matrix(C)
+    if inverse:
+        return np.matmul(np.matmul(rows.T, x), cols)
+    return np.matmul(np.matmul(rows, x), cols.T)
 
 
 def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):

@@ -63,6 +63,16 @@ class TestSimulate:
                     "--sigma2", "0", "--out", tmp_path / "o.f64"])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["gaussian:hsize=3,delta=1e-200",
+                                      "gaussian:hsize=4,delta=1e-150"])
+    def test_vanishing_delta_is_the_limit_kernel(self, tmp_path, truth_file, spec):
+        # the noiseless observation of a point kernel is the truth's crop
+        out = tmp_path / "o.f64"
+        assert run(["simulate", "--truth", truth_file, "--psf", spec,
+                    "--sigma2", "0", "--out", out]) == 0
+        if spec.endswith("1e-200"):
+            assert read_image(out).tobytes() == read_image(truth_file)[2:-2, 2:-2].tobytes()
+
     def test_psf_spec_item_without_a_value_is_usage_error(self, tmp_path, truth_file, capsys):
         code = run(["simulate", "--truth", truth_file, "--psf", "gaussian:hsize=3,delta",
                     "--sigma2", "0", "--out", tmp_path / "o.f64"])
@@ -240,6 +250,28 @@ class TestDeblur:
                     "--mode", "periodic", "--alpha", "10", "--out", tmp_path / "r.f64"])
         assert code == 2
         assert "kernel mass 4.000e+200 is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["periodic", "zero", "enlarge:reflective:3"])
+    def test_kernel_spectrum_whose_square_overflows_is_data_error(self, tmp_path, observed_file,
+                                                                  capsys, mode):
+        psf_path = tmp_path / "signed.txt"
+        psf_path.write_text("1.3e154 -2e153\n")
+        code = run(["deblur", "--in", observed_file, "--psf", psf_path,
+                    "--mode", mode, "--alpha", "10", "--out", tmp_path / "r.f64"])
+        assert code == 2
+        assert "kernel spectrum |h|^2 overflows" in capsys.readouterr().err
+
+    def test_zero_cg_norm_that_overflows_is_numerical_failure(self, tmp_path, observed_file,
+                                                             capsys):
+        # a unit-mass 3x3 box scaled by 1e100: every start residual's sum of
+        # squares overflows
+        psf_path = tmp_path / "scaled.txt"
+        psf_path.write_text("\n".join([" ".join([repr(1e100 / 9)] * 3)] * 3) + "\n")
+        code = run(["deblur", "--in", observed_file, "--psf", psf_path,
+                    "--mode", "zero", "--alpha", "500", "--out", tmp_path / "r.f64"])
+        assert code == 3
+        assert "the norm of the start residual is inf" in capsys.readouterr().err
+        assert not (tmp_path / "r.f64").exists()
 
     def test_singular_kernel_is_numerical_failure(self, tmp_path, observed_file):
         psf_path = tmp_path / "tiny.txt"

@@ -61,6 +61,37 @@ class TestGaussianPsf:
         g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * delta ** 2))
         assert gaussian_psf(3, delta).weights.tobytes() == (g / g.sum()).tobytes()
 
+    @pytest.mark.parametrize("hsize", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-150, 1e-160, 1e-200, 5e-324])
+    def test_a_vanishing_delta_gives_the_limit(self, hsize, delta):
+        # no sample off the nearest ones survives: the point kernel for an
+        # odd hsize, the centre 2x2 block at 1/4 for an even one; the tests
+        # turn a RuntimeWarning into an error
+        nearest = slice(hsize // 2 - 1 + hsize % 2, hsize // 2 + 1)
+        expected = np.zeros((hsize, hsize))
+        expected[nearest, nearest] = 1.0 / expected[nearest, nearest].size
+        psf = gaussian_psf(hsize, delta)
+        assert psf.weights.tobytes() == expected.tobytes()
+        assert psf.center == ((hsize + 1) // 2 - 1,) * 2
+
+    @pytest.mark.parametrize("hsize", [3, 4, 5, 16])
+    def test_weights_that_were_finite_without_a_warning_are_unchanged(self, hsize):
+        # the plain sampling, wherever it gives finite weights without a
+        # floating-point warning
+        x = np.arange(hsize) - (hsize - 1) / 2.0
+        checked = 0
+        for delta in [0.8, 1.0, 2.0, 5.0, 1e9] + list(np.geomspace(1e-160, 10.0, 200)):
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * float(delta) ** 2))
+                    g /= g.sum()
+            except FloatingPointError:
+                continue
+            if np.all(np.isfinite(g)):
+                checked += 1
+                assert gaussian_psf(hsize, delta).weights.tobytes() == g.tobytes(), delta
+        assert checked >= 5
+
     @pytest.mark.parametrize("length,slant,match", [
         (7.5, 0.7, "length"), (1, 0.7, "length"), (7, math.nan, "slant"),
         (7, math.inf, "slant"), (5, -0.7, "slant")])

@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from tvdeblur import (DataError, Experiment, GradientField, Psf, SolveParams, builtin_truth,
-                      diagonal_motion_psf, gaussian_psf, restore, shrink, simulate, sweep)
+from tvdeblur import (ConvergenceError, DataError, Experiment, GradientField, Psf, SolveParams,
+                      builtin_truth, diagonal_motion_psf, gaussian_psf, restore, shrink, simulate,
+                      sweep)
 from tvdeblur.energy import energy
 from tvdeblur.grid import _integer, _real
 from tvdeblur.transforms import SystemPlanner
@@ -150,10 +151,34 @@ def test_a_kernel_mass_whose_square_overflows_is_a_data_error(weight, mode):
                 SolveParams(alpha=500.0, inner_max=2))
 
 
-@pytest.mark.parametrize("mode", MODES)
+# under zero the same kernel's CG norms overflow; see the test below
+@pytest.mark.parametrize("mode", [mode for mode in MODES if mode != "zero"])
 def test_a_huge_kernel_mass_whose_square_is_a_float_restores(mode):
     # the tests turn a RuntimeWarning (an overflow) into an error
     observed, _ = simulate(TRUTH, PSF, 1e-4, 0)
     restored, _ = restore(observed, Psf(np.full((3, 3), 1e150), (1, 1)), mode,
                           SolveParams(alpha=500.0, inner_max=2))
     assert np.all(np.isfinite(restored))
+
+
+@pytest.mark.parametrize("weight, alpha, norm", [
+    (1e150, 500.0, "start residual"), (1e100 / 9, 500.0, "start residual"),
+    (1e100 / 9, 500e-200, "right-hand side")],
+    ids=["weights-1e150", "mass-1e100", "mass-1e100-alpha-scaled"])
+def test_a_zero_cg_norm_that_overflows_is_a_convergence_error(weight, alpha, norm):
+    # a sum of squares past the largest float made the CG's tolerance
+    # infinite: every update took 0 steps and the restore returned its input
+    observed, _ = simulate(builtin_truth("cartoon", 28, 28), PSF, 1e-4, 3)
+    with pytest.raises(ConvergenceError, match=f"the norm of the {norm} is inf"):
+        restore(observed, Psf(np.full((3, 3), weight), (1, 1)), "zero",
+                SolveParams(alpha=alpha))
+
+
+@pytest.mark.parametrize("mode", ["periodic", "zero", "enlarge:reflective:3"])
+def test_a_kernel_spectrum_whose_square_overflows_is_a_data_error(mode):
+    # mass 1.1e154 squares to a float, but |h| reaches 1.5e154 at the Nyquist
+    # frequency; no RuntimeWarning either
+    observed, _ = simulate(TRUTH, PSF, 1e-4, 0)
+    with pytest.raises(DataError, match=r"^kernel spectrum \|h\|\^2 overflows"):
+        restore(observed, Psf(np.array([[1.3e154, -2e153]]), (0, 0)), mode,
+                SolveParams(alpha=500.0, inner_max=2))

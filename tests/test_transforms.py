@@ -13,8 +13,9 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
 from tvdeblur import dense, transforms
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
-                                 _antireflective, _fft, _sine_matrix, _solve_zero,
-                                 _squared_norm, solve_and_blur, solve_system)
+                                 _antireflective, _cosine_matrix, _fft, _sine_matrix,
+                                 _solve_zero, _squared_norm, _transform, solve_and_blur,
+                                 solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -327,6 +328,63 @@ class TestDenseSines:
         assert trace.total_inner_iterations == expected_trace.total_inner_iterations
 
 
+class TestDenseCosines:
+    """The DCT-II of a grid within BLAS_SERIAL_MADDS as cosine products,
+    against pocketfft's. Bound, fixed before the run: 1e-13 max-abs on
+    unit-normal entries, as for the sines, for sums of at most 64 terms."""
+
+    # every square length up to the bound, and non-square grids, one of them
+    # (128 x 16) at the bound itself
+    SHAPES = [(n, n) for n in range(2, 65)] + [(2, 64), (64, 40), (13, 64), (128, 16)]
+
+    @staticmethod
+    def owner(shape):
+        return SystemPlanner(Psf.delta(), shape, "reflective")
+
+    def test_matches_pocketfft(self, rng, monkeypatch):
+        calls, dctn, idctn = [], _fft.dctn, _fft.idctn
+        for name in ("dctn", "idctn"):
+            def counted(*args, _call=getattr(_fft, name), **kwargs):
+                calls.append(args[0].shape)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(_fft, name, counted)
+        for shape in self.SHAPES:
+            x, owner = rng.standard_normal(shape), self.owner(shape)
+            forward, inverse = _transform(owner, x), _transform(owner, x, inverse=True)
+            assert not calls, shape
+            assert np.abs(forward - dctn(x, type=2, norm="ortho")).max() <= 1e-13, shape
+            assert np.abs(inverse - idctn(x, type=2, norm="ortho")).max() <= 1e-13, shape
+            assert forward.shape == inverse.shape == shape
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_rows_are_the_one_dimensional_transform(self, rng, n):
+        x = rng.standard_normal(n)
+        cosine = _cosine_matrix(n)
+        assert np.abs(cosine @ x - _fft.dct(x, type=2, norm="ortho")).max() <= 1e-13
+        assert np.abs(cosine.T @ x - _fft.idct(x, type=2, norm="ortho")).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(65, 64), (64, 65), (129, 16), (400, 3)])
+    def test_grids_above_the_bound_take_pocketfft(self, rng, monkeypatch, shape):
+        def unused(*args):
+            raise AssertionError("a cosine product above the bound")
+
+        monkeypatch.setattr(np, "matmul", unused)
+        x, owner = rng.standard_normal(shape), self.owner(shape)
+        assert shape[0] * shape[1] * max(shape) > BLAS_SERIAL_MADDS
+        assert _transform(owner, x).tobytes() == _fft.dctn(x, type=2, norm="ortho").tobytes()
+        assert _transform(owner, x, inverse=True).tobytes() == _fft.idctn(
+            x, type=2, norm="ortho").tobytes()
+
+    def test_one_read_only_matrix_per_length_within_the_bound(self, rng):
+        _cosine_matrix.cache_clear()
+        for shape in [(9, 9), (9, 30), (65, 64)]:
+            owner = self.owner(shape)
+            _transform(owner, _transform(owner, rng.standard_normal(shape)), inverse=True)
+        assert _cosine_matrix.cache_info().currsize == 2
+        cosine = _cosine_matrix(9)
+        assert cosine is _cosine_matrix(9) and not cosine.flags.writeable
+
+
 class TestPlannerReuse:
     def test_planner_matches_one_shot_plans(self, rng):
         psf = gaussian_psf(5, 1.0)
@@ -544,8 +602,12 @@ class TestSeparableZeroProducts:
         assert plan.blur(u).flags.c_contiguous and plan.correlate(u).flags.c_contiguous
         ffts.clear()
         madds.clear()
-        plan.correlate(plan.blur(u))
+        both = plan.correlate(plan.blur(u))
         assert not ffts and len(madds) == 4  # one per axis and product
+        madds.clear()
+        normal = plan.normal(u)
+        assert not ffts and len(madds) == 2  # one per Gram matrix
+        assert np.abs(normal - both).max() <= 1e-12 and normal.flags.c_contiguous
 
     # matrix_rank 2 and 5, and a side above the cutoff
     @pytest.mark.parametrize("psf, shape", [
@@ -563,6 +625,7 @@ class TestSeparableZeroProducts:
         assert len(ffts) == 2 and not madds
         assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
         assert np.abs(correlated - apply_correlation(u, psf, "zero")).max() <= 1e-12
+        assert plan.normal(u).tobytes() == plan.correlate(blurred).tobytes()
 
     def test_every_blas_call_stays_on_one_thread(self, rng, monkeypatch):
         ffts, madds = record_products(monkeypatch)
@@ -577,6 +640,18 @@ class TestSeparableZeroProducts:
             assert not ffts
             assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
         assert madds and max(madds) <= BLAS_SERIAL_MADDS
+        # whole solves: a zero restore at the cutoff (Gram products, planner
+        # set-up and the pocketfft DCT-II preconditioner) and a reflective
+        # one at 64 x 64 (cosine products)
+        psf, params = gaussian_psf(5, 1.0), SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0),
+                                                        inner_max=2)
+        for bc, side in (("zero", n), ("reflective", 64)):
+            observed, _ = simulate(builtin_truth("cartoon", side + 8, side + 8), psf, 1e-4,
+                                   seed=3)
+            assert observed.shape == (side, side)
+            madds.clear()
+            solve(observed, psf, bc, params)
+            assert madds and max(madds) <= BLAS_SERIAL_MADDS, bc
 
 
 FFT, DCT, TRUTH = {"rfft2": 1, "irfft2": 1}, {"dctn": 1, "idctn": 1}, (26, 25)
@@ -640,17 +715,21 @@ class TestSolveAndBlur:
     # longer axis, one dst each way, reaches scipy.fft there; the reflective
     # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
     # longer, the edges take a dst each and the interior a dstn, each way.
+    # The DCT-II of an R x C image with R C max(R, C) <= BLAS_SERIAL_MADDS
+    # is cosine products, so only a 65 x 64 image, just above that bound,
+    # takes a dctn and an idctn.
     UPDATE_CASES = [("periodic", gaussian_psf(3, 0.8), TRUTH, FFT),
-                    ("periodic", NONSYM, TRUTH, FFT),
-                    ("reflective", gaussian_psf(3, 0.8), TRUTH, DCT),
-                    ("reflective", gaussian_psf(7, 1.5), TRUTH, DCT),
-                    ("reflective", gaussian_psf(4, 1.0), TRUTH, DCT),
-                    ("antireflective", gaussian_psf(3, 0.8), TRUTH, {}),
-                    ("antireflective", gaussian_psf(7, 1.5), TRUTH, FFT),
-                    # 22 x 136 and 136 x 21: 134 sines on one axis
-                    ("antireflective", gaussian_psf(3, 0.8), (26, 140), {"dst": 2}),
-                    ("antireflective", gaussian_psf(3, 0.8), (140, 25), {"dst": 2}),
-                    ("antireflective", gaussian_psf(3, 0.8), (140, 140), {"dst": 4, "dstn": 2})]
+                    ("periodic", NONSYM, TRUTH, FFT)]
+    UPDATE_CASES += [("reflective", psf, truth, expected)
+                     for psf in (gaussian_psf(3, 0.8), gaussian_psf(7, 1.5), gaussian_psf(4, 1.0))
+                     for truth, expected in ((TRUTH, {}),
+                                             ((63 + 2 * psf.rows, 62 + 2 * psf.cols), DCT))]
+    UPDATE_CASES += [("antireflective", gaussian_psf(3, 0.8), TRUTH, {}),
+                     ("antireflective", gaussian_psf(7, 1.5), TRUTH, FFT),
+                     # 22 x 136 and 136 x 21: 134 sines on one axis
+                     ("antireflective", gaussian_psf(3, 0.8), (26, 140), {"dst": 2}),
+                     ("antireflective", gaussian_psf(3, 0.8), (140, 25), {"dst": 2}),
+                     ("antireflective", gaussian_psf(3, 0.8), (140, 140), {"dst": 4, "dstn": 2})]
     UPDATE_CASES += [(f"enlarge:{rule}", NONSYM, TRUTH, FFT) for rule in BCS]
 
     @pytest.mark.parametrize("mode, psf, truth, expected", UPDATE_CASES, ids=[
@@ -696,15 +775,18 @@ class TestSolveAndBlur:
     @pytest.mark.parametrize("psf, basis, kronecker", ZERO_ROUTES.values(),
                              ids=ZERO_ROUTES.keys())
     def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch, psf, basis, kronecker):
-        # each matvec is two products, H and then H'; the CG makes one at its
-        # start, one per step and one for its final residual, whose H x is
-        # the fidelity's. An FFT product is one rfft2/irfft2 pair, a
-        # Kronecker product two np.matmul calls (each axis in one batched
-        # call up to this size); the DCT preconditioner takes neither, the
-        # FFT one a pair per step.
+        # the CG's start residual and its final check, whose H x is the
+        # fidelity's, each take H and then H'; each step takes H'H, on the
+        # FFT route the same two products, on the Kronecker route its two
+        # Gram products. An FFT product is one rfft2/irfft2 pair, a Kronecker
+        # or Gram product two np.matmul calls (each axis in one batched call
+        # up to this size). The DCT preconditioner on these grids (at most
+        # 22 x 23) is two cosine products each way, the FFT one an
+        # rfft2/irfft2 pair.
         from tvdeblur import solver
-        calls = dict(rfft2=0, irfft2=0, matmul=0)
-        for module, name in ((_fft, "rfft2"), (_fft, "irfft2"), (np, "matmul")):
+        names = ("rfft2", "irfft2", "dctn", "idctn")
+        calls = dict.fromkeys(names + ("matmul",), 0)
+        for module, name in [(_fft, name) for name in names] + [(np, "matmul")]:
             def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _call(*args, **kwargs)
@@ -712,7 +794,7 @@ class TestSolveAndBlur:
         step, per_update = solver.solve_and_blur, []
 
         def recorded(*args):
-            calls.update(rfft2=0, irfft2=0, matmul=0)
+            calls.update(dict.fromkeys(calls, 0))
             out = step(*args)
             assert args[0].basis == basis
             per_update.append((dict(calls), out[2][0]))
@@ -724,10 +806,12 @@ class TestSolveAndBlur:
                                                  inner_max=3))
         assert len(per_update) >= 4
         for counts, steps in per_update:
-            products, preconditioner = 2 * (steps + 2), steps * (basis == "periodic")
-            ffts = 0 if kronecker else products + preconditioner
-            assert counts == {"rfft2": ffts, "irfft2": ffts,
-                              "matmul": 2 * products if kronecker else 0}
+            # FFT route: 2 products per H'H and per H then H'; Kronecker
+            # route: 2 np.matmul per H'H, 4 per H then H'
+            ffts = 0 if kronecker else 2 * steps + 4 + steps * (basis == "periodic")
+            dct = 4 * steps * (basis == "reflective")
+            assert counts == {"rfft2": ffts, "irfft2": ffts, "dctn": 0, "idctn": 0,
+                              "matmul": (2 * steps + 8) * kronecker + dct}
 
     @pytest.mark.parametrize("shape", [(17, 18), (18, 17), (2, 2), (5, 3)])
     def test_half_spectrum_parseval_weights(self, rng, shape):
