@@ -121,6 +121,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-check", help="compare fast paths against the dense oracle")
     p.add_argument("--n", type=int, default=8, help=f"grid side (<= {ORACLE_CAP})")
+    p.add_argument("--rows", type=int, default=None, help="grid rows (default --n)")
+    p.add_argument("--cols", type=int, default=None, help="grid columns (default --n)")
     p.add_argument("--ratio", type=float, default=2.0)
     p.add_argument("--bc", default="all", help=f"all or one of {'|'.join(BOUNDARY_MODELS)}")
     return parser
@@ -229,16 +231,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.n > ORACLE_CAP:
-        raise _UsageError(f"oracle grid capped at n <= {ORACLE_CAP}, got {args.n}")
-    if args.n < 2:
-        raise _UsageError("oracle grid needs n >= 2")
+    for name in ("n", "rows", "cols"):
+        side = getattr(args, name)
+        if side is not None and side > ORACLE_CAP:
+            raise _UsageError(f"oracle grid capped at {name} <= {ORACLE_CAP}, got {side}")
+        if side is not None and side < 2:
+            raise _UsageError(f"oracle grid needs {name} >= 2")
     if not (np.isfinite(args.ratio) and args.ratio >= 0):
         raise _UsageError(f"--ratio must be finite and non-negative, got {args.ratio}")
     if args.bc != "all" and args.bc not in BOUNDARY_MODELS:
         raise _UsageError(f"unknown boundary model {args.bc!r}")
     bcs = BOUNDARY_MODELS if args.bc == "all" else (args.bc,)
-    devs = oracle_deviations(args.n, ratio=args.ratio, bcs=bcs)
+    rows, cols = (args.n if side is None else side for side in (args.rows, args.cols))
+    devs = oracle_deviations(rows, cols, ratio=args.ratio, bcs=bcs)
+    print(f"grid {rows} x {cols}; fidelity deviations are relative")
     print(f"{'operator':<12} {'bc':<16} {'max-abs deviation':>18}")
     for (op, bc) in sorted(devs):
         print(f"{op:<12} {bc:<16} {devs[(op, bc)]:>18.3e}")

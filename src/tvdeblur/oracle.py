@@ -6,7 +6,10 @@ max-abs deviation over a set of standard kernels (delta, two Gaussians, and
 a nonsymmetric 3x2 kernel where the model admits it; each where its support
 fits the grid) applied to a fixed pseudorandom image. Both divergences are
 checked: ``adjgrad`` is the reblurred pairing, ``transpose`` the exact
-transpose of the gradient that the reflective solve uses.
+transpose of the gradient that the reflective solve uses. ``fidelity``
+compares the image update's ``||H u - f||^2`` (by Parseval from the
+coefficients where the plan has a blur symbol) for a second pseudorandom
+image ``f`` with the dense blur's, as a relative deviation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .grid import BOUNDARY_MODELS, GradientField, Psf
 from .harness import gaussian_psf
 from .operators import (adjoint_gradient, apply_blur, apply_correlation, gradient,
                         transpose_adjoint_gradient)
-from .transforms import SystemPlanner, solve_system
+from .transforms import SystemPlanner, solve_and_blur, solve_system
 
 TOLERANCE = 1e-8
 
@@ -35,12 +38,16 @@ def standard_kernels():
     ]
 
 
-def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
-    """Max-abs deviations keyed by (operator, bc), standard kernels on seed-0 images."""
-    shape = (n, n)
+def oracle_deviations(rows: int, cols: int | None = None, *, ratio: float = 2.0,
+                      bcs=BOUNDARY_MODELS):
+    """Deviations keyed by (operator, bc) on a ``rows x cols`` grid (square
+    when ``cols`` is ``None``), standard kernels on seed-0 images: max-abs,
+    and relative for ``fidelity``."""
+    shape = (rows, rows if cols is None else cols)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(shape)
     z = GradientField(rng.standard_normal(shape), rng.standard_normal(shape))
+    f = rng.standard_normal(shape)
     devs = {}
 
     def note(op, bc, value):
@@ -60,7 +67,7 @@ def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
         note("adjgrad", bc,
              np.abs(a1.apply(z.z1) + a2.apply(z.z2) - adjoint_gradient(z, bc)).max())
         for name, psf, models in standard_kernels():
-            if bc not in models or psf.rows > n or psf.cols > n:
+            if bc not in models or psf.rows > shape[0] or psf.cols > shape[1]:
                 continue
             H = dense.build_blur(psf, shape, bc)
             note("blur", bc, np.abs(H.apply(u) - apply_blur(u, psf, bc)).max())
@@ -69,8 +76,12 @@ def oracle_deviations(n: int, ratio: float = 2.0, bcs=BOUNDARY_MODELS):
                  np.abs(Hc.apply(u) - apply_correlation(u, psf, bc)).max())
             system = dense.build_system(psf, shape, bc, ratio)
             rhs = system.apply(u)
-            plan = SystemPlanner(psf, shape, bc).plan(ratio)
+            planner = SystemPlanner(psf, shape, bc)
+            plan = planner.plan(ratio)
             note("solve", bc, np.abs(solve_system(plan, rhs) - u).max())
+            solution, fit, _ = solve_and_blur(plan, rhs, planner.prepare(f)[1])
+            expected = np.sum((H.apply(solution) - f) ** 2)
+            note("fidelity", bc, abs(fit - expected) / expected)
     return devs
 
 

@@ -482,8 +482,30 @@ class TestOracleCheck:
         assert run(["oracle-check", "--n", "3"]) == 0
         assert re.search(r"^solve\s+antireflective\s", capsys.readouterr().out, re.M)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 9), (16, 5)])
+    def test_non_square_grid_checks_every_fidelity(self, capsys, rows, cols):
+        # a two-sample axis has only the antireflective ramps
+        assert run(["oracle-check", "--rows", str(rows), "--cols", str(cols)]) == 0
+        out = capsys.readouterr().out
+        assert f"grid {rows} x {cols}" in out
+        for bc in ("zero", "periodic", "reflective", "antireflective"):
+            assert re.search(rf"^fidelity\s+{bc}\s", out, re.M)
+
+    def test_rows_and_cols_default_to_n(self, capsys):
+        assert run(["oracle-check", "--n", "4", "--cols", "3", "--bc", "periodic"]) == 0
+        assert "grid 4 x 3" in capsys.readouterr().out
+
     def test_cap_is_usage_error(self):
         assert run(["oracle-check", "--n", "70"]) == 1
+
+    @pytest.mark.parametrize("flag, side, message", [
+        ("--rows", "70", "oracle grid capped at rows <= 64"),
+        ("--cols", "65", "oracle grid capped at cols <= 64"),
+        ("--rows", "1", "oracle grid needs rows >= 2"),
+        ("--cols", "0", "oracle grid needs cols >= 2")])
+    def test_each_side_is_checked(self, capsys, flag, side, message):
+        assert run(["oracle-check", flag, side]) == 1
+        assert message in capsys.readouterr().err
 
     def test_grid_below_two_is_usage_error(self, capsys):
         assert run(["oracle-check", "--n", "1"]) == 1

@@ -14,8 +14,8 @@ from tvdeblur import dense, transforms
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
                                  _antireflective, _cosine_matrix, _fft, _sine_matrix,
-                                 _solve_zero, _squared_norm, _transform, solve_and_blur,
-                                 solve_system)
+                                 _solve_zero, _squared_norm, _sum_of_squares, _transform,
+                                 solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -692,26 +692,57 @@ class TestSolveAndBlur:
         corr_f = SystemPlanner(psf, f.shape, bc).prepare(f)[0]
         assert corr_f.tobytes() == apply_correlation(f, psf, bc).tobytes()
 
+    # the blur of a kernel of odd extent, centred on its middle sample, is
+    # diagonal in the DCT-II basis and in the antireflective one
+    @pytest.mark.parametrize("bc", ["reflective", "antireflective"])
     @pytest.mark.parametrize("kernel, symbol", [("3x3", True), ("7x7", True), ("4x4", False)])
-    def test_reflective_blur_is_a_dct_symbol_only_for_odd_kernels(self, kernel, symbol):
-        plan = SystemPlanner(self.KERNELS[kernel], (14, 11), "reflective").plan(0.7)
+    def test_blur_is_a_symbol_only_for_odd_kernels(self, bc, kernel, symbol):
+        plan = SystemPlanner(self.KERNELS[kernel], (14, 11), bc).plan(0.7)
         assert (plan.blur_symbol is not None) is symbol
 
-    def test_reflective_symbol_needs_a_centered_kernel(self, rng):
+    @pytest.mark.parametrize("bc", ["reflective", "antireflective"])
+    def test_symbol_needs_a_centered_kernel(self, rng, bc):
         # symmetric weights declared off their middle sample
         psf = Psf(gaussian_psf(3, 0.8).weights, (0, 0))
         rhs, f = rng.standard_normal((2, 10, 9))
-        planner = SystemPlanner(psf, rhs.shape, "reflective")
+        planner = SystemPlanner(psf, rhs.shape, bc)
         plan = planner.plan(0.7)
         assert plan.blur_symbol is None
         u, fit, _ = solve_and_blur(plan, rhs, planner.prepare(f)[1])
-        expected = np.sum((apply_blur(u, psf, "reflective") - f) ** 2)
+        expected = np.sum((apply_blur(u, psf, bc) - f) ** 2)
         assert abs(fit - expected) <= 1e-12 * expected
+
+    # The antireflective fidelity from the coefficients against the blur in
+    # space: an axis of two samples has only the ramps, one of at most
+    # DENSE_AXIS_MAX sines takes the dense DST-I, and a longer one pocketfft's
+    # (on one axis at 130 x 12, on both at 140 x 140). A two-sample axis
+    # admits only a 1 x 1 kernel.
+    ANTIREFLECTIVE_FIT_RTOL = 1e-12
+    ANTIREFLECTIVE_FITS = [(Psf(np.array([[0.8]]), (0, 0)), (2, 9)),
+                           (Psf(np.array([[0.8]]), (0, 0)), (9, 2)),
+                           (gaussian_psf(3, 0.8), (3, 3)),
+                           (gaussian_psf(7, 1.5), (130, 12)),
+                           (gaussian_psf(9, 2.0), (140, 140))]
+
+    @pytest.mark.parametrize("psf, shape", ANTIREFLECTIVE_FITS,
+                             ids=[f"{psf.rows}x{psf.cols}-on-{shape[0]}x{shape[1]}"
+                                  for psf, shape in ANTIREFLECTIVE_FITS])
+    def test_antireflective_fidelity_is_the_blur_in_space(self, rng, psf, shape):
+        rhs, f = rng.standard_normal((2, *shape))
+        planner = SystemPlanner(psf, shape, "antireflective")
+        plan = planner.plan(0.7)
+        assert plan.blur_symbol is not None
+        _, target, data_fit = planner.prepare(f)
+        u, fit, _ = solve_and_blur(plan, rhs, target)
+        for image, value in ((u, fit), (f, data_fit)):
+            expected = np.sum((apply_blur(image, psf, "antireflective") - f) ** 2)
+            assert abs(value - expected) <= self.ANTIREFLECTIVE_FIT_RTOL * expected
 
     # (mode, psf, truth shape, scipy.fft calls per image update); enlarge:*
     # runs a periodic solve on the enlarged domain. The antireflective DST-I
-    # of at most DENSE_AXIS_MAX sines is a dense product, so only a 7x7
-    # kernel's blur (49 taps, an FFT product) or the pocketfft DST-I of a
+    # of at most DENSE_AXIS_MAX sines is a dense product, and a kernel of odd
+    # extent centred on its middle sample has a symbol, so only an even 6x6
+    # kernel's blur (36 taps, an FFT product) or the pocketfft DST-I of a
     # longer axis, one dst each way, reaches scipy.fft there; the reflective
     # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
     # longer, the edges take a dst each and the interior a dstn, each way.
@@ -725,7 +756,8 @@ class TestSolveAndBlur:
                      for truth, expected in ((TRUTH, {}),
                                              ((63 + 2 * psf.rows, 62 + 2 * psf.cols), DCT))]
     UPDATE_CASES += [("antireflective", gaussian_psf(3, 0.8), TRUTH, {}),
-                     ("antireflective", gaussian_psf(7, 1.5), TRUTH, FFT),
+                     ("antireflective", gaussian_psf(7, 1.5), TRUTH, {}),
+                     ("antireflective", gaussian_psf(6, 1.5), TRUTH, FFT),
                      # 22 x 136 and 136 x 21: 134 sines on one axis
                      ("antireflective", gaussian_psf(3, 0.8), (26, 140), {"dst": 2}),
                      ("antireflective", gaussian_psf(3, 0.8), (140, 25), {"dst": 2}),
@@ -818,6 +850,15 @@ class TestSolveAndBlur:
         plan = SystemPlanner(Psf.delta(), shape, "periodic").plan(0.0)
         x = rng.standard_normal(shape)
         assert _squared_norm(plan, _fft.rfft2(x)) == pytest.approx(np.sum(x * x), rel=1e-13)
+
+    # two-sample axes (ramps only), short and long, dense and pocketfft sines
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (17, 18), (131, 12),
+                                       (200, 129)])
+    def test_antireflective_frame_correction(self, rng, shape):
+        plan = SystemPlanner(Psf.delta(), shape, "antireflective").plan(0.0)
+        c = rng.standard_normal(shape)
+        expected = _sum_of_squares(_transform(plan, c, inverse=True))
+        assert _squared_norm(plan, c) == pytest.approx(expected, rel=1e-13)
 
 
 class TestZeroWarmStart:
