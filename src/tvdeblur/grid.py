@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, UnsupportedError
 
 #: Supported boundary models, in the order used by reports and the CLI.
 BOUNDARY_MODELS = ("zero", "periodic", "reflective", "antireflective")
@@ -34,6 +34,16 @@ def check_boundary_model(bc: str) -> str:
     if bc not in BOUNDARY_MODELS:
         raise DataError(f"unknown boundary model {bc!r}; expected one of {BOUNDARY_MODELS}")
     return bc
+
+
+def check_kernel_fits(psf: "Psf", shape) -> None:
+    """Each kernel side at most the image side along that axis, the one fit
+    rule of every boundary model: a blur reaches fewer ghosts per side than
+    the image has samples, which the mirror rules need, and the transform
+    plans are built one axis at a time."""
+    if psf.rows > shape[0] or psf.cols > shape[1]:
+        raise UnsupportedError(
+            f"kernel support {(psf.rows, psf.cols)} exceeds image dims {tuple(shape)}")
 
 
 def as_image(values, name: str = "image") -> np.ndarray:

@@ -42,7 +42,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import PreconditionError, UnsupportedError
-from .grid import GradientField, Psf, _integer, as_image, check_boundary_model
+from .grid import (GradientField, Psf, _integer, as_image, check_boundary_model,
+                   check_kernel_fits)
 
 _PAD_KW = {
     "zero": dict(mode="constant"),
@@ -144,7 +145,8 @@ def stencil_convolver(weights: np.ndarray, center, bc: str, shape):
     :func:`fft_convolver` above. Both routes are silent on IEEE overflow and
     invalid values: a non-finite iterate is the solver's to report, as
     ``ConvergenceError``. Neither route re-checks its pads per apply: they
-    and the rule are fixed here, by a kernel that fits the image."""
+    and the rule are fixed here, by a kernel that fits the image
+    (:func:`~tvdeblur.grid.check_kernel_fits`)."""
     if weights.size > DIRECT_MAX_TAPS:
         # as a decorator, errstate costs a third of a with-block per call
         return np.errstate(over="ignore", invalid="ignore")(
@@ -186,9 +188,7 @@ def apply_blur(u: np.ndarray, psf: Psf, bc: str) -> np.ndarray:
     """Blur ``u`` by the kernel under the given boundary model."""
     u = as_image(u)
     check_boundary_model(bc)
-    if psf.rows > u.shape[0] or psf.cols > u.shape[1]:
-        raise UnsupportedError(
-            f"kernel support {psf.weights.shape} exceeds image dims {u.shape}")
+    check_kernel_fits(psf, u.shape)
     return apply_stencil(u, psf.weights, psf.center, bc)
 
 

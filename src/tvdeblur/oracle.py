@@ -2,8 +2,10 @@
 
 Used by the ``oracle-check`` CLI command and the acceptance tests. Each
 entry compares one operator under one boundary model, reporting the largest
-max-abs deviation over a set of standard kernels (delta, two Gaussians, and
-a nonsymmetric 3x2 kernel where the model admits it; each where its support
+max-abs deviation over a set of standard kernels (delta, 3x3 and 5x5
+Gaussians, a 1x3 row and a 3x1 column; an even-extent 4x4 Gaussian and a
+3x3 one declared at its corner for every model but reflective; and a
+nonsymmetric 3x2 kernel where the model admits it; each where its support
 fits the grid) applied to a fixed pseudorandom image. Both divergences are
 checked: ``adjgrad`` is the reblurred pairing, ``transpose`` the exact
 transpose of the gradient that the reflective solve uses. ``fidelity``
@@ -30,10 +32,18 @@ def standard_kernels():
     nonsym = Psf(np.array([[0.50, 0.10],
                            [0.20, 0.10],
                            [0.05, 0.05]]), (1, 0))
+    row = Psf(np.array([[0.25, 0.5, 0.25]]), (0, 1))
+    # reflective stays off the even-extent and off-centre kernels, whose DCT-II
+    # plan is not the dense system's (ROADMAP item 13)
+    unreflected = ("zero", "periodic", "antireflective")
     return [
         ("delta", Psf.delta(), BOUNDARY_MODELS),
         ("gauss3", gaussian_psf(3, 1.0), BOUNDARY_MODELS),
         ("gauss5", gaussian_psf(5, 1.0), BOUNDARY_MODELS),
+        ("row3", row, BOUNDARY_MODELS),
+        ("col3", Psf(row.weights.T, (1, 0)), BOUNDARY_MODELS),
+        ("gauss4", gaussian_psf(4, 1.0), unreflected),
+        ("gauss3-at-0-0", Psf(gaussian_psf(3, 1.0).weights, (0, 0)), unreflected),
         ("nonsym3x2", nonsym, ("zero", "periodic")),
     ]
 

@@ -38,11 +38,10 @@ where the composite operator is, per boundary model, diagonalized by:
 * ``zero``            no fast transform exists; the plan falls back to
   conjugate gradients on the literal normal equations, preconditioned by
   the system of the plan's ``basis`` model, solved in its transform:
-  ``reflective`` (DCT-II) when the kernel is quadrantally symmetric and its
-  composite stencil fits the reflective ghost depth (the Neumann-boundary
-  preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput. 21, 1999), else
-  ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM J. Sci. Stat.
-  Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H, its
+  ``reflective`` (DCT-II) when the kernel is quadrantally symmetric (the
+  Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
+  21, 1999), else ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM
+  J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H, its
   exact transpose H' and H'H are built once per planner and kept on its
   plans as ``blur``, ``correlate`` and ``normal`` (:func:`_zero_products`).
   For a separable (rank-1) kernel on an image whose sides are both at most
@@ -71,12 +70,16 @@ where the composite operator is, per boundary model, diagonalized by:
   formed anyway, so the rule costs no matvec. Either raises
   ``ConvergenceError`` after ``CG_MAXITER`` iterations.
 
-Every plan samples one symbol, the kernel's
+Every model plans a kernel whose side along each axis is at most the
+image's (:func:`~tvdeblur.grid.check_kernel_fits`, the check
+:func:`~tvdeblur.operators.apply_blur` makes too): the transforms work one
+axis at a time. Every plan samples one symbol, the kernel's
 ``h(theta) = sum_st w[s,t] exp(-i (s theta_r + t theta_c))`` over its
 offsets from the center (:func:`_symbol`), on its transform's grid:
 ``theta = 2 pi k / n`` for the FFT, ``pi k / n`` for the DCT-II and
-``pi k / (n - 1)`` for the antireflective basis, where both ramps take
-``theta = 0``. There the system's eigenvalues are
+``pi [0 .. n - 2, 0] / (n - 1)`` for the antireflective basis, in the
+layout of its coefficients, where both ramps take ``theta = 0``. There the
+system's eigenvalues are
 ``|h|^2 + ratio * (4 - 2 cos theta_r - 2 cos theta_c)``: ``|h|^2`` is the
 symbol of the kernel's autocorrelation, the stencil of H'H, and the rest
 that of the five-point Laplacian D'D (Ng, Chan & Tang 1999;
@@ -121,9 +124,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import (ConvergenceError, DataError, ShapeError, SingularPlanError,
-                     SymmetryError, UnsupportedError)
-from .grid import Psf, _real, _square, check_boundary_model
+from .errors import ConvergenceError, DataError, ShapeError, SingularPlanError, SymmetryError
+from .grid import Psf, _real, _square, check_boundary_model, check_kernel_fits
 from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
                         transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
@@ -230,9 +232,9 @@ class SpectralPlan:
       edges, and the corners hold the kernel mass squared.
 
     Clamping, ``min_modulus`` (the smallest eigenvalue before clamping; all
-    are non-negative) and ``clamp_count`` cover the distinct eigenvalues:
-    the periodic half-spectrum, the reflective grid and the antireflective
-    ``(R - 1) x (C - 1)`` grid before the ramps' copies.
+    are non-negative) and ``clamp_count`` cover ``eigenvalues`` itself, in
+    every basis: the antireflective count includes the second ramp's row
+    and column, which repeat ``theta = 0``.
     """
 
     bc: str
@@ -278,28 +280,23 @@ class SystemPlanner:
         if _square(psf.mass, "kernel mass") < EIG_FLOOR:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
+        check_kernel_fits(psf, self.shape)
         self._blur_symbol, self._blur, self._correlate, self._normal = None, None, None, None
-        if bc in ("zero", "periodic") and (psf.rows > self.shape[0]
-                                           or psf.cols > self.shape[1]):
-            raise UnsupportedError(
-                f"kernel support {(psf.rows, psf.cols)} exceeds image dims {self.shape}")
-        # how far H'H, the kernel's autocorrelation, reaches past its center
-        depth = max(psf.rows, psf.cols) - 1
         # under zero, the preconditioner's transform
-        fits_dct = psf.quadrantally_symmetric and depth <= min(self.shape)
-        self.basis = bc if bc != "zero" else "reflective" if fits_dct else "periodic"
+        self.basis = (bc if bc != "zero" else
+                      "reflective" if psf.quadrantally_symmetric else "periodic")
         # the transform's grid: theta = 2 pi k / n for the real FFT, whose
         # half-spectrum keeps l <= C // 2; pi k / n for the DCT-II; and
-        # pi k / (n - 1) for the antireflective basis, whose ramps share k = 0
-        (R, C), short = self.shape, int(bc == "antireflective")
+        # pi [0 .. n - 2, 0] / (n - 1) for the antireflective basis, laid out
+        # like its coefficients, whose ramps at either end share theta = 0
+        R, C = self.shape
         if self.basis == "periodic":
             theta_r = 2 * np.pi * np.arange(R) / R
             theta_c = 2 * np.pi * np.arange(C // 2 + 1) / C
-        elif depth > min(R, C) - short:
-            raise UnsupportedError(f"composite stencil ghost depth {depth} exceeds the "
-                                   f"extension cap {min(R, C) - short}")
+        elif self.basis == "reflective":
+            theta_r, theta_c = (np.pi * np.arange(n) / n for n in (R, C))
         else:
-            theta_r, theta_c = (np.pi * np.arange(n - short) / (n - short) for n in (R, C))
+            theta_r, theta_c = (np.pi * np.r_[0:n - 1, 0] / (n - 1) for n in (R, C))
         # a kernel with negative weights can have |h| above its mass, so the
         # mass check above does not bound |h|^2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -318,8 +315,7 @@ class SystemPlanner:
         elif bc == "periodic":
             self._blur_symbol = symbol
         elif psf.rows % 2 and psf.cols % 2 and psf.center == (psf.rows // 2, psf.cols // 2):
-            self._blur_symbol = (symbol.real.copy() if bc == "reflective"  # contiguous
-                                 else symbol.real[self._antireflective_layout()])
+            self._blur_symbol = symbol.real.copy()  # contiguous
         else:
             self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
 
@@ -329,18 +325,9 @@ class SystemPlanner:
         if count:
             logger.warning("%s plan: clamped %d eigenvalue(s) below %g",
                            self.basis, count, EIG_FLOOR)
-        if self.basis == "antireflective":
-            eig = eig[self._antireflective_layout()]
         return SpectralPlan(self.bc, self.basis, self.shape, ratio, eigenvalues=eig,
                             min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
                             blur=self._blur, correlate=self._correlate, normal=self._normal)
-
-    def _antireflective_layout(self):
-        """The index that lays a symbol sampled on the ``(R - 1) x (C - 1)``
-        grid out like the antireflective coefficients: ``k = 0 .. n - 2``
-        and then ``0`` again along each axis, since both ramps take
-        ``theta = 0``."""
-        return np.ix_(*(np.r_[0:n - 1, 0] for n in self.shape))
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from

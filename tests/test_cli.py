@@ -482,9 +482,10 @@ class TestOracleCheck:
         assert run(["oracle-check", "--n", "3"]) == 0
         assert re.search(r"^solve\s+antireflective\s", capsys.readouterr().out, re.M)
 
-    @pytest.mark.parametrize("rows, cols", [(2, 9), (16, 5)])
+    @pytest.mark.parametrize("rows, cols", [(2, 9), (9, 2), (16, 5)])
     def test_non_square_grid_checks_every_fidelity(self, capsys, rows, cols):
-        # a two-sample axis has only the antireflective ramps
+        # a two-sample axis has only the antireflective ramps, and the 1x3
+        # row (3x1 column) kernel fits it along its other axis
         assert run(["oracle-check", "--rows", str(rows), "--cols", str(cols)]) == 0
         out = capsys.readouterr().out
         assert f"grid {rows} x {cols}" in out

@@ -290,15 +290,17 @@ class TestAlgebraIdentities:
     def test_autocorrelation_matches_the_fast_path(self, psf):
         # the planner's H'H eigenvalues are the autocorrelation's symbol on
         # each transform's grid; a non-square shape with an even width keeps
-        # the real FFT's Nyquist column
-        from tvdeblur.transforms import SystemPlanner
+        # the real FFT's Nyquist column, and the antireflective grid is laid
+        # out like its coefficients, k = 0 .. n - 2 and then 0 for the second
+        # ramp
+        from tvdeblur.transforms import EIG_FLOOR, SystemPlanner, _symbol
         a, (ar, ac) = autocorrelation(psf)
         rows, cols = 9, 8
         grids = {"periodic": (2 * np.pi * np.arange(rows) / rows,
                               2 * np.pi * np.arange(cols // 2 + 1) / cols),
                  "reflective": (np.pi * np.arange(rows) / rows, np.pi * np.arange(cols) / cols),
-                 "antireflective": (np.pi * np.arange(rows - 1) / (rows - 1),
-                                    np.pi * np.arange(cols - 1) / (cols - 1))}
+                 "antireflective": (np.pi * np.r_[0:rows - 1, 0] / (rows - 1),
+                                    np.pi * np.r_[0:cols - 1, 0] / (cols - 1))}
         checked = 0
         for bc, (theta_r, theta_c) in grids.items():
             if bc != "periodic" and not psf.quadrantally_symmetric:
@@ -306,11 +308,25 @@ class TestAlgebraIdentities:
             symbol = np.zeros((theta_r.size, theta_c.size), dtype=complex)
             for (i, j), w in np.ndenumerate(a):
                 symbol += w * np.exp(-1j * ((i - ar) * theta_r[:, None] + (j - ac) * theta_c))
-            eigenvalues = SystemPlanner(psf, (rows, cols), bc)._blur_eig
+            planner = SystemPlanner(psf, (rows, cols), bc)
+            eigenvalues = planner._blur_eig
             assert eigenvalues.shape == symbol.shape
             assert np.abs(eigenvalues - symbol).max() <= 1e-14
             checked += 1
         assert checked == (3 if psf.quadrantally_symmetric else 1)
+        if psf.quadrantally_symmetric:
+            # bit for bit the plans that sampled the (R - 1) x (C - 1) grid
+            # and gathered it into the layout
+            theta_r, theta_c = (np.pi * np.arange(n - 1) / (n - 1) for n in (rows, cols))
+            layout = np.ix_(np.r_[0:rows - 1, 0], np.r_[0:cols - 1, 0])
+            gathered = _symbol(psf.weights, psf.center, theta_r, theta_c)
+            laplacian = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
+            for ratio in (0.0, 0.7):
+                plan = planner.plan(ratio)
+                expected = np.maximum(np.abs(gathered) ** 2 + ratio * laplacian, EIG_FLOOR)
+                assert plan.eigenvalues.tobytes() == expected[layout].tobytes()
+            if plan.blur_symbol is not None:
+                assert plan.blur_symbol.tobytes() == gathered.real[layout].tobytes()
 
     def test_autocorrelation_of_even_gaussian_is_quadrantally_symmetric(self):
         a, _ = autocorrelation(gaussian_psf(4, 1.0))

@@ -20,6 +20,8 @@ from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, S
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
 BOX = Psf(np.array([[0.5, 0.5]]), (0, 0))
+ROW = Psf(np.array([[0.25, 0.5, 0.25]]), (0, 1))
+COLUMN = Psf(ROW.weights.T, (1, 0))
 
 
 RECTANGULAR_KERNELS = {"delta": Psf.delta(), "g2": gaussian_psf(2, 0.7),
@@ -111,6 +113,26 @@ class TestPlanSystem:
         assert np.count_nonzero(plan.eigenvalues == EIG_FLOOR) == 6
         assert np.all(plan.eigenvalues[:, -1] == EIG_FLOOR)
 
+    def test_antireflective_clamps_count_the_plans_eigenvalues(self):
+        # [0.5, 0, 0.5]'s symbol cos(theta_c) vanishes at theta_c = pi / 2,
+        # the middle of the five columns, in each of the 6 rows: the last,
+        # the second ramp's, samples theta_r = 0 like the first
+        psf = Psf(np.array([[0.5, 0.0, 0.5]]), (0, 1))
+        plan = SystemPlanner(psf, (6, 5), "antireflective").plan(0.0)
+        assert plan.clamp_count == np.count_nonzero(plan.eigenvalues == EIG_FLOOR) == 6
+        assert np.all(plan.eigenvalues[:, 2] == EIG_FLOOR)
+
+    # one fit rule for every model: each kernel side at most the image side
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("psf, shape", [(gaussian_psf(5, 1.0), (4, 4)),
+                                            (gaussian_psf(3, 0.8), (2, 5)),
+                                            (gaussian_psf(3, 0.8), (5, 2))],
+                             ids=["5x5-on-4x4", "3x3-on-2x5", "3x3-on-5x2"])
+    def test_a_kernel_side_above_the_image_side_is_refused(self, bc, psf, shape):
+        with pytest.raises(UnsupportedError, match=re.escape(
+                f"kernel support {(psf.rows, psf.cols)} exceeds image dims {shape}")):
+            SystemPlanner(psf, shape, bc)
+
     @pytest.mark.parametrize("bc", ["periodic", "reflective", "antireflective"])
     @pytest.mark.parametrize("ratio", [0.0, 1e-6, 1.0])
     @pytest.mark.parametrize("psf", [BOX, Psf.delta(), gaussian_psf(2, 0.7), gaussian_psf(5, 1.0)],
@@ -155,8 +177,8 @@ class TestSolveSystem:
             plan = SystemPlanner(Psf.delta(), (8, 8), bc).plan(0.0)
             assert np.abs(solve_system(plan, rhs) - rhs).max() < 1e-10
 
-    # On 2-row or 2-column grids the antireflective theta grid has one sample
-    # along that axis, so its interior and one pair of edge slices are empty.
+    # On 2-row or 2-column grids the antireflective basis along that axis is
+    # the two ramps, so its interior and one pair of edge slices are empty.
     # The (20, 14) g5 cases keep the ids they had before the grid sweep.
     @pytest.mark.parametrize("shape, kernel, bc", [
         pytest.param(shape, kernel, bc, id=bc if (shape, kernel) == ((20, 14), "g5")
@@ -175,6 +197,31 @@ class TestSolveSystem:
             b = stencil_system(psf, shape, bc, ratio).apply(x)
         got = solve_system(plan, b)
         assert np.abs(got - x).max() < 1e-9
+
+    # a kernel that fits each axis, though its long side exceeds the short
+    # image side: the antireflective basis along a two-sample axis is ramps only
+    FITS_EACH_AXIS = pytest.mark.parametrize("psf, shape", [(ROW, (2, 9)), (COLUMN, (9, 2))],
+                                             ids=["1x3-on-2x9", "3x1-on-9x2"])
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.004])
+    @FITS_EACH_AXIS
+    def test_antireflective_takes_a_kernel_that_fits_each_axis(self, rng, psf, shape, ratio):
+        b = rng.standard_normal(shape)
+        expected = dense.build_system(psf, shape, "antireflective", ratio).solve(b)
+        got = solve_system(SystemPlanner(psf, shape, "antireflective").plan(ratio), b)
+        assert np.abs(got - expected).max() < 1e-8
+
+    @FITS_EACH_AXIS
+    def test_antireflective_restores_on_a_two_sample_axis(self, psf, shape):
+        # a corner of a scene too small to build on its own
+        truth = builtin_truth("cartoon", 13, 13)[:shape[0] + 2 * (psf.rows - 1),
+                                                 :shape[1] + 2 * (psf.cols - 1)]
+        observed = simulate(truth, psf, 1e-4, seed=5)[0]
+        assert observed.shape == shape
+        u, trace = solve(observed, psf, "antireflective",
+                         SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=4))
+        assert u.shape == shape and np.all(np.isfinite(u))
+        assert trace.total_inner_iterations > 0
 
     def test_shape_mismatch(self, rng):
         plan = SystemPlanner(gaussian_psf(3, 1.0), (8, 8), "periodic").plan(1.0)
@@ -478,14 +525,20 @@ class TestZeroPreconditionedCG:
         assert np.abs(a.correlate(u) - apply_correlation(u, psf, "zero")).max() < 1e-12
         assert np.abs(a.correlate(a.blur(u)) - zero_system(psf, 0.0)(u)).max() < 1e-12
 
-    def test_kernel_too_deep_for_the_dct_falls_back_to_the_fft(self, rng):
-        psf = gaussian_psf(9, 2.0)
-        psf = Psf(psf.weights[:, 3:6] / psf.weights[:, 3:6].sum(), (4, 1))  # 9x3
+    # a quadrantally symmetric kernel takes the DCT-II preconditioner wherever
+    # it fits the image, though its composite stencil reaches past a side
+    NINE_BY_THREE = gaussian_psf(9, 2.0).weights[:, 3:6]
+
+    @pytest.mark.parametrize("psf, shape", [(Psf(NINE_BY_THREE / NINE_BY_THREE.sum(), (4, 1)),
+                                             (20, 4)),
+                                            (Psf(np.full((1, 9), 1 / 9), (0, 4)), (2, 9))],
+                             ids=["9x3-on-20x4", "1x9-box-on-2x9"])
+    def test_kernel_deeper_than_a_side_keeps_the_dct(self, rng, psf, shape):
         assert psf.quadrantally_symmetric
-        plan = SystemPlanner(psf, (20, 4), "zero").plan(0.5)
-        check_preconditioner_plan(psf, plan, "periodic")
-        b = rng.standard_normal((20, 4))
-        system = dense.build_system(psf, (20, 4), "zero", 0.5)
+        plan = SystemPlanner(psf, shape, "zero").plan(0.5)
+        check_preconditioner_plan(psf, plan, "reflective")
+        b = rng.standard_normal(shape)
+        system = dense.build_system(psf, shape, "zero", 0.5)
         assert relative_residual(system.apply, solve_system(plan, b), b) <= 1e-12
 
     def test_non_square_image_meets_the_tolerance(self, rng):
@@ -716,10 +769,11 @@ class TestSolveAndBlur:
     # space: an axis of two samples has only the ramps, one of at most
     # DENSE_AXIS_MAX sines takes the dense DST-I, and a longer one pocketfft's
     # (on one axis at 130 x 12, on both at 140 x 140). A two-sample axis
-    # admits only a 1 x 1 kernel.
+    # admits only kernels of one sample along it.
     ANTIREFLECTIVE_FIT_RTOL = 1e-12
     ANTIREFLECTIVE_FITS = [(Psf(np.array([[0.8]]), (0, 0)), (2, 9)),
                            (Psf(np.array([[0.8]]), (0, 0)), (9, 2)),
+                           (ROW, (2, 9)), (COLUMN, (9, 2)),
                            (gaussian_psf(3, 0.8), (3, 3)),
                            (gaussian_psf(7, 1.5), (130, 12)),
                            (gaussian_psf(9, 2.0), (140, 140))]
