@@ -20,18 +20,20 @@ where the composite operator is, per boundary model, diagonalized by:
   kernels only): per axis, the two linear ramps through the end samples
   plus the DST-I sines that vanish there (Serra-Capizzano, SIAM J. Sci.
   Comput. 25, 2003; Arico, Donatelli & Serra-Capizzano, Linear Algebra
-  Appl. 428, 2008). Its forward step takes from every column's samples
-  ``1 .. R - 2`` the ramp through its two ends, then from every row's
-  ``1 .. C - 2`` the same (the two steps commute), and takes a DST-I along
-  each axis of what is left; the inverse runs these backwards. Along an axis
-  of at most ``DENSE_AXIS_MAX`` sines the DST-I is a product with the
-  orthonormal sine matrix, built once per length and process and cached
-  (:func:`_sine_matrix`). Its cost depends on the length alone, where
-  pocketfft's DST-I, a real FFT of length ``2 (m + 1)``, was 8-12 times
-  slower at the benchmark's m = 102 and 126. Each of its BLAS calls makes
-  at most ``BLAS_SERIAL_MADDS`` multiply-adds, which OpenBLAS runs on one
-  thread (:func:`_matmul_rows`). Longer axes keep pocketfft's DST-I, so
-  the update stays ``O(N log N)``. The basis also diagonalizes the blur
+  Appl. 428, 2008). Along each axis the forward map takes from the samples
+  ``1 .. n - 2`` the ramp through the two ends and takes a DST-I of what is
+  left; the inverse runs this backwards, and the 2-D transform is one such
+  map per axis. Along an axis of at most ``DENSE_AXIS_MAX`` sines the map,
+  ramps included, is one product with its matrix, built once per length and
+  process and cached (:func:`_antireflective_matrices`), so a grid whose
+  axes are both that short takes two products each way and no other pass.
+  Their cost depends on the length alone, where with the ramp steps and
+  pocketfft's DST-I, a real FFT of length ``2 (m + 1)``, a forward and
+  inverse pair was 7.7 and 6.6 times slower at the benchmark's m = 102 and
+  126. Each of their BLAS calls makes at most ``BLAS_SERIAL_MADDS``
+  multiply-adds, which OpenBLAS runs on one thread (:func:`_matmul_rows`).
+  A longer axis keeps a ramp step and pocketfft's DST-I, so the update
+  stays ``O(N log N)``. The basis also diagonalizes the blur
   itself when the kernel has odd extent and is centred on its middle
   sample: then H lies in the antireflective algebra, and its eigenvalues
   are the symbol on the system's grid;
@@ -157,14 +159,17 @@ CG_FORCING = 1e-5
 CG_MAXITER = 5000
 
 #: The longest axis taken as a dense matrix product: the antireflective
-#: DST-I's sine length ``m = n - 2`` (longer axes take pocketfft's DST-I),
-#: and both sides of a zero-model image whose separable kernel's CG
+#: transform's sine length ``m = n - 2``, whose map along the axis, ramps
+#: included, is one product (longer axes take a ramp step and pocketfft's
+#: DST-I), and both sides of a zero-model image whose separable kernel's CG
 #: products are Toeplitz and Gram matrix products (larger images take FFT
-#: products). Measured pocketfft / dense time ratios of an m x m 2-D DST-I
-#: (2 vCPUs): 30: 4.4, 46: 6.6, 62: 2.9, 95: 1.6, 102: 12.3, 126: 7.9,
-#: 127: 0.88, 128: 1.95, 142: 1.38, 159: 0.58, 191: 0.44, 254: 0.48. Up to
-#: 128 the dense product loses at most 1.14x (at 127, where 2 (m + 1) = 256)
-#: and gains up to 12x; above it the O(m^3) product falls behind. FFT / Gram
+#: products). Measured time ratios of an antireflective forward and inverse
+#: pair on an (m + 2) x (m + 2) grid, ramp steps and pocketfft against the
+#: two products each way (two runs, 2 vCPUs): 30: 11-12, 46: 11-12,
+#: 62: 5.3-6.7, 95: 2.1-3.7, 102: 7.5-7.7, 126: 6.5-7.8, 127: 1.20-1.25,
+#: 128: 2.4-2.7, 142: 1.8-1.9, 159: 0.57-0.61, 191: 0.56-0.58. Up to 128
+#: the products win everywhere, least at 127, where 2 (m + 1) = 256; by 159
+#: the O(m^3) products fall behind. FFT / Gram
 #: time ratios of a CG step's ``H'H u`` for gaussian_psf(5, 1) on an n x n
 #: image, the FFT pair against M_a u M_b (best of 7, 2-vCPU Xeon): 48: 11,
 #: 64: 8.6, 96: 3.8-3.9, 104: 3.1, 112: 2.9, 120: 3.0, 127: 2.6,
@@ -173,11 +178,12 @@ CG_MAXITER = 5000
 DENSE_AXIS_MAX = 128
 
 #: The most multiply-adds (m * k * n) in one BLAS call of the dense routes,
-#: the DST-I, the DCT-II cosine products and the zero model's Toeplitz and
-#: Gram products: OpenBLAS runs a gemm of at most 65536 * 4 on one thread,
-#: and a second thread would spin against the solve and sweep workers.
-#: DENSE_AXIS_MAX^2 times a 16-row block fits it, and so does each cosine
-#: product of an R x C image with R * C * max(R, C) within it.
+#: the antireflective products, the DCT-II cosine products and the zero
+#: model's Toeplitz and Gram products: OpenBLAS runs a gemm of at most
+#: 65536 * 4 on one thread, and a second thread would spin against the solve
+#: and sweep workers. (DENSE_AXIS_MAX + 2)^2 times a 15-row block fits it, and
+#: so does each cosine product of an R x C image with R * C * max(R, C)
+#: within it.
 BLAS_SERIAL_MADDS = 65536 * 4
 
 
@@ -413,7 +419,7 @@ def _sine_matrix(m: int) -> np.ndarray:
     so every argument is below ``2 pi``: unreduced, the rounding of large
     arguments moved benchmark restorations by up to 2.9e-12 from pocketfft's,
     against 1.0e-13 reduced. Cached and read-only: one matrix per length per
-    process, and :func:`_dst` asks only for ``m <= DENSE_AXIS_MAX``."""
+    process, and only :func:`_antireflective_matrices` asks for it."""
     jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
     sine = math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
     sine.setflags(write=False)
@@ -441,31 +447,21 @@ def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     with ``k * n <= BLAS_SERIAL_MADDS``: one batched ``np.matmul`` over
     zero-padded, balanced blocks of rows, each a BLAS call of at most
     ``BLAS_SERIAL_MADDS`` multiply-adds (block rows times k times n), which
-    OpenBLAS runs on one thread; when one block holds every row, a plain
-    ``np.matmul`` (the padded copy took about 40% of a 48 x 48 product). A
-    new C-contiguous array."""
+    OpenBLAS runs on one thread. C-contiguous rows that the blocks hold
+    exactly (one block of every row, or 128 rows of 128 in eight) are
+    blocked as a view, without the padded copy, which took about 40% of a
+    48 x 48 product and 10% of a 128 x 128 one. A new C-contiguous array."""
     p, (k, n) = rows.shape[0], matrix.shape
     blocks = -(-p // (BLAS_SERIAL_MADDS // (k * n)))
-    if blocks == 1:
-        # a transposed view would reach BLAS as a transposed operand, whose
-        # rounding differs from the blocked route's
-        return np.matmul(np.ascontiguousarray(rows), matrix)
     size = -(-p // blocks)  # balanced, at most BLAS_SERIAL_MADDS // (k n)
-    padded = np.zeros((blocks * size, k))
-    padded[:p] = rows
-    return np.matmul(padded.reshape(blocks, size, k), matrix).reshape(-1, n)[:p]
-
-
-def _dst(x: np.ndarray, axis: int) -> np.ndarray:
-    """The orthonormal DST-I of the 2-D ``x`` along ``axis``: up to
-    ``DENSE_AXIS_MAX`` samples, the product of the rows of ``x`` (of ``x.T``
-    along axis 0) with the symmetric :func:`_sine_matrix` of that length
-    (:func:`_matmul_rows`), else pocketfft's."""
-    m = x.shape[axis]
-    if m > DENSE_AXIS_MAX:
-        return _fft.dst(x, type=1, norm="ortho", axis=axis)
-    sine = _sine_matrix(m)
-    return _matmul_rows(x, sine) if axis == 1 else _matmul_rows(x.T, sine).T
+    # a transposed view would reach BLAS as a transposed operand, whose
+    # rounding differs from a copy's
+    if blocks * size != p or not rows.flags.c_contiguous:
+        rows = np.concatenate([rows, np.zeros((blocks * size - p, k))])
+    # one block is a plain 2-D product: the batched call and its reshapes
+    # made a 48 x 48 zero-model restore 6% slower
+    return (np.matmul(rows, matrix) if blocks == 1 else
+            np.matmul(rows.reshape(blocks, size, k), matrix).reshape(-1, n)[:p])
 
 
 def _toeplitz(taps: np.ndarray, center: int, n: int) -> np.ndarray:
@@ -516,54 +512,105 @@ def _zero_products(psf: Psf, shape):
     return blur, correlate, lambda u: correlate(blur(u))
 
 
-def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``x`` in the antireflective basis, or with ``inverse`` the image with
-    coefficients ``x``; a new array either way.
+@functools.cache
+def _antireflective_matrices(n: int):
+    """The antireflective transform along an axis of ``n`` samples, at most
+    ``DENSE_AXIS_MAX`` sines, as ``((F, F'), (A, A'))``: its forward map
+    ``F`` and inverse ``A``, each with its transpose, all C-contiguous. The
+    row axis's product takes ``F`` or ``A`` from the left, the column axis's
+    ``F'`` or ``A'`` from the right (:func:`_antireflective`): a transposed
+    view as the right operand made a 104 x 104 forward and inverse pair
+    about 1.3x slower, and as the left one it costs a transposing copy.
 
-    Forward: every column's samples ``1 .. R - 2`` lose the ramp through the
-    column's two ends, then every row's ``1 .. C - 2`` lose the ramp through
-    the row's (the two steps commute: each removes one axis's ramps); then
-    the DST-I of what is left along each axis. The inverse takes the DST-I
-    first (the orthonormal DST-I is its own inverse) and adds the ramps
-    back. Each ramp step is one rank-2 product, a non-optimized ``einsum``
-    loop, not a BLAS call; an axis of two samples has only the ramps.
-
-    The DST-I along an axis of at most ``DENSE_AXIS_MAX`` sines is a product
-    with its sine matrix (:func:`_dst`), taken on the columns ``1 .. C - 2``
-    of the whole image at once, the top and bottom edges with the interior,
-    and then on the rows ``1 .. R - 2``. Below the cutoff the cost depends on
-    the length alone, not on the factors of ``2 (m + 1)``, the length of the
-    real FFT behind pocketfft's DST-I: a 2-D DST-I took 0.12 and 0.18 ms
-    dense at m = 102 and 126 against 1.44 and 1.45 ms with pocketfft, whose
-    FFTs of 2 * 103 and 2 * 127 fall back to Bluestein (2 vCPUs). Longer
-    axes keep pocketfft, so the update stays ``O(N log N)``; when both do,
-    the frame edges take a 1-D ``dst`` and the interior a ``dstn``, which
-    beat a ``dst`` along each axis by 4-8% at m = 254 to 1022 (2 vCPUs).
+    With ``S = _sine_matrix(n - 2)`` and the ramp ``s = k / (n - 1)``,
+    ``k = 1 .. n - 2``, ``F = [[1, 0, 0], [-S (1 - s), S, -S s], [0, 0, 1]]``
+    takes the ramp through the two ends from the interior samples and the
+    DST-I of what is left, and ``A = [1 - s | S | s]`` between unit end rows
+    synthesizes the ramps and sines: ``F A = I``. For ``n = 2`` both are the
+    identity. The ramp columns of ``F`` are in closed form: the interior of
+    the ramp ``1 - s`` has the second difference ``e_1``, which the DST-I
+    diagonalizes, so ``S (1 - s) = S e_1 / (2 - 2 cos theta)``, that is
+    ``sqrt(2 / (n - 1)) cot(theta / 2) / 2`` at ``theta = pi k / (n - 1)``,
+    and ``S s`` is the same with the sign of ``(-1)^(k + 1)``. Summed as
+    ``S (1 - s)`` instead, their rounding moved the 127-sine transform by up
+    to 2.0e-13 from pocketfft's over 40 draws, against 9.5e-14. Cached and
+    read-only: one pair per length per process.
     """
-    out = np.array(x, dtype=float)
-    R, C = out.shape
-    sign = 1.0 if inverse else -1.0
+    k = np.arange(1, n - 1)
+    ramp = math.sqrt(0.5 / (n - 1)) / np.tan(np.pi / (2 * (n - 1)) * k)  # S (1 - s), closed
+    forward, inverse = np.eye(n), np.eye(n)  # F' and A', row by row
+    forward[1:-1, 1:-1] = inverse[1:-1, 1:-1] = _sine_matrix(n - 2)  # S' = S
+    forward[::n - 1, 1:-1] = -ramp, ramp * (-1.0) ** k
+    inverse[::n - 1, 1:-1] = 1 - k / (n - 1), k / (n - 1)
+    maps = tuple((matrix.T.copy(), matrix) for matrix in (forward, inverse))
+    for matrix in (*maps[0], *maps[1]):
+        matrix.setflags(write=False)
+    return maps
 
-    def ramps():
+
+def _antireflective(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``x`` in the antireflective basis, ``F_r x F_c'``, or with ``inverse``
+    the image with coefficients ``x``, ``A_r x A_c'``; a new C-contiguous,
+    writeable array either way, and ``x`` is only read (the solver passes
+    its right-hand-side workspace, and :func:`solve_and_blur` scales the
+    coefficients in place).
+
+    Per axis, the forward map takes from the samples ``1 .. n - 2`` the ramp
+    through the two ends, then the DST-I of what is left; the inverse takes
+    the DST-I (the orthonormal DST-I is its own inverse) and adds the ramps
+    back. Along an axis of at most ``DENSE_AXIS_MAX`` sines the map is one
+    product with its cached matrix, ramps folded in
+    (:func:`_antireflective_matrices`, :func:`_matmul_rows`); an axis of two
+    samples has only the ramps, and its matrix is the identity. When both
+    axes are that short, the transform is two products and nothing else,
+    the row axis first: on the test draws of 127 sines the column axis first
+    moved it by up to 8.5e-14 from pocketfft's, against 5.7e-14. A forward
+    and inverse pair took 14, 26, 199-208 and 375-413 us at 26^2, 48^2,
+    104^2 and 128^2, against 69-79, 120-126, 390-398 and 590-605 us with
+    the ramp steps and DST-I products apart (best of four alternating runs,
+    2 vCPUs). The cost depends on the length alone, not on the factors of
+    ``2 (m + 1)``, the length of the real FFT behind pocketfft's DST-I,
+    which falls back to Bluestein at m = 102 and 126.
+
+    A longer axis keeps its ramp step, one rank-2 product, a non-optimized
+    ``einsum`` loop, not a BLAS call, and pocketfft's DST-I, so the update
+    stays ``O(N log N)``. Beside it the short axis's product is the same,
+    but the row axis's runs on the transpose, ``(x' F_r')'``, once ``R C``
+    exceeds ``BLAS_SERIAL_MADDS``: there even one row of ``F_r x`` would
+    exceed the bound in one BLAS call. When both axes are longer, both ramp steps come
+    first (last in the inverse), then the frame edges take a 1-D ``dst``
+    and the interior a ``dstn``, which beat a ``dst`` along each axis by
+    4-8% at m = 254 to 1022 (2 vCPUs).
+    """
+    R, C = x.shape
+    long = [axis for axis, n in enumerate((R, C)) if n - 2 > DENSE_AXIS_MAX]
+
+    def ramps(out, sign):
         s, t = (np.arange(1, n - 1) / (n - 1) for n in (R, C))
-        out[1:-1] += np.einsum("ik,kj->ij", sign * np.stack([1 - s, s], axis=1), out[::R - 1])
-        out[:, 1:-1] += np.einsum("ik,kj->ij", out[:, ::C - 1], sign * np.stack([1 - t, t]))
+        if 0 in long:
+            out[1:-1] += np.einsum("ik,kj->ij", sign * np.stack([1 - s, s], axis=1), out[::R - 1])
+        if 1 in long:
+            out[:, 1:-1] += np.einsum("ik,kj->ij", out[:, ::C - 1], sign * np.stack([1 - t, t]))
 
-    def transform():
-        if min(R, C) - 2 > DENSE_AXIS_MAX:
-            out[::R - 1, 1:-1] = _fft.dst(out[::R - 1, 1:-1], type=1, norm="ortho", axis=1)
-            out[1:-1, ::C - 1] = _fft.dst(out[1:-1, ::C - 1], type=1, norm="ortho", axis=0)
-            out[1:-1, 1:-1] = _fft.dstn(out[1:-1, 1:-1], type=1, norm="ortho")
-            return
-        # an axis of two samples has no sines
-        if C > 2:
-            out[:, 1:-1] = _dst(out[:, 1:-1], 1)
-        if R > 2:
-            out[1:-1] = _dst(out[1:-1], 0)
-
-    for step in (transform, ramps) if inverse else (ramps, transform):
-        step()
-    return out
+    out = np.array(x, dtype=float) if long else x
+    if long and not inverse:
+        ramps(out, -1.0)
+    if len(long) == 2:
+        out[::R - 1, 1:-1] = _fft.dst(out[::R - 1, 1:-1], type=1, norm="ortho", axis=1)
+        out[1:-1, ::C - 1] = _fft.dst(out[1:-1, ::C - 1], type=1, norm="ortho", axis=0)
+        out[1:-1, 1:-1] = _fft.dstn(out[1:-1, 1:-1], type=1, norm="ortho")
+    elif long:
+        inner = np.s_[:, 1:-1] if long[0] else np.s_[1:-1]
+        out[inner] = _fft.dst(out[inner], type=1, norm="ortho", axis=long[0])
+    for axis, n in enumerate((R, C)):
+        if axis not in long:
+            # the column axis: x F_c'; the row axis: F_r x, or (x' F_r')'
+            left, right = _antireflective_matrices(n)[inverse]
+            out = (_matmul_rows(out, right) if axis else _matmul_rows(left, out)
+                   if R * C <= BLAS_SERIAL_MADDS else _matmul_rows(out.T, right).T)
+    if long and inverse:
+        ramps(out, 1.0)
+    return np.ascontiguousarray(out)
 
 
 def _transform(owner, x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -607,12 +654,16 @@ def _frame_gram(n: int):
     and ``B = [[K, I_2], [I_2, 0]]``, where ``K`` is the Gram matrix of the
     ramps' interior samples ``1 .. n - 2``. ``sines`` is the 2 x (n - 2)
     array ``[S (1 - s), S s]'``, empty for ``n = 2``, and ``gram`` is ``B``.
-    Both depend on the length alone: cached and read-only, one pair per
-    length per process, like :func:`_sine_matrix`.
+    Both come from the transform itself, applied along the axis to the unit
+    vectors ``e_0`` and ``e_{n-1}``: their synthesis is the two ramps, and
+    minus their analysis is ``F``'s ramp columns, the sines of the ramps
+    (:func:`_antireflective_matrices` up to ``DENSE_AXIS_MAX`` sines,
+    pocketfft's DST-I of the ramps on a longer axis). Both depend on the
+    length alone: cached and read-only, one pair per length per process,
+    like :func:`_sine_matrix`.
     """
-    s = np.arange(1, n - 1) / (n - 1)
-    ramps = np.stack([1 - s, s])
-    sines = _dst(ramps, 1) if n > 2 else ramps
+    ramps = _antireflective(np.eye(n)[::n - 1], inverse=True)[:, 1:-1]
+    sines = -_antireflective(np.eye(n)[::n - 1])[:, 1:-1]
     gram = np.zeros((4, 4))
     gram[:2, :2] = np.einsum("ik,jk->ij", ramps, ramps)
     gram[:2, 2:] = gram[2:, :2] = np.eye(2)

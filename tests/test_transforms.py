@@ -13,9 +13,9 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
 from tvdeblur import dense, transforms
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
 from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
-                                 _antireflective, _cosine_matrix, _fft, _sine_matrix,
-                                 _solve_zero, _squared_norm, _sum_of_squares, _transform,
-                                 solve_and_blur, solve_system)
+                                 _antireflective, _antireflective_matrices, _cosine_matrix,
+                                 _fft, _sine_matrix, _solve_zero, _squared_norm,
+                                 _sum_of_squares, _transform, solve_and_blur, solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
@@ -290,11 +290,12 @@ LONG_AXIS = DENSE_AXIS_MAX + 5
 
 
 class TestDenseSines:
-    """The dense DST-I against pocketfft's, through the whole transform: the
-    reference sets DENSE_AXIS_MAX to 0, the route every axis above the
-    cutoff takes. Bound, fixed before the run: 1e-13 max-abs on unit-normal
-    entries, about 4 m eps at m = 128, for rounding in sums of at most 128
-    terms."""
+    """The dense route, one product per axis with the ramps folded into the
+    sine matrix, against pocketfft's DST-I and the ramp steps, through the
+    whole transform: the reference sets DENSE_AXIS_MAX to 0, the route every
+    axis above the cutoff takes. Bound, fixed before the run: 1e-13 max-abs
+    on unit-normal entries, about 4 m eps at m = 128, for rounding in sums
+    of at most 130 terms (the sines and the two end samples)."""
 
     @staticmethod
     def shapes(m):
@@ -344,16 +345,81 @@ class TestDenseSines:
         for m in DENSE_LENGTHS:
             for shape in self.shapes(m):
                 _antireflective(rng.standard_normal(shape))
+        # 128 sines beside a long axis: R C is above the bound, so the row
+        # axis's product runs on the transpose, in blocks of rows like the other
+        for shape in [(DENSE_AXIS_MAX + 2, 2100), (2100, DENSE_AXIS_MAX + 2)]:
+            _antireflective(_antireflective(rng.standard_normal(shape)), inverse=True)
         assert BLAS_SERIAL_MADDS == 262144
         assert calls and max(calls) <= BLAS_SERIAL_MADDS
 
     def test_one_read_only_matrix_per_length_up_to_the_cutoff(self, rng):
         _sine_matrix.cache_clear()
+        _antireflective_matrices.cache_clear()
         for shape in [(LONG_AXIS, 9), (9, 9), (9, LONG_AXIS), (LONG_AXIS, LONG_AXIS)]:
             _antireflective(_antireflective(rng.standard_normal(shape)), inverse=True)
         assert _sine_matrix.cache_info().currsize == 1
+        assert _antireflective_matrices.cache_info().currsize == 1
         sine = _sine_matrix(7)
         assert sine is _sine_matrix(7) and not sine.flags.writeable
+        pair = _antireflective_matrices(9)
+        assert pair is _antireflective_matrices(9)
+        for matrix, transpose in pair:
+            assert np.array_equal(transpose, matrix.T)
+            for array in (matrix, transpose):
+                assert not array.flags.writeable and array.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 3, 46, 104, 130])
+    def test_the_forward_matrix_inverts_the_synthesis(self, n):
+        # the cache holds (F, F') and (A, A'); A is the basis itself
+        (forward, _), (inverse, _) = _antireflective_matrices(n)
+        assert np.abs(forward @ inverse - np.eye(n)).max() <= 1e-13
+        assert np.abs(inverse - _antireflective_basis(n)).max() <= 1e-13
+        # the end samples pass through: unit end rows
+        assert np.array_equal(forward[[0, -1]], np.eye(n)[[0, -1]])
+        # the ramp columns are the sines of the ramps, -S (1 - s) and -S s
+        s = np.arange(1, n - 1) / (n - 1)
+        sines = _sine_matrix(n - 2) @ np.stack([1 - s, s], axis=1)
+        assert np.abs(forward[1:-1, [0, -1]] + sines).max(initial=0.0) <= 1e-13
+
+    # every route: dense both ways (two-sample axes too), one long axis
+    # either side (its product on the transpose at 130 x 2100), both long
+    ROUTE_SHAPES = [(2, 9), (9, 2), (26, 25), (104, 104), (5, LONG_AXIS), (LONG_AXIS, 5),
+                    (DENSE_AXIS_MAX + 2, 2100), (140, 140)]
+
+    @pytest.mark.parametrize("shape", ROUTE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_the_input_is_only_read(self, rng, shape):
+        # the solver passes its rhs workspace, and solve_and_blur scales the
+        # coefficients in place after the inverse: each call takes a fresh,
+        # writeable, C-contiguous array and leaves its input as it was
+        x = rng.standard_normal(shape)
+        x.setflags(write=False)
+        for inverse in (False, True):
+            out = _antireflective(x, inverse=inverse)
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert out.shape == shape and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("shape", [(2, 9), (26, 25), (104, 104), (DENSE_AXIS_MAX + 2,) * 2],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_a_dense_pair_calls_neither_scipy_fft_nor_einsum(self, rng, monkeypatch, shape):
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                calls.append(f"scipy.fft.{name}")
+                return getattr(_fft, name)
+
+        einsum = np.einsum
+
+        def recorded(*args, **kwargs):
+            calls.append("np.einsum")
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "_fft", Recorder())
+        monkeypatch.setattr(np, "einsum", recorded)
+        x = rng.standard_normal(shape)
+        back = _antireflective(_antireflective(x), inverse=True)
+        assert calls == []
+        assert np.abs(back - x).max() <= 1e-13
 
     # three solves mixing the routes, one axis dense and the other pocketfft's
     MIXED_ROUTES = [(gaussian_psf(3, 0.8), (40, 150)), (gaussian_psf(3, 0.8), (150, 40)),
@@ -767,7 +833,7 @@ class TestSolveAndBlur:
 
     # The antireflective fidelity from the coefficients against the blur in
     # space: an axis of two samples has only the ramps, one of at most
-    # DENSE_AXIS_MAX sines takes the dense DST-I, and a longer one pocketfft's
+    # DENSE_AXIS_MAX sines takes the dense product, and a longer one pocketfft's
     # (on one axis at 130 x 12, on both at 140 x 140). A two-sample axis
     # admits only kernels of one sample along it.
     ANTIREFLECTIVE_FIT_RTOL = 1e-12
@@ -793,9 +859,10 @@ class TestSolveAndBlur:
             assert abs(value - expected) <= self.ANTIREFLECTIVE_FIT_RTOL * expected
 
     # (mode, psf, truth shape, scipy.fft calls per image update); enlarge:*
-    # runs a periodic solve on the enlarged domain. The antireflective DST-I
-    # of at most DENSE_AXIS_MAX sines is a dense product, and a kernel of odd
-    # extent centred on its middle sample has a symbol, so only an even 6x6
+    # runs a periodic solve on the enlarged domain. The antireflective
+    # transform along an axis of at most DENSE_AXIS_MAX sines is a dense
+    # product, ramps included, and a kernel of odd extent centred on its
+    # middle sample has a symbol, so only an even 6x6
     # kernel's blur (36 taps, an FFT product) or the pocketfft DST-I of a
     # longer axis, one dst each way, reaches scipy.fft there; the reflective
     # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
