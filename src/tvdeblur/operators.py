@@ -21,10 +21,13 @@ directly, by a NumPy sliding sum that adds the taps in the order of SciPy's
 ``convolve2d`` and so keeps its bytes, and wider ones by
 :func:`fft_convolver`, a real FFT with the stencil's spectrum cached, so a
 wide kernel costs a few transforms rather than k^2 multiply-adds per pixel.
-The zero model's CG products come from :func:`fft_convolver` for every
-kernel but a separable one on an image of at most
-``transforms.DENSE_AXIS_MAX`` samples a side, whose products are matrix
-products built in ``transforms``. The package takes only ``scipy.fft`` from SciPy.
+A separable kernel on an image of at most ``transforms.DENSE_AXIS_MAX``
+samples a side is blurred, in the transform plans, by per-axis matrix
+products built in ``transforms`` under every rule: along each axis the band
+of the taps times the identity that :func:`extend` pads by the rule's
+ghosts. For any other kernel or image the plans' blur is
+:func:`stencil_convolver`'s, and the zero model's CG products are
+:func:`fft_convolver`'s. The package takes only ``scipy.fft`` from SciPy.
 The system stencil (the kernel's autocorrelation plus ``ratio`` times the
 five-point Laplacian) is never built here: the transform plans sample its
 symbol from the kernel alone. :func:`differences` is the unvalidated,

@@ -3,15 +3,16 @@
 Used by the ``oracle-check`` CLI command and the acceptance tests. Each
 entry compares one operator under one boundary model, reporting the largest
 max-abs deviation over a set of standard kernels (delta, 3x3 and 5x5
-Gaussians, a 1x3 row and a 3x1 column; an even-extent 4x4 Gaussian and a
-3x3 one declared at its corner for every model but reflective; and a
-nonsymmetric 3x2 kernel where the model admits it; each where its support
-fits the grid) applied to a fixed pseudorandom image. Both divergences are
-checked: ``adjgrad`` is the reblurred pairing, ``transpose`` the exact
-transpose of the gradient that the reflective solve uses. ``fidelity``
-compares the image update's ``||H u - f||^2`` (by Parseval from the
-coefficients where the plan has a blur symbol) for a second pseudorandom
-image ``f`` with the dense blur's, as a relative deviation.
+Gaussians, a 1x3 row and a 3x1 column; an even-extent 4x4 Gaussian, a 3x3
+one declared at its corner and an even-extent 4x4 kernel of matrix rank 2
+for every model but reflective; and a nonsymmetric 3x2 kernel where the
+model admits it; each where its support fits the grid) applied to a fixed
+pseudorandom image. Both divergences are checked: ``adjgrad`` is the
+reblurred pairing, ``transpose`` the exact transpose of the gradient that
+the reflective solve uses. ``fidelity`` compares the image update's
+``||H u - f||^2`` (by Parseval from the coefficients where the plan has a
+blur symbol) for a second pseudorandom image ``f`` with the dense blur's,
+as a relative deviation.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ def standard_kernels():
     # reflective stays off the even-extent and off-centre kernels, whose DCT-II
     # plan is not the dense system's (ROADMAP item 13)
     unreflected = ("zero", "periodic", "antireflective")
+    # separable kernels without a symbol blur by per-axis matrix products;
+    # this one, the mean of two even Gaussians, keeps the stencil route
+    mixed = (gaussian_psf(4, 1.0).weights + gaussian_psf(4, 0.6).weights) / 2
     return [
         ("delta", Psf.delta(), BOUNDARY_MODELS),
         ("gauss3", gaussian_psf(3, 1.0), BOUNDARY_MODELS),
@@ -44,6 +48,7 @@ def standard_kernels():
         ("col3", Psf(row.weights.T, (1, 0)), BOUNDARY_MODELS),
         ("gauss4", gaussian_psf(4, 1.0), unreflected),
         ("gauss3-at-0-0", Psf(gaussian_psf(3, 1.0).weights, (0, 0)), unreflected),
+        ("gauss4-rank2", Psf(mixed, gaussian_psf(4, 1.0).center), unreflected),
         ("nonsym3x2", nonsym, ("zero", "periodic")),
     ]
 

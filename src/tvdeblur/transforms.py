@@ -43,26 +43,28 @@ where the composite operator is, per boundary model, diagonalized by:
   ``reflective`` (DCT-II) when the kernel is quadrantally symmetric (the
   Neumann-boundary preconditioner of Ng, Chan & Tang, SIAM J. Sci. Comput.
   21, 1999), else ``periodic`` (FFT; T. F. Chan's optimal circulant, SIAM
-  J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H, its
-  exact transpose H' and H'H are built once per planner and kept on its
-  plans as ``blur``, ``correlate`` and ``normal`` (:func:`_zero_products`).
-  For a separable (rank-1) kernel on an image whose sides are both at most
-  ``DENSE_AXIS_MAX`` H and H' are Kronecker products of two banded
-  Toeplitz matrices, ``T_a u T_b'`` and ``T_a' v T_b``, and H'H is
-  ``M_a u M_b`` with the Gram matrices ``M_a = T_a' T_a`` and
-  ``M_b = T_b' T_b``: two single-threaded BLAS products each, and no
+  J. Sci. Stat. Comput. 9, 1988). A matvec is ``H'H u`` plus ``ratio * D'D u``: H and
+  its exact transpose H' are built once per planner, the system once per
+  rung, and kept on its plans as ``blur``, ``correlate`` and ``system``
+  (:func:`_zero_products`). For a separable (rank-1) kernel on an image
+  whose sides are both at most ``DENSE_AXIS_MAX`` H and H' are Kronecker
+  products of two banded Toeplitz matrices, ``B_a u B_b'`` and
+  ``B_a' v B_b`` (the zero rule's per-axis blur matrices, below), and the
+  system folds ``ratio * D'D`` into the Gram matrices ``M_a = B_a' B_a``
+  and ``M_b = B_b' B_b``: two single-threaded BLAS products each, and no
   transform. With the cosine-product DCT-II preconditioner a CG step on
   such a plan up to 64 x 64 makes no scipy.fft call. Otherwise H is the
   kernel's product from :func:`~tvdeblur.operators.fft_convolver`, H' the
   flipped kernel's, each a real-FFT pair on a grid of at least
   ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the zero
-  model's ghosts, and H'H the one after the other. Each CG step takes
-  ``normal``; the start residual and the final check take ``blur`` and
-  then ``correlate``, since the final ``H x`` is the fidelity's. A norm of
-  the right-hand side or start residual that overflows raises
-  ``ConvergenceError``. Norms go through :func:`_sum_of_squares` and dot
-  products are NumPy sums, never BLAS, whose threads would spin against
-  sweep workers. A cold CG (:func:`solve_system`, from zeros) stops once the
+  model's ghosts, and the system the one after the other plus
+  ``ratio * D'D``. Each CG step takes ``system``; the start residual and
+  the final check take ``blur``, then ``correlate`` plus the regularizer,
+  since the final ``H x`` is the fidelity's. A norm of the right-hand side
+  or start residual that overflows raises ``ConvergenceError``. Norms go
+  through :func:`_sum_of_squares` and dot products are non-optimized
+  ``einsum`` loops, never BLAS, whose threads would spin against sweep
+  workers. A cold CG (:func:`solve_system`, from zeros) stops once the
   unpreconditioned residual falls to ``CG_RTOL`` relative to the
   right-hand side. The solver loop's update starts from the current iterate
   and also stops at a forcing term, once the residual falls to
@@ -98,16 +100,25 @@ antireflective basis is not orthonormal, and its norm adds a rank-4 frame
 correction per axis, :func:`_frame_gram`), so the update makes one forward
 and one inverse transform and no convolution. The zero model's ``H u`` is
 the product its CG's final residual check made, so the update makes no blur
-of its own. Otherwise ``H u`` is the plan's ``blur``, a stencil convolver
-built once per planner, for even-extent or off-centre reflective and
-antireflective kernels; the first iterate's fidelity comes the same way;
-this module makes no convolution of its own.
+of its own. Otherwise, for even-extent or off-centre reflective and
+antireflective kernels, ``H u`` is the plan's ``blur``, built once per
+planner; the first iterate's fidelity comes the same way. A separable
+kernel on an image whose sides are both at most ``DENSE_AXIS_MAX`` blurs
+as ``B_r u B_c'``, two single-threaded BLAS products with the rule's
+per-axis blur matrices (:func:`_axis_blurs`, the zero model's route under
+every rule): at 128 x 128 they took 69-76 us for the even 16 x 16
+Gaussian, reflective or antireflective, where the padded FFT convolution
+took 128-136 us (best of 7, 2 vCPUs). Any other kernel, or a larger
+image, takes the stencil convolver of
+:func:`~tvdeblur.operators.stencil_convolver`.
 Every fidelity and squared norm the loop reads is one pass, a
 non-optimized ``einsum`` (:func:`_sum_of_squares`).
 :func:`solve_system` of every model but zero, the update and the CG
 preconditioner share one step (:func:`_transform_solve`): the forward
-:func:`_transform` of the right-hand side, a division by the eigenvalues,
-and the inverse. :func:`_transform` is the one place each basis names its
+:func:`_transform` of the right-hand side, a division by the eigenvalues
+(for the FFT, a product with their reciprocals, taken once per plan,
+which is how NumPy divides a complex array by a real one), and the
+inverse. :func:`_transform` is the one place each basis names its
 transform pair.
 
 Plans are deterministic and immutable. Every eigenvalue is non-negative by
@@ -128,8 +139,8 @@ from scipy import fft as _fft
 
 from .errors import ConvergenceError, DataError, ShapeError, SingularPlanError, SymmetryError
 from .grid import Psf, _real, _square, check_boundary_model, check_kernel_fits
-from .operators import (apply_correlation, differences, fft_convolver, stencil_convolver,
-                        transpose_adjoint_gradient)
+from .operators import (apply_correlation, differences, extend, fft_convolver,
+                        stencil_convolver, transpose_adjoint_gradient)
 # Unused here, but perfbench/layers.py patches these names on this module.
 from .operators import apply_blur, apply_stencil, gradient  # noqa: F401
 
@@ -161,9 +172,10 @@ CG_MAXITER = 5000
 #: The longest axis taken as a dense matrix product: the antireflective
 #: transform's sine length ``m = n - 2``, whose map along the axis, ramps
 #: included, is one product (longer axes take a ramp step and pocketfft's
-#: DST-I), and both sides of a zero-model image whose separable kernel's CG
-#: products are Toeplitz and Gram matrix products (larger images take FFT
-#: products). Measured time ratios of an antireflective forward and inverse
+#: DST-I), and both sides of an image whose separable kernel blurs by
+#: per-axis matrix products under any rule, the zero model's CG Gram
+#: products included (larger images take FFT or direct stencil products).
+#: Measured time ratios of an antireflective forward and inverse
 #: pair on an (m + 2) x (m + 2) grid, ramp steps and pocketfft against the
 #: two products each way (two runs, 2 vCPUs): 30: 11-12, 46: 11-12,
 #: 62: 5.3-6.7, 95: 2.1-3.7, 102: 7.5-7.7, 126: 6.5-7.8, 127: 1.20-1.25,
@@ -173,13 +185,19 @@ CG_MAXITER = 5000
 #: time ratios of a CG step's ``H'H u`` for gaussian_psf(5, 1) on an n x n
 #: image, the FFT pair against M_a u M_b (best of 7, 2-vCPU Xeon): 48: 11,
 #: 64: 8.6, 96: 3.8-3.9, 104: 3.1, 112: 2.9, 120: 3.0, 127: 2.6,
-#: 128: 2.2 (367 against 164-170 us); the Toeplitz H then H' that each
-#: update's start and end take lost 0.86x at 128.
+#: 128: 2.2 (367 against 164-170 us). The per-axis blur products against
+#: the stencil convolver, best of 7 on the same machine: the even 16 x 16
+#: Gaussian (a padded FFT product) 41 against 94-102 us at 104 and 69-76
+#: against 128-136 at 128, reflective or antireflective; the 4 x 4 one
+#: (direct) 76 against 110-116 at 128; and the zero model's H then H' for
+#: gaussian_psf(5, 1), each update's start and end, 152 against 190 us at
+#: 128.
 DENSE_AXIS_MAX = 128
 
 #: The most multiply-adds (m * k * n) in one BLAS call of the dense routes,
-#: the antireflective products, the DCT-II cosine products and the zero
-#: model's Toeplitz and Gram products: OpenBLAS runs a gemm of at most
+#: the antireflective products, the DCT-II cosine products and the per-axis
+#: blur, Gram and Laplacian products of separable kernels, their set-up
+#: included: OpenBLAS runs a gemm of at most
 #: 65536 * 4 on one thread, and a second thread would spin against the solve
 #: and sweep workers. (DENSE_AXIS_MAX + 2)^2 times a 15-row block fits it, and
 #: so does each cosine product of an R x C image with R * C * max(R, C)
@@ -250,19 +268,26 @@ class SpectralPlan:
     eigenvalues: np.ndarray
     min_modulus: float
     clamp_count: int
+    # periodic: 1 / eigenvalues, by which the solve multiplies; NumPy divides
+    # a complex array by a real one as exactly this product, so the bytes
+    # are the division's (the real DCT-II and antireflective coefficients
+    # keep true division, which the reciprocal would round differently)
+    reciprocals: np.ndarray | None = field(default=None, repr=False)
     # the blur H of the solution, for the objective: a symbol in the plan's
     # transform basis (periodic; reflective and antireflective with a kernel
     # of odd extent centred on its middle sample, real, the antireflective
-    # one laid out like its eigenvalues), else a callable u -> H u; under
-    # zero, a Kronecker product of Toeplitz matrices for a separable kernel
-    # up to DENSE_AXIS_MAX a side, else an FFT product (_zero_products)
+    # one laid out like its eigenvalues), else a callable u -> H u: for a
+    # separable kernel up to DENSE_AXIS_MAX a side, a Kronecker product of
+    # the rule's per-axis blur matrices (_axis_blurs), else under zero an
+    # FFT product (_zero_products) and otherwise a stencil convolver
     blur_symbol: np.ndarray | None = field(default=None, repr=False)
     blur: Callable | None = field(default=None, repr=False)
     # zero: v -> H'v, the exact transpose of blur, by the same route
     correlate: Callable | None = field(default=None, repr=False)
-    # zero: u -> H'H u, each CG step's: the Gram products M_a u M_b on the
-    # Kronecker route, else correlate(blur(u))
-    normal: Callable | None = field(default=None, repr=False)
+    # zero: u -> (H'H + ratio D'D) u, each CG step's, built per rung: two
+    # stacked Gram and Laplacian products on the Kronecker route, else
+    # correlate(blur(u)) plus the regularizer (_zero_products)
+    system: Callable | None = field(default=None, repr=False)
 
 
 class SystemPlanner:
@@ -287,7 +312,7 @@ class SystemPlanner:
             raise SingularPlanError(
                 f"kernel mass {psf.mass:.3e} makes the zero-frequency mode numerically singular")
         check_kernel_fits(psf, self.shape)
-        self._blur_symbol, self._blur, self._correlate, self._normal = None, None, None, None
+        self._blur_symbol, self._blur, self._correlate, self._system = None, None, None, None
         # under zero, the preconditioner's transform
         self.basis = (bc if bc != "zero" else
                       "reflective" if psf.quadrantally_symmetric else "periodic")
@@ -314,16 +339,20 @@ class SystemPlanner:
         self._lap_eig = (2 - 2 * np.cos(theta_r))[:, None] + (2 - 2 * np.cos(theta_c))
         # the blur itself is diagonal in the FFT basis, and in the DCT-II and
         # antireflective bases when the kernel is symmetric about its center
-        # sample (Ng, Chan & Tang 1999; Serra-Capizzano 2003); under zero, H,
-        # its exact transpose H' and H'H are matrix products (_zero_products)
+        # sample (Ng, Chan & Tang 1999; Serra-Capizzano 2003); otherwise it is
+        # per-axis matrix products for a separable kernel on a short image
+        # (_axis_blurs), and under zero H' and the system follow its route
+        # (_zero_products)
         if bc == "zero":
-            self._blur, self._correlate, self._normal = _zero_products(psf, self.shape)
+            self._blur, self._correlate, self._system = _zero_products(psf, self.shape)
         elif bc == "periodic":
             self._blur_symbol = symbol
         elif psf.rows % 2 and psf.cols % 2 and psf.center == (psf.rows // 2, psf.cols // 2):
             self._blur_symbol = symbol.real.copy()  # contiguous
         else:
-            self._blur = stencil_convolver(psf.weights, psf.center, bc, self.shape)
+            axes = _axis_blurs(psf, self.shape, bc)
+            self._blur = (stencil_convolver(psf.weights, psf.center, bc, self.shape)
+                          if axes is None else _kronecker(*axes))
 
     def plan(self, ratio: float) -> SpectralPlan:
         ratio = _real(ratio, "ratio", positive=False)
@@ -332,8 +361,11 @@ class SystemPlanner:
             logger.warning("%s plan: clamped %d eigenvalue(s) below %g",
                            self.basis, count, EIG_FLOOR)
         return SpectralPlan(self.bc, self.basis, self.shape, ratio, eigenvalues=eig,
-                            min_modulus=mn, clamp_count=count, blur_symbol=self._blur_symbol,
-                            blur=self._blur, correlate=self._correlate, normal=self._normal)
+                            min_modulus=mn, clamp_count=count,
+                            reciprocals=1 / eig if self.basis == "periodic" else None,
+                            blur_symbol=self._blur_symbol, blur=self._blur,
+                            correlate=self._correlate,
+                            system=None if self._system is None else self._system(ratio))
 
     def prepare(self, f: np.ndarray):
         """The data every solve with these plans shares: ``H'f`` (from
@@ -360,17 +392,16 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     residual whose norm overflows raises ``ConvergenceError``: its tolerance
     would be infinite, met by any x.
 
-    Each step's ``A p`` is ``plan.normal(p)`` plus the regularizer; the
-    start residual and the final check take ``H`` and then ``H'``, since
-    the final ``H x`` is the fidelity's.
+    Each step's ``A p`` is ``plan.system(p)``. The start residual and the
+    final check take ``H``, then ``H'`` plus the regularizer: the final
+    ``H x`` is the fidelity's, and a start that meets the tolerance logs
+    the residual the final check of the same x would. Dot products are
+    non-optimized ``einsum`` loops, never BLAS.
     """
-    def regularizer(u):
-        return plan.ratio * transpose_adjoint_gradient(differences(u, "zero"), "zero")
-
     def matvec(u):
         """``(A u, H u)``."""
         blurred = plan.blur(u)
-        return plan.correlate(blurred) + regularizer(u), blurred
+        return plan.correlate(blurred) + plan.ratio * _zero_laplacian(u), blurred
 
     def finite(norm, name):
         if not math.isfinite(norm):
@@ -394,10 +425,10 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     start_residual, steps = r_norm / b_norm, 0
     while r_norm > tol and steps < CG_MAXITER:
         z = _transform_solve(plan, r)[0]
-        rho = np.sum(r * z)
+        rho = np.einsum("ij,ij->", r, z)
         p = z if steps == 0 else z + (rho / rho_prev) * p
-        q = plan.normal(p) + regularizer(p)
-        alpha = rho / np.sum(p * q)
+        q = plan.system(p)
+        alpha = rho / np.einsum("ij,ij->", p, q)
         x += alpha * p
         r -= alpha * q
         r_norm = math.sqrt(_sum_of_squares(r))
@@ -411,19 +442,16 @@ def _solve_zero(plan: SpectralPlan, rhs: np.ndarray, start=None):
     return x, (steps, start_residual, residual), blurred
 
 
-@functools.cache
 def _sine_matrix(m: int) -> np.ndarray:
     """The orthonormal DST-I matrix of length ``m``, symmetric:
     ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))`` for ``j, k = 1 .. m``. The
     product ``j k`` is reduced modulo the period ``2 (m + 1)`` in integers,
     so every argument is below ``2 pi``: unreduced, the rounding of large
     arguments moved benchmark restorations by up to 2.9e-12 from pocketfft's,
-    against 1.0e-13 reduced. Cached and read-only: one matrix per length per
-    process, and only :func:`_antireflective_matrices` asks for it."""
+    against 1.0e-13 reduced. Only :func:`_antireflective_matrices` asks for
+    it, and caches what it builds from it."""
     jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * (m + 1))
-    sine = math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
-    sine.setflags(write=False)
-    return sine
+    return math.sqrt(2 / (m + 1)) * np.sin(np.pi / (m + 1) * jk)
 
 
 @functools.cache
@@ -464,52 +492,104 @@ def _matmul_rows(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
             np.matmul(rows.reshape(blocks, size, k), matrix).reshape(-1, n)[:p])
 
 
-def _toeplitz(taps: np.ndarray, center: int, n: int) -> np.ndarray:
-    """The n x n matrix of the zero-boundary convolution of a length-n axis
-    with the 1-D ``taps`` centred on sample ``center``, the output the size
-    of the input: ``T[i, j] = taps[i - j + center]`` where that index is in
-    range, else 0."""
-    index = np.subtract.outer(np.arange(n), np.arange(n)) + center
-    inside = (index >= 0) & (index < taps.size)
-    return np.where(inside, taps[np.clip(index, 0, taps.size - 1)], 0.0)
+def _blur_matrix(taps: np.ndarray, center: int, n: int, bc: str) -> np.ndarray:
+    """The n x n matrix of the convolution of a length-n axis with the 1-D
+    ``taps`` centred on sample ``center`` under the boundary rule ``bc``,
+    the output the size of the input: ``B = T E``. ``T`` is the
+    n x (n + k - 1) band ``T[i, l] = taps[i + k - 1 - l]`` of the k taps
+    over the extended axis, and ``E`` the identity extended by the rule's
+    ghosts (:func:`~tvdeblur.operators.extend`, the padding a stencil apply
+    makes). Under ``zero`` ``E`` drops the ghosts, so ``B`` is the banded
+    Toeplitz matrix ``B[i, j] = taps[i - j + center]`` exactly: each entry
+    is one tap times 1 plus zeros. The product is :func:`_matmul_rows`, so
+    no BLAS call exceeds ``BLAS_SERIAL_MADDS``: as one call, 128 x 143 x 128
+    multiply-adds for a 16-tap axis at 128, OpenBLAS would thread it."""
+    k = taps.size
+    index = np.subtract.outer(np.arange(n), np.arange(n + k - 1)) + k - 1
+    band = np.where((index >= 0) & (index < k), taps[np.clip(index, 0, k - 1)], 0.0)
+    return _matmul_rows(band, extend(np.eye(n), ((k - 1 - center, center), (0, 0)), bc))
+
+
+def _axis_blurs(psf: Psf, shape, bc: str):
+    """The blur H of a separable (rank-1) kernel on an image whose sides are
+    both at most ``DENSE_AXIS_MAX``, as its per-axis matrices ``(B_r, B_c)``
+    under the rule ``bc`` (:func:`_blur_matrix`), with ``H u = B_r u B_c'``
+    (Hansen, Nagy & O'Leary, *Deblurring Images*, SIAM 2006, sec. 4.4);
+    ``None`` for any other kernel or a side above the cutoff. The kernel is
+    ``w = a b'`` when ``np.linalg.matrix_rank(w) == 1`` at NumPy's default
+    tolerance; ``a`` and ``b`` are its first singular vectors scaled by the
+    root of its singular value."""
+    if max(shape) > DENSE_AXIS_MAX or np.linalg.matrix_rank(psf.weights) != 1:
+        return None
+    left, singular, right = np.linalg.svd(psf.weights)
+    scale = math.sqrt(singular[0])
+    return tuple(_blur_matrix(scale * taps, c, n, bc)
+                 for taps, c, n in zip((left[:, 0], right[0]), psf.center, shape))
+
+
+def _kronecker(left: np.ndarray, right: np.ndarray):
+    """``u -> left u right'``, two :func:`_matmul_rows` products, ``left u``
+    first, on C-contiguous copies of ``left`` and ``right'`` made here: a
+    transposed view made each product up to 1.6x slower at 128^2. The
+    image is the first product's right operand, so neither product copies
+    it: taken down the columns of ``u'`` instead, each product paid a
+    transposing copy, and the pair took 95 against 70 us for the 16-tap
+    axes of ``gaussian_psf(16, 5)`` at 128^2. A new C-contiguous array."""
+    left, right_t = np.ascontiguousarray(left), np.ascontiguousarray(right.T)
+    return lambda u: _matmul_rows(_matmul_rows(left, u), right_t)
+
+
+def _zero_laplacian(u: np.ndarray) -> np.ndarray:
+    """``D'D u`` under the zero rule, by the exact transpose of the gradient."""
+    return transpose_adjoint_gradient(differences(u, "zero"), "zero")
 
 
 def _zero_products(psf: Psf, shape):
-    """The zero plan's ``blur``, ``correlate`` and ``normal``: ``u -> H u``,
-    its exact transpose ``v -> H'v`` and ``u -> H'H u``.
+    """The zero planner's ``u -> H u``, its exact transpose ``v -> H'v`` and
+    ``ratio -> (u -> (H'H + ratio D'D) u)``, the system of each rung's CG
+    steps.
 
-    A separable kernel, ``w = a b'`` (``np.linalg.matrix_rank(w) == 1`` at
-    NumPy's default tolerance; ``a`` and ``b`` are its first singular
-    vectors scaled by the root of its singular value), on an image whose
-    sides are both at most ``DENSE_AXIS_MAX`` blurs as an exact Kronecker
-    product of two banded Toeplitz matrices (Hansen, Nagy & O'Leary,
-    *Deblurring Images*, SIAM 2006, sec. 4.4): ``H u = T_a u T_b'`` and
-    ``H'v = T_a' v T_b``, two :func:`_matmul_rows` products each, down the
-    columns and then along the rows, so the result is C-contiguous; and
-    ``H'H u = M_a u M_b`` with the Gram matrices ``M_a = T_a' T_a`` and
-    ``M_b = T_b' T_b``, built once here, two products with no transposed
-    copy. Any other kernel, or a side above the cutoff, takes
-    :func:`~tvdeblur.operators.fft_convolver` products, the kernel's and the
-    flipped kernel's, each a real-FFT pair on a grid of at least
-    ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the ghosts;
-    there ``H'H u`` is the one after the other.
+    With the zero rule's per-axis matrices ``(B_a, B_b)`` of
+    :func:`_axis_blurs`, ``H u = B_a u B_b'`` and ``H'v = B_a' v B_b``
+    (:func:`_kronecker`), and the system folds ``ratio D'D`` into the Gram
+    matrices ``M_a = B_a' B_a`` and ``M_b = B_b' B_b``, built once here:
+    along each axis the zero rule's ``D'D`` is the tridiagonal ``L`` with
+    diagonal ``[1, 2, ..., 2]`` and off-diagonals -1, so
+    ``A u = M_a u M_b + ratio (L_a u + u L_b)``, two :func:`_matmul_rows`
+    products with matrices built per rung: ``[M_a; ratio L_a] u`` stacks
+    ``M_a u`` over ``ratio L_a u``, and ``[M_a u | u] [M_b; ratio L_b]``
+    adds the other two terms. Any other kernel, or a side above the
+    cutoff, takes :func:`~tvdeblur.operators.fft_convolver` products, the
+    kernel's and the flipped kernel's, each a real-FFT pair on a grid of at
+    least ``(R + kr - 1) x (C + kc - 1)``, whose zero padding supplies the
+    ghosts; there ``A u`` is the one after the other plus ``ratio D'D u``.
     """
-    if max(shape) <= DENSE_AXIS_MAX and np.linalg.matrix_rank(psf.weights) == 1:
-        left, singular, right = np.linalg.svd(psf.weights)
-        scale = math.sqrt(singular[0])
-        t_a, t_b = (_toeplitz(scale * taps, c, n) for taps, c, n
-                    in zip((left[:, 0], right[0]), psf.center, shape))
-        # contiguous transposes: a transposed view made each product up to
-        # 1.6x slower at 128^2
-        ta_t, tb_t = np.ascontiguousarray(t_a.T), np.ascontiguousarray(t_b.T)
-        gram_a, gram_b = _matmul_rows(ta_t, t_a), _matmul_rows(tb_t, t_b)
-        return (lambda u: _matmul_rows(_matmul_rows(u.T, ta_t).T, tb_t),
-                lambda v: _matmul_rows(_matmul_rows(v.T, t_a).T, t_b),
-                lambda u: _matmul_rows(_matmul_rows(gram_a, u), gram_b))
-    flipped = psf.flipped()
-    blur = fft_convolver(psf.weights, psf.center, "zero", shape)
-    correlate = fft_convolver(flipped.weights, flipped.center, "zero", shape)
-    return blur, correlate, lambda u: correlate(blur(u))
+    axes = _axis_blurs(psf, shape, "zero")
+    if axes is None:
+        flipped = psf.flipped()
+        blur = fft_convolver(psf.weights, psf.center, "zero", shape)
+        correlate = fft_convolver(flipped.weights, flipped.center, "zero", shape)
+        return blur, correlate, lambda ratio: lambda u: (correlate(blur(u))
+                                                         + ratio * _zero_laplacian(u))
+    grams = [_matmul_rows(np.ascontiguousarray(axis.T), axis) for axis in axes]
+    laplacians = [2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1) for n in shape]
+    for laplacian in laplacians:
+        laplacian[0, 0] = 1.0
+    rows = shape[0]
+
+    def system(ratio):
+        left, right = (np.concatenate([gram, ratio * laplacian])
+                       for gram, laplacian in zip(grams, laplacians))
+
+        def apply(u):
+            stacked = _matmul_rows(left, u)
+            out = _matmul_rows(np.concatenate([stacked[:rows], u], axis=1), right)
+            out += stacked[rows:]
+            return out
+
+        return apply
+
+    return _kronecker(*axes), _kronecker(*(axis.T for axis in axes)), system
 
 
 @functools.cache
@@ -637,7 +717,10 @@ def _transform_solve(plan: SpectralPlan, rhs: np.ndarray):
     """The solution in the plan's transform basis, and its coefficients: the
     system's own for every model but zero, the preconditioner's for zero."""
     coefficients = _transform(plan, rhs)
-    coefficients /= plan.eigenvalues
+    if plan.reciprocals is None:
+        coefficients /= plan.eigenvalues
+    else:
+        coefficients *= plan.reciprocals
     return _transform(plan, coefficients, inverse=True), coefficients
 
 
@@ -660,7 +743,7 @@ def _frame_gram(n: int):
     (:func:`_antireflective_matrices` up to ``DENSE_AXIS_MAX`` sines,
     pocketfft's DST-I of the ramps on a longer axis). Both depend on the
     length alone: cached and read-only, one pair per length per process,
-    like :func:`_sine_matrix`.
+    like :func:`_antireflective_matrices`.
     """
     ramps = _antireflective(np.eye(n)[::n - 1], inverse=True)[:, 1:-1]
     sines = -_antireflective(np.eye(n)[::n - 1])[:, 1:-1]
@@ -734,8 +817,9 @@ def solve_and_blur(plan: SpectralPlan, rhs: np.ndarray, target: np.ndarray, star
     target, by Parseval (:func:`_squared_norm`, with the antireflective
     frame correction), so the update makes one forward and one inverse
     transform and no convolution. For zero, ``H u`` is the product the CG's
-    final residual check made; otherwise it is the plan's ``blur``, a
-    stencil apply. ``start`` is where the zero model's CG starts (zeros when
+    final residual check made; otherwise it is the plan's ``blur``: per-axis
+    matrix products for a separable kernel up to ``DENSE_AXIS_MAX`` a side,
+    else a stencil apply. ``start`` is where the zero model's CG starts (zeros when
     ``None``); the other models ignore it. ``rhs`` is only read.
     """
     if plan.blur_symbol is not None:

@@ -145,3 +145,14 @@ def test_every_module_level_name_is_referenced():
             unreferenced += [f"{filename}:{node.lineno} {name}" for name in names
                              if not name.startswith("__") and name not in referenced]
     assert not unreferenced, f"defined and never referenced: {unreferenced}"
+
+
+@pytest.mark.parametrize("module", [transforms, solver, tvdeblur.operators],
+                         ids=lambda m: m.__name__)
+def test_no_matmul_operator(module):
+    # every matrix product goes through np.matmul, whose BLAS calls the tests
+    # patch and bound (transforms.BLAS_SERIAL_MADDS); the patch cannot see `@`
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not found, f"{module.__name__} uses @ on lines {found}"

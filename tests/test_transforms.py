@@ -12,16 +12,21 @@ from tvdeblur import (ConvergenceError, Psf, ShapeError, SingularPlanError, Solv
                       solve_enlarged)
 from tvdeblur import dense, transforms
 from tvdeblur.dense import LAPLACIAN_CENTER, LAPLACIAN_STENCIL, autocorrelation
+from tvdeblur.operators import differences, stencil_convolver, transpose_adjoint_gradient
 from tvdeblur.transforms import (BLAS_SERIAL_MADDS, DENSE_AXIS_MAX, EIG_FLOOR, SystemPlanner,
-                                 _antireflective, _antireflective_matrices, _cosine_matrix,
-                                 _fft, _sine_matrix, _solve_zero, _squared_norm,
-                                 _sum_of_squares, _transform, solve_and_blur, solve_system)
+                                 _antireflective, _antireflective_matrices, _axis_blurs,
+                                 _blur_matrix, _cosine_matrix, _fft, _sine_matrix, _solve_zero,
+                                 _squared_norm, _sum_of_squares, _transform, solve_and_blur,
+                                 solve_system)
 
 BCS = ("zero", "periodic", "reflective", "antireflective")
 NONSYM = Psf(np.array([[0.50, 0.10], [0.20, 0.10], [0.05, 0.05]]), (1, 0))
 BOX = Psf(np.array([[0.5, 0.5]]), (0, 0))
 ROW = Psf(np.array([[0.25, 0.5, 0.25]]), (0, 1))
 COLUMN = Psf(ROW.weights.T, (1, 0))
+# quadrantally symmetric, even extent, matrix rank 2: no symbol and no
+# per-axis matrices, so its blur is a stencil convolver's
+EVEN_RANK2 = Psf((gaussian_psf(6, 1.5).weights + gaussian_psf(6, 0.8).weights) / 2, (2, 2))
 
 
 RECTANGULAR_KERNELS = {"delta": Psf.delta(), "g2": gaussian_psf(2, 0.7),
@@ -353,14 +358,12 @@ class TestDenseSines:
         assert calls and max(calls) <= BLAS_SERIAL_MADDS
 
     def test_one_read_only_matrix_per_length_up_to_the_cutoff(self, rng):
-        _sine_matrix.cache_clear()
+        # the sine matrix is built only into the cached pair, not kept itself
         _antireflective_matrices.cache_clear()
         for shape in [(LONG_AXIS, 9), (9, 9), (9, LONG_AXIS), (LONG_AXIS, LONG_AXIS)]:
             _antireflective(_antireflective(rng.standard_normal(shape)), inverse=True)
-        assert _sine_matrix.cache_info().currsize == 1
         assert _antireflective_matrices.cache_info().currsize == 1
-        sine = _sine_matrix(7)
-        assert sine is _sine_matrix(7) and not sine.flags.writeable
+        assert not hasattr(_sine_matrix, "cache_info")
         pair = _antireflective_matrices(9)
         assert pair is _antireflective_matrices(9)
         for matrix, transpose in pair:
@@ -689,6 +692,61 @@ def record_products(monkeypatch):
     return ffts, madds
 
 
+class TestAxisBlurs:
+    """The per-axis blur matrices ``B = T E`` of a separable kernel under
+    each rule, as ``B_r u B_c'``, against the stencil convolver. Bound,
+    fixed before the run: 1e-13 max-abs on unit-normal images, for rounding
+    in sums of at most 16 taps over at most three extended samples each."""
+
+    # odd and even extent, off-centre, 1 x k and k x 1
+    KERNELS = {"gaussian5": gaussian_psf(5, 1.0), "even-gaussian6": gaussian_psf(6, 1.5),
+               "even-gaussian16": gaussian_psf(16, 5.0),
+               "off-centre-3x4": separable_psf(3, 4, (0, 3), 1),
+               "off-centre-4x2": separable_psf(4, 2, (3, 0), 2),
+               "1x5": separable_psf(1, 5, (0, 1), 3), "6x1": separable_psf(6, 1, (4, 0), 4)}
+
+    @pytest.mark.parametrize("bc", BCS)
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_matches_the_stencil_convolver(self, rng, name, bc):
+        psf = self.KERNELS[name]
+        # a side as long as the kernel's, where the ghosts reach deepest
+        for shape in [(psf.rows + 13, psf.cols + 6), (psf.rows, psf.cols + 9)]:
+            u = rng.standard_normal(shape)
+            rows, cols = _axis_blurs(psf, shape, bc)
+            expected = stencil_convolver(psf.weights, psf.center, bc, shape)(u)
+            assert np.abs(rows @ u @ cols.T - expected).max() <= 1e-13, shape
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_zero_rule_is_the_toeplitz_matrix(self, rng, k):
+        taps, n = rng.standard_normal(k), 19
+        i, j = np.indices((n, n))
+        for center in range(k):
+            index = i - j + center
+            expected = np.where((index >= 0) & (index < k), taps[np.clip(index, 0, k - 1)], 0.0)
+            assert _blur_matrix(taps, center, n, "zero").tobytes() == expected.tobytes()
+
+    # matrix rank 2, and a side above the cutoff
+    @pytest.mark.parametrize("psf, shape", [(EVEN_RANK2, (20, 13)),
+                                            (gaussian_psf(4, 1.0), (DENSE_AXIS_MAX + 1, 9))],
+                             ids=["rank-2-even6x6", "rows-above-the-cutoff"])
+    def test_other_kernels_and_sides_have_none(self, psf, shape):
+        assert _axis_blurs(psf, shape, "antireflective") is None
+
+    @pytest.mark.parametrize("bc", ["reflective", "antireflective"])
+    def test_plans_without_a_symbol_blur_by_the_products(self, rng, monkeypatch, bc):
+        ffts, madds = record_products(monkeypatch)
+        psf, shape = gaussian_psf(6, 1.5), (20, 13)
+        planner = SystemPlanner(psf, shape, bc)
+        plan = planner.plan(0.3)
+        u = rng.standard_normal(shape)
+        ffts.clear()
+        madds.clear()
+        blurred = plan.blur(u)
+        assert not ffts and len(madds) == 2 and blurred.flags.c_contiguous
+        assert np.abs(blurred - apply_blur(u, psf, bc)).max() <= 1e-13
+        assert planner.plan(3.0).blur is plan.blur
+
+
 class TestSeparableZeroProducts:
     """A rank-1 kernel's zero plan blurs by Kronecker products of Toeplitz
     matrices when both image sides are at most the cutoff. Bounds, fixed
@@ -724,9 +782,11 @@ class TestSeparableZeroProducts:
         both = plan.correlate(plan.blur(u))
         assert not ffts and len(madds) == 4  # one per axis and product
         madds.clear()
-        normal = plan.normal(u)
-        assert not ffts and len(madds) == 2  # one per Gram matrix
-        assert np.abs(normal - both).max() <= 1e-12 and normal.flags.c_contiguous
+        system = plan.system(u)
+        # [M_a; ratio L_a] u, then [M_a u | u] [M_b; ratio L_b]
+        assert not ffts and len(madds) == 2
+        assert np.abs(system - zero_system(psf, 0.3)(u)).max() <= 1e-12
+        assert system.flags.c_contiguous
 
     # matrix_rank 2 and 5, and a side above the cutoff
     @pytest.mark.parametrize("psf, shape", [
@@ -744,7 +804,8 @@ class TestSeparableZeroProducts:
         assert len(ffts) == 2 and not madds
         assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
         assert np.abs(correlated - apply_correlation(u, psf, "zero")).max() <= 1e-12
-        assert plan.normal(u).tobytes() == plan.correlate(blurred).tobytes()
+        regularizer = 0.3 * transpose_adjoint_gradient(differences(u, "zero"), "zero")
+        assert plan.system(u).tobytes() == (plan.correlate(blurred) + regularizer).tobytes()
 
     def test_every_blas_call_stays_on_one_thread(self, rng, monkeypatch):
         ffts, madds = record_products(monkeypatch)
@@ -759,14 +820,18 @@ class TestSeparableZeroProducts:
             assert not ffts
             assert np.abs(blurred - apply_blur(u, psf, "zero")).max() <= 1e-12
         assert madds and max(madds) <= BLAS_SERIAL_MADDS
-        # whole solves: a zero restore at the cutoff (Gram products, planner
-        # set-up and the pocketfft DCT-II preconditioner) and a reflective
-        # one at 64 x 64 (cosine products)
-        psf, params = gaussian_psf(5, 1.0), SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0),
-                                                        inner_max=2)
-        for bc, side in (("zero", n), ("reflective", 64)):
-            observed, _ = simulate(builtin_truth("cartoon", side + 8, side + 8), psf, 1e-4,
-                                   seed=3)
+        # whole solves, planner set-up included: a zero restore at the cutoff
+        # (Gram products and the pocketfft DCT-II preconditioner), a
+        # reflective one at 64 x 64 (cosine products), and the even 16 x 16
+        # Gaussian's reflective and antireflective restores at the cutoff,
+        # whose blur is per-axis matrix products
+        params = SolveParams(alpha=500.0, beta_ladder=(4.0, 64.0), inner_max=2)
+        for psf, bc, side in ((gaussian_psf(5, 1.0), "zero", n),
+                              (gaussian_psf(5, 1.0), "reflective", 64),
+                              (gaussian_psf(16, 5.0), "reflective", n),
+                              (gaussian_psf(16, 5.0), "antireflective", n)):
+            truth = builtin_truth("cartoon", side + 2 * psf.rows - 2, side + 2 * psf.cols - 2)
+            observed, _ = simulate(truth, psf, 1e-4, seed=3)
             assert observed.shape == (side, side)
             madds.clear()
             solve(observed, psf, bc, params)
@@ -862,11 +927,12 @@ class TestSolveAndBlur:
     # runs a periodic solve on the enlarged domain. The antireflective
     # transform along an axis of at most DENSE_AXIS_MAX sines is a dense
     # product, ramps included, and a kernel of odd extent centred on its
-    # middle sample has a symbol, so only an even 6x6
-    # kernel's blur (36 taps, an FFT product) or the pocketfft DST-I of a
-    # longer axis, one dst each way, reaches scipy.fft there; the reflective
-    # 4x4 kernel has no symbol, and its 16-tap blur is direct. With both axes
-    # longer, the edges take a dst each and the interior a dstn, each way.
+    # middle sample has a symbol. A separable kernel without one (the even
+    # Gaussians) blurs by per-axis matrix products, so only the pocketfft
+    # DST-I of a longer axis, one dst each way, or the blur of an even 6x6
+    # kernel of rank 2 (36 taps, an FFT product) reaches scipy.fft there.
+    # With both axes longer, the edges take a dst each and the interior a
+    # dstn, each way.
     # The DCT-II of an R x C image with R C max(R, C) <= BLAS_SERIAL_MADDS
     # is cosine products, so only a 65 x 64 image, just above that bound,
     # takes a dctn and an idctn.
@@ -878,7 +944,8 @@ class TestSolveAndBlur:
                                              ((63 + 2 * psf.rows, 62 + 2 * psf.cols), DCT))]
     UPDATE_CASES += [("antireflective", gaussian_psf(3, 0.8), TRUTH, {}),
                      ("antireflective", gaussian_psf(7, 1.5), TRUTH, {}),
-                     ("antireflective", gaussian_psf(6, 1.5), TRUTH, FFT),
+                     ("antireflective", gaussian_psf(6, 1.5), TRUTH, {}),
+                     ("antireflective", EVEN_RANK2, TRUTH, FFT),
                      # 22 x 136 and 136 x 21: 134 sines on one axis
                      ("antireflective", gaussian_psf(3, 0.8), (26, 140), {"dst": 2}),
                      ("antireflective", gaussian_psf(3, 0.8), (140, 25), {"dst": 2}),
@@ -886,7 +953,7 @@ class TestSolveAndBlur:
     UPDATE_CASES += [(f"enlarge:{rule}", NONSYM, TRUTH, FFT) for rule in BCS]
 
     @pytest.mark.parametrize("mode, psf, truth, expected", UPDATE_CASES, ids=[
-        f"{mode}-{psf.rows}x{psf.cols}-on-{truth[0]}x{truth[1]}"
+        f"{mode}-{psf.rows}x{psf.cols}{'-rank2' * (psf is EVEN_RANK2)}-on-{truth[0]}x{truth[1]}"
         for mode, psf, truth, _ in UPDATE_CASES])
     def test_a_symbol_plan_update_makes_one_transform_each_way(self, monkeypatch, mode, psf,
                                                                truth, expected):
@@ -929,11 +996,12 @@ class TestSolveAndBlur:
                              ids=ZERO_ROUTES.keys())
     def test_a_zero_update_blurs_only_inside_its_cg(self, monkeypatch, psf, basis, kronecker):
         # the CG's start residual and its final check, whose H x is the
-        # fidelity's, each take H and then H'; each step takes H'H, on the
-        # FFT route the same two products, on the Kronecker route its two
-        # Gram products. An FFT product is one rfft2/irfft2 pair, a Kronecker
-        # or Gram product two np.matmul calls (each axis in one batched call
-        # up to this size). The DCT preconditioner on these grids (at most
+        # fidelity's, each take H and then H'; each step takes the system,
+        # on the FFT route the same two products, on the Kronecker route its
+        # stacked Gram and Laplacian products, which fold in the regularizer.
+        # An FFT product is one rfft2/irfft2 pair, a Kronecker product or the
+        # stacked pair two np.matmul calls (each in one batched call up to
+        # this size). The DCT preconditioner on these grids (at most
         # 22 x 23) is two cosine products each way, the FFT one an
         # rfft2/irfft2 pair.
         from tvdeblur import solver
@@ -959,8 +1027,8 @@ class TestSolveAndBlur:
                                                  inner_max=3))
         assert len(per_update) >= 4
         for counts, steps in per_update:
-            # FFT route: 2 products per H'H and per H then H'; Kronecker
-            # route: 2 np.matmul per H'H, 4 per H then H'
+            # FFT route: 2 products per step and per H then H'; Kronecker
+            # route: 2 np.matmul per step, 4 per H then H'
             ffts = 0 if kronecker else 2 * steps + 4 + steps * (basis == "periodic")
             dct = 4 * steps * (basis == "reflective")
             assert counts == {"rfft2": ffts, "irfft2": ffts, "dctn": 0, "idctn": 0,
